@@ -7,7 +7,7 @@ vector's U positions.  The vector set itself comes either from the
 fixed nine-vector baseline or from an evolutionary search.
 """
 
-from .baseline9c import compress_9c, nine_codebook, nine_mvs
+from .baseline9c import nine_codebook, nine_mvs
 from .codec import (
     BlockStats,
     Codebook,
@@ -48,5 +48,6 @@ from .ea import (
     random_individual,
     run_many,
 )
+from .pipeline import CompressResult, compress
 
 __version__ = "0.1.0"

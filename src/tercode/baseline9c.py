@@ -1,25 +1,15 @@
-"""The fixed nine-vector compression scheme and its Huffman-recoded variant.
+"""The fixed nine-vector compression scheme: its vectors and prefix code.
 
 The nine vectors are built from two half-blocks, each all-0, all-1 or
-all-U, and carry a fixed prefix code.  The code table deliberately
-leaves the codeword 11110 unused; it is reproduced here as published
-rather than repaired.
+all-U, and carry a fixed prefix code (method ``9c``); method ``9c-hc``
+replaces that code with a Huffman code over the measured frequencies.
+The code table deliberately leaves the codeword 11110 unused; it is
+reproduced here as published rather than repaired.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Sequence
-
-from .codec import (
-    Codebook,
-    EncodedStream,
-    MatchingVector,
-    build_huffman,
-    cover,
-    encode_all,
-)
-from .core import InputBlock
+from .codec import Codebook, MatchingVector
 from .errors import OddK
 
 _HALF_PAIRS = (
@@ -51,36 +41,3 @@ def nine_mvs(k: int) -> tuple[MatchingVector, ...]:
 def nine_codebook() -> Codebook:
     """The fixed prefix code, indexed in ``nine_mvs`` order."""
     return Codebook(dict(enumerate(_FIXED_CODEWORDS)))
-
-
-def compress_9c(
-    blocks: Sequence[InputBlock],
-    k: int,
-    recode_with_huffman: bool = False,
-    fill: str = "zero",
-    rng: random.Random | None = None,
-    original_length: int | None = None,
-    pattern_width: int | None = None,
-) -> EncodedStream:
-    """Cover with the nine fixed vectors and encode.
-
-    With ``recode_with_huffman`` the fixed codewords are replaced by a
-    canonical Huffman code over the measured frequencies.  Covering can
-    never fail: the all-U vector matches every block.
-    """
-    mvs = nine_mvs(k)
-    covering = cover(blocks, mvs)
-    if recode_with_huffman:
-        codebook = build_huffman(covering.frequencies)
-    else:
-        codebook = nine_codebook()
-    return encode_all(
-        blocks,
-        covering,
-        codebook,
-        mvs,
-        fill=fill,
-        rng=rng,
-        original_length=original_length,
-        pattern_width=pattern_width,
-    )

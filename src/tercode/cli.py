@@ -11,12 +11,11 @@ import argparse
 import dataclasses
 import json
 import os
-import random
 import sys
 import time
 from dataclasses import dataclass
 
-from . import baseline9c, codec, container, core, corpus, ea
+from . import codec, container, core, corpus, ea, pipeline
 from .errors import (
     ContainerError,
     InvalidConfig,
@@ -54,21 +53,53 @@ class RunReport:
         return data
 
 
-def _mv_usage(
-    mvs, covering: codec.Covering, codebook: codec.Codebook
-) -> list[dict]:
+def _mv_usage(result: pipeline.CompressResult) -> list[dict]:
     usage = []
-    for index, freq in enumerate(covering.frequencies):
+    for index, freq in enumerate(result.covering.frequencies):
         if freq == 0:
             continue
         usage.append(
             {
-                "mv": mvs[index].symbols,
+                "mv": result.mvs[index].symbols,
                 "frequency": freq,
-                "codeword_length": len(codebook.codeword(index)),
+                "codeword_length": len(result.codebook.codeword(index)),
             }
         )
     return usage
+
+
+def _ea_stats(report: ea.EvolutionReport | None) -> dict | None:
+    if report is None:
+        return None
+    return {
+        "run_rates": report.run_rates,
+        "mean_rate": report.mean_rate,
+        "best_rate": report.best_rate,
+        "generations": report.generations,
+        "evaluations": report.evaluations,
+        "per_run": [dataclasses.asdict(r) for r in report.per_run],
+    }
+
+
+def _run_report(
+    method: str,
+    result: pipeline.CompressResult,
+    started: float,
+    container_bytes: int | None = None,
+) -> RunReport:
+    """Describe one compress run; its duration counts from ``started``."""
+    return RunReport(
+        method=method,
+        k=result.stream.k,
+        l=len(result.mvs),
+        original_bits=result.stream.original_length,
+        payload_bits=result.stream.payload_bits,
+        compression_rate=result.rate,
+        mv_usage=_mv_usage(result),
+        duration_seconds=time.perf_counter() - started,
+        ea_stats=_ea_stats(result.evolution),
+        container_bytes=container_bytes,
+    )
 
 
 def _print_report(report: RunReport, mode: str) -> None:
@@ -109,11 +140,9 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _fill_rng(seed: int) -> random.Random:
-    return random.Random(f"fill-{seed}")
-
-
 def _ea_config(args, seed: int) -> ea.EaConfig:
+    """Explicit flags override the config file; flags left at their None
+    default fall back to the file and then to the built-in defaults."""
     if args.config:
         cfg = ea.EaConfig.from_file(args.config)
     else:
@@ -144,89 +173,15 @@ def _load_test_set(path: str) -> core.TestSet:
         return core.parse_test_set(handle)
 
 
-def _compress_pipeline(args, ts: core.TestSet, seed: int):
-    """Run one method over a parsed test set.
-
-    Returns (stream, rate, mv usage, ea stats or None, resolved config).
-    Explicit flags override the config file; flags left at their None
-    default fall back to the file and then to the built-in defaults.
-    """
-    cfg = _ea_config(args, seed)
-    original_bits = core.original_size_bits(ts)
-    blocks = core.partition(core.flatten(ts), cfg.k)
-    fill_rng = _fill_rng(seed) if args.fill == "random" else None
-    if args.method in ("9c", "9c-hc"):
-        mvs = baseline9c.nine_mvs(cfg.k)
-        covering = codec.cover(blocks, mvs)
-        codebook = (
-            codec.build_huffman(covering.frequencies)
-            if args.method == "9c-hc"
-            else baseline9c.nine_codebook()
-        )
-        stream = codec.encode_all(
-            blocks,
-            covering,
-            codebook,
-            mvs,
-            fill=args.fill,
-            rng=fill_rng,
-            original_length=original_bits,
-            pattern_width=ts.width,
-        )
-        usage = _mv_usage(mvs, covering, codebook)
-        rate = codec.compression_rate(original_bits, stream.payload_bits)
-        return stream, rate, usage, None, cfg
-    stats = codec.BlockStats(blocks)
-    report = ea.run_many(stats, original_bits, cfg)
-    mvs = [codec.MatchingVector(s) for s in report.best.vector_symbols()]
-    covering = codec.cover(stats, mvs)
-    if cfg.subsume:
-        covering, _ = codec.subsume_merge(covering, mvs, cfg.k)
-    codebook = codec.build_huffman(covering.frequencies)
-    stream = codec.encode_all(
-        blocks,
-        covering,
-        codebook,
-        mvs,
-        fill=args.fill,
-        rng=fill_rng,
-        original_length=original_bits,
-        pattern_width=ts.width,
-    )
-    usage = _mv_usage(mvs, covering, codebook)
-    rate = codec.compression_rate(original_bits, stream.payload_bits)
-    ea_stats = {
-        "run_rates": report.run_rates,
-        "mean_rate": report.mean_rate,
-        "best_rate": report.best_rate,
-        "generations": report.generations,
-        "evaluations": report.evaluations,
-        "per_run": [dataclasses.asdict(r) for r in report.per_run],
-    }
-    return stream, rate, usage, ea_stats, cfg
-
-
 def cmd_compress(args) -> int:
     started = time.perf_counter()
     seed = _resolve_seed(args)
     ts = _load_test_set(args.input)
-    stream, rate, usage, ea_stats, cfg = _compress_pipeline(args, ts, seed)
-    data = container.write_container(stream)
+    result = pipeline.compress(ts, args.method, _ea_config(args, seed), args.fill)
+    data = container.write_container(result.stream)
     with open(args.output, "wb") as handle:
         handle.write(data)
-    report = RunReport(
-        method=args.method,
-        k=cfg.k,
-        l=cfg.l if args.method == "ea" else 9,
-        original_bits=core.original_size_bits(ts),
-        payload_bits=stream.payload_bits,
-        compression_rate=rate,
-        mv_usage=usage,
-        duration_seconds=time.perf_counter() - started,
-        ea_stats=ea_stats,
-        container_bytes=len(data),
-    )
-    _print_report(report, args.report)
+    _print_report(_run_report(args.method, result, started, len(data)), args.report)
     return 0
 
 
@@ -284,33 +239,19 @@ def cmd_stats(args) -> int:
 def cmd_compare(args) -> int:
     seed = _resolve_seed(args)
     ts = _load_test_set(args.input)
+    cfg = _ea_config(args, seed)
     reports = []
-    resolved = None
     for method in ("9c", "9c-hc", "ea"):
         started = time.perf_counter()
-        sub = argparse.Namespace(**vars(args))
-        sub.method = method
-        stream, rate, usage, ea_stats, resolved = _compress_pipeline(sub, ts, seed)
-        reports.append(
-            RunReport(
-                method=method,
-                k=resolved.k,
-                l=resolved.l if method == "ea" else 9,
-                original_bits=core.original_size_bits(ts),
-                payload_bits=stream.payload_bits,
-                compression_rate=rate,
-                mv_usage=usage,
-                duration_seconds=time.perf_counter() - started,
-                ea_stats=ea_stats,
-            )
-        )
+        result = pipeline.compress(ts, method, cfg, args.fill)
+        reports.append(_run_report(method, result, started))
     if args.report == "json":
         print(json.dumps([r.to_jsonable() for r in reports], indent=2))
         return 0
     ea_report = reports[2]
     print(
         f"original bits {reports[0].original_bits}   "
-        f"K={resolved.k}  L={resolved.l}  seed={seed}"
+        f"K={cfg.k}  L={cfg.l}  seed={seed}"
     )
     print(f"{'method':10} {'payload':>10} {'rate':>8}")
     for r in reports[:2]:
@@ -377,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compress", help="compress a test-set file into a container")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--method", choices=("ea", "9c", "9c-hc"), default="ea")
+    p.add_argument("--method", choices=pipeline.METHODS, default="ea")
     p.add_argument("-K", dest="k", type=int, default=None,
                    help="input block length (default 12)")
     p.add_argument("-L", dest="l", type=int, default=None,

@@ -7,9 +7,9 @@ the vector's U positions, so the per-block cost is |codeword| + N_U.
 
 Matching is implemented on bitmask pairs (ones, zeros): a block and a
 vector conflict iff the block's ones overlap the vector's zeros or vice
-versa.  Covering deduplicates the block sequence first and, for block
-lengths up to 64, runs the per-vector match as a vectorized numpy pass
-over the unique blocks.
+versa.  Covering deduplicates the block sequence first and runs the
+per-vector match as numpy passes over the unique blocks' masks, split
+into 64-bit words, so one code path serves every block length.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ _MV_ZEROS = str.maketrans("01U", "100")
 _BLOCK_ONES = str.maketrans("01X", "010")
 _BLOCK_ZEROS = str.maketrans("01X", "100")
 
-# Largest block length that fits the numpy uint64 fast path.
-_NUMPY_MAX_K = 64
+_WORD_BITS = 64
+_WORD_MASK = (1 << _WORD_BITS) - 1
 
 FILL_CHOICES = ("zero", "one", "random")
 
@@ -175,51 +175,43 @@ class BlockStats:
 
     Building the stats once and covering many vector sets against them is
     the hot path of the evolutionary search.
+
+    Each unique block's K-bit masks (as from ``block_masks``: the leftmost
+    symbol is bit K-1) are stored word-major in uint64 arrays ``ones`` and
+    ``zeros`` of shape (ceil(K/64), n_unique); row w holds mask bits
+    [64w, 64w+64).  Unique blocks are in sorted byte order.  ``counts`` and
+    ``first_index`` (the ``index`` of the first occurrence) follow that
+    order, and ``inverse`` maps each block to its unique column.
     """
 
     __slots__ = ("k", "total", "n_unique", "ones", "zeros", "counts",
-                 "first_index", "inverse", "vectorized")
+                 "first_index", "inverse")
 
     def __init__(self, blocks: Sequence[InputBlock]):
-        if blocks:
-            self.k = len(blocks[0].symbols)
-        else:
-            self.k = 0
-        uid: dict[str, int] = {}
-        ones: list[int] = []
-        zeros: list[int] = []
-        counts: list[int] = []
-        first: list[int] = []
-        inverse: list[int] = []
-        for pos, block in enumerate(blocks):
-            if len(block.symbols) != self.k:
-                raise LengthMismatch("blocks differ in length")
-            u = uid.get(block.symbols)
-            if u is None:
-                u = len(uid)
-                uid[block.symbols] = u
-                o, z = block_masks(block.symbols)
-                ones.append(o)
-                zeros.append(z)
-                counts.append(0)
-                first.append(block.index)
-            counts[u] += 1
-            inverse.append(u)
+        self.k = len(blocks[0].symbols) if blocks else 0
+        if any(len(block.symbols) != self.k for block in blocks):
+            raise LengthMismatch("blocks differ in length")
         self.total = len(blocks)
-        self.n_unique = len(uid)
-        self.vectorized = 0 < self.k <= _NUMPY_MAX_K
-        if self.vectorized:
-            self.ones = np.array(ones, dtype=np.uint64)
-            self.zeros = np.array(zeros, dtype=np.uint64)
-            self.counts = np.array(counts, dtype=np.int64)
-            self.first_index = np.array(first, dtype=np.int64)
-            self.inverse = np.array(inverse, dtype=np.int64)
-        else:
-            self.ones = tuple(ones)
-            self.zeros = tuple(zeros)
-            self.counts = tuple(counts)
-            self.first_index = tuple(first)
-            self.inverse = tuple(inverse)
+        joined = "".join(block.symbols for block in blocks).encode("ascii")
+        # An empty sequence has no rows, so its row width is immaterial;
+        # numpy only refuses a zero-width void type.
+        rows = np.frombuffer(joined, dtype=f"V{self.k or 1}")
+        unique, first, self.inverse, self.counts = np.unique(
+            rows, return_index=True, return_inverse=True, return_counts=True
+        )
+        self.n_unique = len(unique)
+        self.first_index = np.array([blocks[i].index for i in first], dtype=np.int64)
+        codes = np.frombuffer(unique.tobytes(), dtype=np.uint8).reshape(
+            self.n_unique, self.k
+        )
+        n_words = -(-self.k // _WORD_BITS)
+        self.ones = np.zeros((n_words, self.n_unique), dtype=np.uint64)
+        self.zeros = np.zeros((n_words, self.n_unique), dtype=np.uint64)
+        for col in range(self.k):
+            word, bit = divmod(self.k - 1 - col, _WORD_BITS)
+            shift = np.uint64(bit)
+            self.ones[word] |= (codes[:, col] == ord("1")).astype(np.uint64) << shift
+            self.zeros[word] |= (codes[:, col] == ord("0")).astype(np.uint64) << shift
 
 
 def as_block_stats(blocks: Sequence[InputBlock] | BlockStats) -> BlockStats:
@@ -236,54 +228,41 @@ def match_frequencies(
     ones: Sequence[int],
     zeros: Sequence[int],
     n_unspecified: Sequence[int],
-) -> tuple[list[int], list[int], int, int]:
+) -> tuple[list[int], np.ndarray, int, int]:
     """Assign every block to its first matching vector in rising-U order.
 
     Returns (frequencies, per-unique assigned vector index with -1 for
     unmatched, unmatched block count, 1-based index of the first
     unmatched block or 0).
     """
-    order = _match_order(n_unspecified)
     freqs = [0] * len(ones)
-    if stats.n_unique == 0:
-        return freqs, [], 0, 0
-    if stats.vectorized:
-        unassigned = np.ones(stats.n_unique, dtype=bool)
-        assign = np.full(stats.n_unique, -1, dtype=np.int64)
-        for idx in order:
-            hit = (
-                ((stats.ones & np.uint64(zeros[idx])) == 0)
-                & ((stats.zeros & np.uint64(ones[idx])) == 0)
-                & unassigned
-            )
-            freq = int(stats.counts[hit].sum())
-            if freq:
-                freqs[idx] = freq
-                assign[hit] = idx
-                unassigned &= ~hit
-                if not unassigned.any():
-                    break
-        if unassigned.any():
-            unmatched = int(stats.counts[unassigned].sum())
-            first = int(stats.first_index[unassigned].min())
-        else:
-            unmatched, first = 0, 0
-        return freqs, assign.tolist(), unmatched, first
-    assign_py = [-1] * stats.n_unique
-    unmatched = 0
-    first = 0
-    for u in range(stats.n_unique):
-        b_ones, b_zeros = stats.ones[u], stats.zeros[u]
-        for idx in order:
-            if (ones[idx] & b_zeros) == 0 and (zeros[idx] & b_ones) == 0:
-                assign_py[u] = idx
-                freqs[idx] += stats.counts[u]
+    unassigned = np.ones(stats.n_unique, dtype=bool)
+    assign = np.full(stats.n_unique, -1, dtype=np.int64)
+    words = [
+        (w * _WORD_BITS, b_ones, b_zeros)
+        for w, (b_ones, b_zeros) in enumerate(zip(stats.ones, stats.zeros))
+    ]
+    for idx in _match_order(n_unspecified):
+        # Any block has a mask word, so ``hit`` becomes a new array here and
+        # the in-place update of ``unassigned`` below never aliases it.
+        hit = unassigned
+        for shift, b_ones, b_zeros in words:
+            v_zeros = np.uint64((zeros[idx] >> shift) & _WORD_MASK)
+            v_ones = np.uint64((ones[idx] >> shift) & _WORD_MASK)
+            hit = hit & (((b_ones & v_zeros) | (b_zeros & v_ones)) == 0)
+        freq = int(stats.counts[hit].sum())
+        if freq:
+            freqs[idx] = freq
+            assign[hit] = idx
+            unassigned &= ~hit
+            if not unassigned.any():
                 break
-        else:
-            unmatched += stats.counts[u]
-            if first == 0 or stats.first_index[u] < first:
-                first = stats.first_index[u]
-    return freqs, assign_py, unmatched, first
+    if unassigned.any():
+        unmatched = int(stats.counts[unassigned].sum())
+        first = int(stats.first_index[unassigned].min())
+    else:
+        unmatched, first = 0, 0
+    return freqs, assign, unmatched, first
 
 
 def cover(
@@ -309,11 +288,7 @@ def cover(
     )
     if unmatched:
         raise UnmatchedBlock(first)
-    if stats.vectorized:
-        assignment = tuple(np.asarray(assign)[stats.inverse].tolist())
-    else:
-        assignment = tuple(assign[u] for u in stats.inverse)
-    return Covering(assignment, tuple(freqs))
+    return Covering(tuple(assign[stats.inverse].tolist()), tuple(freqs))
 
 
 def huffman_code_lengths(frequencies: Sequence[int]) -> dict[int, int]:

@@ -38,6 +38,9 @@ GENE_ALPHABET = "01U"
 # always below any reachable compression rate.
 INFEASIBLE_BASE = -1000.0
 
+# The container stores K and the vector count as u16.
+MAX_K_OR_L = 0xFFFF
+
 
 @dataclass
 class EaConfig:
@@ -67,6 +70,8 @@ class EaConfig:
                 raise InvalidConfig(f"{name} must be an integer, got {value!r}")
         if self.k < 1 or self.l < 1:
             raise InvalidConfig("k and l must be >= 1")
+        if self.k > MAX_K_OR_L or self.l > MAX_K_OR_L:
+            raise InvalidConfig(f"k and l must be <= {MAX_K_OR_L}")
         if self.population_size < 1 or self.children_per_generation < 1:
             raise InvalidConfig("population and children counts must be >= 1")
         probs = (self.p_crossover, self.p_mutation, self.p_inversion)

@@ -1,0 +1,77 @@
+"""One compress pipeline for every method: partition, pick vectors, cover,
+code, encode.
+
+The method only decides the vectors and the codebook: ``9c`` and ``9c-hc``
+use the nine fixed vectors (with the published code or a Huffman recode),
+``ea`` searches for the vectors and Huffman-codes its covering.  Every layer
+is called through its module attribute, so a caller can time or replace a
+layer by patching that attribute.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+
+from . import baseline9c, codec, core, ea
+from .errors import InvalidConfig
+
+METHODS = ("ea", "9c", "9c-hc")
+
+
+@dataclass(frozen=True)
+class CompressResult:
+    """The encoded stream plus the choices and measures that produced it."""
+
+    stream: codec.EncodedStream
+    mvs: tuple[codec.MatchingVector, ...]
+    covering: codec.Covering
+    codebook: codec.Codebook
+    rate: float
+    evolution: ea.EvolutionReport | None
+
+
+def compress(
+    ts: core.TestSet,
+    method: str,
+    cfg: ea.EaConfig,
+    fill: str = "zero",
+) -> CompressResult:
+    """Compress a test set with ``method`` at block length ``cfg.k``.
+
+    ``ea`` runs ``cfg.runs`` searches and encodes with the best vector set
+    (subsumption-merged when ``cfg.subsume``).  Random fill draws from an
+    rng seeded by ``cfg.rng_seed``, so results are reproducible.
+    """
+    if method not in METHODS:
+        raise InvalidConfig(f"unknown method {method!r}; choose from {METHODS}")
+    original_bits = core.original_size_bits(ts)
+    blocks = core.partition(core.flatten(ts), cfg.k)
+    evolution = None
+    if method == "ea":
+        stats = codec.BlockStats(blocks)
+        evolution = ea.run_many(stats, original_bits, cfg)
+        mvs = tuple(codec.MatchingVector(s) for s in evolution.best.vector_symbols())
+        covering = codec.cover(stats, mvs)
+        if cfg.subsume:
+            covering, _ = codec.subsume_merge(covering, mvs, cfg.k)
+    else:
+        mvs = baseline9c.nine_mvs(cfg.k)
+        covering = codec.cover(blocks, mvs)
+    if method == "9c":
+        codebook = baseline9c.nine_codebook()
+    else:
+        codebook = codec.build_huffman(covering.frequencies)
+    rng = random.Random(f"fill-{cfg.rng_seed}") if fill == "random" else None
+    stream = codec.encode_all(
+        blocks,
+        covering,
+        codebook,
+        mvs,
+        fill=fill,
+        rng=rng,
+        original_length=original_bits,
+        pattern_width=ts.width,
+    )
+    rate = codec.compression_rate(original_bits, stream.payload_bits)
+    return CompressResult(stream, mvs, covering, codebook, rate, evolution)

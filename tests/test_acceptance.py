@@ -15,7 +15,7 @@ from tercode import (
     MatchingVector,
     build_huffman,
     cli,
-    compress_9c,
+    compress,
     compression_rate,
     cover,
     decode,
@@ -105,8 +105,7 @@ def test_nine_code_fidelity():
             if a is not b:
                 assert not b.startswith(a)
 
-    blocks = partition(flatten(parse_test_set("111100\n")), 6)
-    stream = compress_9c(blocks, 6)
+    stream = compress(parse_test_set("111100\n"), "9c", EaConfig(k=6)).stream
     assert payload_bitstring(stream) == "11010100"
     assert stream.payload_bits == 8
     _passed("nine-code fidelity", "111100 -> 11010100")
@@ -121,11 +120,9 @@ def test_huffman_recode_dominates_fixed_code():
         ts = random_test_set(rng, max_rows=18, max_cols=24,
                              x_density=rng.random())
         k = (4, 6, 8, 12)[trial % 4]
-        blocks = partition(flatten(ts), k)
         bits = original_size_bits(ts)
-        fixed = compress_9c(blocks, k, original_length=bits)
-        recoded = compress_9c(blocks, k, recode_with_huffman=True,
-                              original_length=bits)
+        fixed = compress(ts, "9c", EaConfig(k=k)).stream
+        recoded = compress(ts, "9c-hc", EaConfig(k=k)).stream
         assert compression_rate(bits, recoded.payload_bits) >= compression_rate(
             bits, fixed.payload_bits
         )
@@ -216,8 +213,7 @@ def test_ea_beats_nine_code_huffman_baseline():
         blocks = partition(flatten(ts), 12)
         stats = BlockStats(blocks)
 
-        recoded = compress_9c(blocks, 12, recode_with_huffman=True,
-                              original_length=bits)
+        recoded = compress(ts, "9c-hc", EaConfig(k=12)).stream
         baseline_rate = compression_rate(bits, recoded.payload_bits)
 
         cfg = EaConfig(

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from tercode import (
-    compress_9c,
+    EaConfig,
+    TestSet,
+    compress,
     compression_rate,
     cover,
     decode,
@@ -71,16 +73,14 @@ class TestNineCodebook:
 
 
 class TestCompress9c:
-    def _blocks(self, text, k):
-        from tercode import TernaryString
-
-        return partition(TernaryString(text, len(text)), k)
+    def _compress(self, ts, k, method="9c"):
+        return compress(ts, method, EaConfig(k=k)).stream
 
     def test_exact_block_costs_fixed_code(self):
-        stream = compress_9c(self._blocks("111000", 6), 6)
+        stream = self._compress(TestSet(("111000",)), 6)
         assert payload_bitstring(stream) == "11001"
 
-        stream = compress_9c(self._blocks("111100", 6), 6)
+        stream = self._compress(TestSet(("111100",)), 6)
         assert payload_bitstring(stream) == "11010100"
         assert stream.payload_bits == 8
 
@@ -99,7 +99,7 @@ class TestCompress9c:
         for _ in range(30):
             ts = random_test_set(rng, x_density=rng.choice([0.0, 0.5, 1.0]))
             blocks = partition(flatten(ts), 6)
-            stream = compress_9c(blocks, 6)
+            stream = self._compress(ts, 6)
             assert stream.block_count == len(blocks)
 
     def test_huffman_recode_never_worse(self):
@@ -107,12 +107,8 @@ class TestCompress9c:
         for _ in range(40):
             ts = random_test_set(rng, max_rows=10, max_cols=20)
             for k in (4, 6, 8):
-                blocks = partition(flatten(ts), k)
-                fixed = compress_9c(blocks, k, original_length=original_size_bits(ts))
-                recoded = compress_9c(
-                    blocks, k, recode_with_huffman=True,
-                    original_length=original_size_bits(ts),
-                )
+                fixed = self._compress(ts, k)
+                recoded = self._compress(ts, k, "9c-hc")
                 assert recoded.payload_bits <= fixed.payload_bits
                 bits = original_size_bits(ts)
                 assert compression_rate(bits, recoded.payload_bits) >= \
@@ -120,19 +116,16 @@ class TestCompress9c:
 
     def test_odd_k_rejected(self):
         with pytest.raises(OddK):
-            compress_9c(self._blocks("111", 3), 3)
+            self._compress(TestSet(("111",)), 3)
 
     def test_round_trip(self):
         rng = random.Random(72)
         for _ in range(20):
             ts = random_test_set(rng)
             k = rng.choice([2, 4, 6, 8])
-            blocks = partition(flatten(ts), k)
             bits = original_size_bits(ts)
-            for recode in (False, True):
-                stream = compress_9c(
-                    blocks, k, recode_with_huffman=recode, original_length=bits
-                )
+            for method in ("9c", "9c-hc"):
+                stream = self._compress(ts, k, method)
                 decoded = decode(stream)
                 flat = "".join(ts.patterns)
                 assert len(decoded) == bits
@@ -141,7 +134,7 @@ class TestCompress9c:
                         assert got == want
 
     def test_covering_prefers_specific_vectors(self):
-        blocks = self._blocks("111000", 6)
+        blocks = partition(flatten(TestSet(("111000",))), 6)
         covering = cover(blocks, nine_mvs(6))
         # 111000 is matched by v4, v5, v8 and v9; the zero-U vector wins
         assert covering.assignment == (3,)

@@ -131,6 +131,23 @@ class TestCompress:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("method, flag", [
+        ("9c", "-K"), ("9c-hc", "-K"), ("ea", "-K"), ("ea", "-L"),
+    ])
+    def test_block_or_vector_count_above_u16_is_usage_error(
+        self, tmp_path, capsys, method, flag
+    ):
+        source = tmp_path / "two.txt"
+        source.write_text("0101\n1X10\n")
+        output = tmp_path / "x.tcc"
+        code = run_cli(
+            ["compress", "--input", str(source), "--output", str(output),
+             "--method", method, flag, "70000"]
+        )
+        assert code == 2
+        assert "65535" in capsys.readouterr().err
+        assert not output.exists()
+
     def test_bad_input_format_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("01\n0\n")

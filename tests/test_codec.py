@@ -132,6 +132,14 @@ class TestCover:
             cover(blocks_from(["1111", "0101"]), [mv("1111"), mv("0000")])
         assert err.value.block_index == 2
 
+        # K=70 spans two mask words: the leftmost symbols sit in the high
+        # word, the rightmost in the low word; a conflict in either counts
+        ones = "1" * 70
+        for conflict in ("0" + "1" * 69, "1" * 69 + "0"):
+            with pytest.raises(UnmatchedBlock) as err:
+                cover(blocks_from([ones, conflict, ones, conflict]), [mv(ones)])
+            assert err.value.block_index == 2
+
     def test_worked_frequency_example(self):
         # five blocks only the 111U vector takes, three for 1110, two for 0000
         blocks = blocks_from(["1111"] * 5 + ["1110"] * 3 + ["0000"] * 2)
@@ -156,15 +164,23 @@ class TestCover:
                 )
                 assert mvs[idx].n_unspecified == best
 
-    @pytest.mark.parametrize("k", [2, 12, 64, 70])
+    @pytest.mark.parametrize("k", [1, 2, 12, 63, 64, 65, 70, 128, 129])
     def test_matches_naive_reference(self, k):
-        # k=70 exercises the pure-python fallback beyond the uint64 path
         rng = random.Random(100 + k)
         for _ in range(20):
             mvs = random_mv_set(rng, k, 5)
             symbols = [
                 "".join(rng.choice("01X") for _ in range(k)) for _ in range(30)
             ]
+            # random blocks of large K match only the all-U vector, so add
+            # a block matching each vector and a copy with one position
+            # flipped, which conflicts in whichever mask word holds it
+            for v in mvs[:-1]:
+                near = [rng.choice("01X") if ch == "U" else ch for ch in v.symbols]
+                symbols.append("".join(near))
+                pos = rng.randrange(k)
+                near[pos] = {"0": "1", "1": "0"}.get(near[pos], near[pos])
+                symbols.append("".join(near))
             blocks = blocks_from(symbols)
             covering = cover(blocks, mvs)
             assignment, freqs = naive_cover(blocks, mvs)

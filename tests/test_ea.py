@@ -36,6 +36,11 @@ class TestConfig:
         assert cfg.runs == 5
         assert cfg.reserve_all_u
 
+    def test_k_and_l_at_container_limit(self):
+        # the container stores both as u16
+        cfg = EaConfig(k=65535, l=65535)
+        assert (cfg.k, cfg.l) == (65535, 65535)
+
     def test_max_evaluations_derived(self):
         assert EaConfig().max_evaluations == 100 * 10 * 5
         assert EaConfig(max_evaluations=42).max_evaluations == 42
@@ -53,6 +58,8 @@ class TestConfig:
             dict(stagnation_limit=0),
             dict(max_evaluations=0),
             dict(runs=0),
+            dict(k=65536),
+            dict(l=65536),
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -368,7 +375,7 @@ class TestEvolve:
         assert report.best.genes == again.best.genes
 
     def test_nine_code_seeding_injects_vectors(self):
-        from tercode import compress_9c, compression_rate, nine_mvs
+        from tercode import TestSet, compress, compression_rate, nine_mvs
 
         blocks = self._blocks()
         cfg = EaConfig(
@@ -379,8 +386,8 @@ class TestEvolve:
         report = evolve(blocks, 240, cfg)
         assert report.best.genes == "".join(v.symbols for v in nine_mvs(4))
         # its fitness equals the Huffman-recoded nine-vector rate
-        stream = compress_9c(blocks, 4, recode_with_huffman=True,
-                             original_length=240)
+        ts = TestSet(tuple(b.symbols for b in blocks))
+        stream = compress(ts, "9c-hc", EaConfig(k=4)).stream
         assert report.best_fitness == pytest.approx(
             compression_rate(240, stream.payload_bits)
         )
