@@ -7,9 +7,10 @@ the vector's U positions, so the per-block cost is |codeword| + N_U.
 
 Matching is implemented on bitmask pairs (ones, zeros): a block and a
 vector conflict iff the block's ones overlap the vector's zeros or vice
-versa.  Covering deduplicates the block sequence first and runs the
-per-vector match as numpy passes over the unique blocks' masks, split
-into 64-bit words, so one code path serves every block length.
+versa.  Covering turns the block sequence into block sets once, one set
+per (mask bit, vector symbol), each a Python int with one bit per block;
+a vector's matching blocks are the AND of the sets at its specified
+positions, so one code path serves every block length.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ _MV_ONES = str.maketrans("01U", "010")
 _MV_ZEROS = str.maketrans("01U", "100")
 _BLOCK_ONES = str.maketrans("01X", "010")
 _BLOCK_ZEROS = str.maketrans("01X", "100")
-
-_WORD_BITS = 64
-_WORD_MASK = (1 << _WORD_BITS) - 1
 
 FILL_CHOICES = ("zero", "one", "random")
 
@@ -171,21 +169,21 @@ def matches(v: MatchingVector, ib: InputBlock) -> bool:
 
 
 class BlockStats:
-    """Deduplicated mask view of a block sequence, shared by many coverings.
+    """Block sets of a block sequence, shared by many coverings.
 
     Building the stats once and covering many vector sets against them is
     the hot path of the evolutionary search.
 
-    Each unique block's K-bit masks (as from ``block_masks``: the leftmost
-    symbol is bit K-1) are stored word-major in uint64 arrays ``ones`` and
-    ``zeros`` of shape (ceil(K/64), n_unique); row w holds mask bits
-    [64w, 64w+64).  Unique blocks are in sorted byte order.  ``counts`` and
-    ``first_index`` (the ``index`` of the first occurrence) follow that
-    order, and ``inverse`` maps each block to its unique column.
+    A block set is a Python int whose bit i stands for block i+1, in
+    sequence order.  For each mask bit b (as in ``block_masks``: the
+    leftmost symbol is bit K-1), ``fits_zero[b]`` holds the blocks whose
+    symbol there is not ``1`` and ``fits_one[b]`` those whose symbol there
+    is not ``0``.  The blocks a vector matches are the AND of
+    ``fits_zero`` over its 0 positions and ``fits_one`` over its 1
+    positions.
     """
 
-    __slots__ = ("k", "total", "n_unique", "ones", "zeros", "counts",
-                 "first_index", "inverse")
+    __slots__ = ("k", "total", "fits_zero", "fits_one")
 
     def __init__(self, blocks: Sequence[InputBlock]):
         self.k = len(blocks[0].symbols) if blocks else 0
@@ -193,25 +191,31 @@ class BlockStats:
             raise LengthMismatch("blocks differ in length")
         self.total = len(blocks)
         joined = "".join(block.symbols for block in blocks).encode("ascii")
-        # An empty sequence has no rows, so its row width is immaterial;
-        # numpy only refuses a zero-width void type.
-        rows = np.frombuffer(joined, dtype=f"V{self.k or 1}")
-        unique, first, self.inverse, self.counts = np.unique(
-            rows, return_index=True, return_inverse=True, return_counts=True
-        )
-        self.n_unique = len(unique)
-        self.first_index = np.array([blocks[i].index for i in first], dtype=np.int64)
-        codes = np.frombuffer(unique.tobytes(), dtype=np.uint8).reshape(
-            self.n_unique, self.k
-        )
-        n_words = -(-self.k // _WORD_BITS)
-        self.ones = np.zeros((n_words, self.n_unique), dtype=np.uint64)
-        self.zeros = np.zeros((n_words, self.n_unique), dtype=np.uint64)
-        for col in range(self.k):
-            word, bit = divmod(self.k - 1 - col, _WORD_BITS)
-            shift = np.uint64(bit)
-            self.ones[word] |= (codes[:, col] == ord("1")).astype(np.uint64) << shift
-            self.zeros[word] |= (codes[:, col] == ord("0")).astype(np.uint64) << shift
+        codes = np.frombuffer(joined, dtype=np.uint8).reshape(self.total, self.k)
+        # mask bit b is column K-1-b
+        columns = codes[:, ::-1].T
+        self.fits_zero = [_block_set(col != ord("1")) for col in columns]
+        self.fits_one = [_block_set(col != ord("0")) for col in columns]
+
+    @property
+    def n_unique(self) -> int:
+        """Number of distinct blocks, rebuilt from the sets on each access."""
+        if not self.total:
+            return 0
+        sets = self.fits_zero + self.fits_one
+        flags = np.stack([_block_flags(s, self.total) for s in sets], axis=1)
+        return len(np.unique(flags.view(f"V{len(sets)}")))
+
+
+def _block_set(flags: np.ndarray) -> int:
+    """Block set whose bit i is ``flags[i]``."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _block_flags(block_set: int, total: int) -> np.ndarray:
+    """Inverse of ``_block_set``: a bool array of ``total`` flags."""
+    raw = np.frombuffer(block_set.to_bytes(-(-total // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=total, bitorder="little").view(bool)
 
 
 def as_block_stats(blocks: Sequence[InputBlock] | BlockStats) -> BlockStats:
@@ -223,46 +227,44 @@ def _match_order(n_unspecified: Sequence[int]) -> list[int]:
     return sorted(range(len(n_unspecified)), key=n_unspecified.__getitem__)
 
 
+def _mask_bits(mask: int):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def match_frequencies(
     stats: BlockStats,
     ones: Sequence[int],
     zeros: Sequence[int],
     n_unspecified: Sequence[int],
-) -> tuple[list[int], np.ndarray, int, int]:
+) -> tuple[list[int], list[int], int, int]:
     """Assign every block to its first matching vector in rising-U order.
 
-    Returns (frequencies, per-unique assigned vector index with -1 for
-    unmatched, unmatched block count, 1-based index of the first
-    unmatched block or 0).
+    Returns (frequencies, per-vector block set of the blocks it takes,
+    unmatched block count, 1-based index of the first unmatched block
+    or 0).
     """
     freqs = [0] * len(ones)
-    unassigned = np.ones(stats.n_unique, dtype=bool)
-    assign = np.full(stats.n_unique, -1, dtype=np.int64)
-    words = [
-        (w * _WORD_BITS, b_ones, b_zeros)
-        for w, (b_ones, b_zeros) in enumerate(zip(stats.ones, stats.zeros))
-    ]
+    hits = [0] * len(ones)
+    unassigned = (1 << stats.total) - 1
+    fits_zero, fits_one = stats.fits_zero, stats.fits_one
     for idx in _match_order(n_unspecified):
-        # Any block has a mask word, so ``hit`` becomes a new array here and
-        # the in-place update of ``unassigned`` below never aliases it.
+        if not unassigned:
+            break
         hit = unassigned
-        for shift, b_ones, b_zeros in words:
-            v_zeros = np.uint64((zeros[idx] >> shift) & _WORD_MASK)
-            v_ones = np.uint64((ones[idx] >> shift) & _WORD_MASK)
-            hit = hit & (((b_ones & v_zeros) | (b_zeros & v_ones)) == 0)
-        freq = int(stats.counts[hit].sum())
-        if freq:
-            freqs[idx] = freq
-            assign[hit] = idx
-            unassigned &= ~hit
-            if not unassigned.any():
-                break
-    if unassigned.any():
-        unmatched = int(stats.counts[unassigned].sum())
-        first = int(stats.first_index[unassigned].min())
-    else:
-        unmatched, first = 0, 0
-    return freqs, assign, unmatched, first
+        for b in _mask_bits(zeros[idx]):
+            hit &= fits_zero[b]
+        for b in _mask_bits(ones[idx]):
+            hit &= fits_one[b]
+        if hit:
+            freqs[idx] = hit.bit_count()
+            hits[idx] = hit
+            unassigned ^= hit
+    first = (unassigned & -unassigned).bit_length()
+    return freqs, hits, unassigned.bit_count(), first
 
 
 def cover(
@@ -280,7 +282,7 @@ def cover(
             raise LengthMismatch(
                 f"vector length {len(v.symbols)} vs block length {stats.k}"
             )
-    freqs, assign, unmatched, first = match_frequencies(
+    freqs, hits, unmatched, first = match_frequencies(
         stats,
         [v.ones_mask for v in mvs],
         [v.zeros_mask for v in mvs],
@@ -288,7 +290,11 @@ def cover(
     )
     if unmatched:
         raise UnmatchedBlock(first)
-    return Covering(tuple(assign[stats.inverse].tolist()), tuple(freqs))
+    assign = np.zeros(stats.total, dtype=np.int64)
+    for idx, hit in enumerate(hits):
+        if hit:
+            assign[_block_flags(hit, stats.total)] = idx
+    return Covering(tuple(assign.tolist()), tuple(freqs))
 
 
 def huffman_code_lengths(frequencies: Sequence[int]) -> dict[int, int]:

@@ -9,7 +9,8 @@ Layout (all integers big-endian):
 Each MV table entry packs K symbols at 2 bits (00=0, 01=1, 10=U),
 MSB-first and zero-padded to a byte boundary.  Each codeword entry is a
 length byte followed by that many bits, again byte-padded.  The CRC32
-covers every byte before it.  Extension records after the CRC are
+covers every byte before it.  K is at least 1 and block_count is
+ceil(original_length / K).  Extension records after the CRC are
 length-prefixed (4-byte tag, u32 size, body) so unknown tags and older
 readers that stop at the CRC both stay compatible; the only tag written
 today is "WDTH" carrying the pattern width as a u64.
@@ -98,8 +99,9 @@ class _Cursor:
 def read_container(data: bytes) -> EncodedStream:
     """Parse container bytes back into an EncodedStream.
 
-    Raises BadMagic, UnsupportedVersion, CorruptHeader or
-    ChecksumMismatch as appropriate.
+    Raises BadMagic, UnsupportedVersion, CorruptHeader (also for a block
+    count that does not fit the original length) or ChecksumMismatch as
+    appropriate.
     """
     cur = _Cursor(data)
     magic = bytes(cur.take(4))
@@ -121,6 +123,12 @@ def read_container(data: bytes) -> EncodedStream:
     (crc_stored,) = cur.unpack(">I")
     if zlib.crc32(data[:crc_offset]) != crc_stored:
         raise ChecksumMismatch("container checksum does not match its contents")
+    # encode_all writes exactly the blocks that hold the original symbols;
+    # a header claiming more would let decode run on without bound
+    if k < 1 or block_count != -(-original_length // k):
+        raise CorruptHeader(
+            f"{block_count} blocks of K={k} do not hold {original_length} symbols"
+        )
 
     pattern_width = None
     while cur.pos < len(data):

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tercode import (
     Codebook,
@@ -132,8 +134,8 @@ class TestCover:
             cover(blocks_from(["1111", "0101"]), [mv("1111"), mv("0000")])
         assert err.value.block_index == 2
 
-        # K=70 spans two mask words: the leftmost symbols sit in the high
-        # word, the rightmost in the low word; a conflict in either counts
+        # K=70 masks are wider than 64 bits: the leftmost symbol is mask
+        # bit 69, the rightmost bit 0; a conflict at either end counts
         ones = "1" * 70
         for conflict in ("0" + "1" * 69, "1" * 69 + "0"):
             with pytest.raises(UnmatchedBlock) as err:
@@ -174,7 +176,7 @@ class TestCover:
             ]
             # random blocks of large K match only the all-U vector, so add
             # a block matching each vector and a copy with one position
-            # flipped, which conflicts in whichever mask word holds it
+            # flipped, which conflicts at whichever mask bit holds it
             for v in mvs[:-1]:
                 near = [rng.choice("01X") if ch == "U" else ch for ch in v.symbols]
                 symbols.append("".join(near))
@@ -199,6 +201,48 @@ class TestCover:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             cover(blocks_from(["01"]), [mv("0")])
+
+
+@st.composite
+def vectors_and_blocks(draw):
+    """K, a vector set and 0-130 blocks, most of them near some vector so
+    that vectors other than all-U take blocks even at large K."""
+    k = draw(st.sampled_from([1, 2, 12, 64, 65, 129]))
+    symbols = st.text(alphabet="01U", min_size=k, max_size=k)
+    vectors = draw(st.lists(symbols, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        vectors.append("U" * k)
+    rng = draw(st.randoms(use_true_random=False))
+    blocks = []
+    for _ in range(draw(st.integers(0, 130))):
+        near = [rng.choice("01X") if ch == "U" else ch for ch in rng.choice(vectors)]
+        if rng.random() < 0.5:
+            near[rng.randrange(k)] = rng.choice("01X")
+        blocks.append("".join(near))
+    return [mv(v) for v in vectors], blocks_from(blocks)
+
+
+class TestCoverProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(vectors_and_blocks())
+    def test_agrees_with_naive_cover(self, case):
+        mvs, blocks = case
+        assignment, expected = naive_cover(blocks, mvs)
+        if assignment is None:
+            with pytest.raises(UnmatchedBlock) as err:
+                cover(blocks, mvs)
+            assert err.value.block_index == expected
+        else:
+            covering = cover(blocks, mvs)
+            assert covering.assignment == assignment
+            assert covering.frequencies == expected
+
+    @pytest.mark.parametrize("k", [1, 12, 65])
+    def test_only_unmatched_block_is_block_1000(self, k):
+        symbols = ["0" * k, "X" * k] * 499 + ["0" * k, "1" * k]
+        with pytest.raises(UnmatchedBlock) as err:
+            cover(blocks_from(symbols), [mv("0" * k)])
+        assert err.value.block_index == 1000
 
 
 class TestHuffman:

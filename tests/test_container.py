@@ -1,8 +1,10 @@
 import random
+import struct
+import zlib
 
 import pytest
 
-from tercode import read_container, write_container
+from tercode import decode, read_container, write_container
 from tercode.container import MAGIC
 from tercode.errors import (
     BadMagic,
@@ -46,8 +48,6 @@ class TestRoundTrip:
         assert write_container(stream) == write_container(stream)
 
     def test_unknown_extension_skipped(self):
-        import struct
-
         rng = random.Random(53)
         stream = random_stream(rng)
         data = write_container(stream) + b"ZZZZ" + struct.pack(">I", 3) + b"abc"
@@ -91,3 +91,35 @@ class TestErrors:
     def test_empty_input(self):
         with pytest.raises(CorruptHeader):
             read_container(b"")
+
+
+def _single_vector_container(k: int, block_count: int, original_length: int) -> bytes:
+    """A container whose one vector is all 0 with the empty codeword, so
+    every block decodes from zero payload bits; the CRC is valid."""
+    body = struct.pack(">4sBHHQQ", MAGIC, 1, k, 1, block_count, original_length)
+    body += bytes((2 * k + 7) // 8)  # the vector: K symbols coded 00 = '0'
+    body += bytes([0])  # codeword length 0
+    body += struct.pack(">Q", 0)  # payload bits
+    return body + struct.pack(">I", zlib.crc32(body))
+
+
+class TestBlockCount:
+    def test_consistent_header_decodes(self):
+        stream = read_container(_single_vector_container(3, 2, 5))
+        assert decode(stream) == "00000"
+
+    def test_decompression_bomb_rejected(self):
+        # 39 bytes declaring 2**40 zero-cost blocks for one original symbol;
+        # were it accepted, decode would run without bound
+        data = _single_vector_container(1, 2**40, 1)
+        assert len(data) == 39
+        with pytest.raises(CorruptHeader):
+            read_container(data)
+
+    @pytest.mark.parametrize(
+        "k, block_count, original_length",
+        [(3, 1, 5), (3, 3, 5), (3, 1, 0), (1, 2**64 - 1, 2**64 - 2), (0, 0, 0)],
+    )
+    def test_block_count_must_fit_original_length(self, k, block_count, original_length):
+        with pytest.raises(CorruptHeader):
+            read_container(_single_vector_container(k, block_count, original_length))

@@ -1,0 +1,38 @@
+"""Fixed-seed EA trajectory pin.
+
+``run_many`` on acceptance corpus 9001 at the README budget (K=12, L=64,
+seed 7, stagnation 30, max 600 evaluations, 5 runs) must walk the same
+path on every change: the same best-fitness series of the winning run,
+the same per-run rates and the same counted work.  Every fitness float
+enters the selection order, so a matching or coding change that moves
+any of them by one ulp shows up here.  A pin may only change together
+with a deliberate change of the search or of the fitness.
+"""
+
+import hashlib
+
+from tercode import EaConfig, flatten, original_size_bits, partition, run_many
+from tercode.codec import BlockStats
+from tercode.corpus import CorpusSpec, generate_corpus
+
+from test_acceptance import CLUSTERED
+
+HISTORY_SHA256 = "f0d35da253029292e25a798390a6044786b41dc809db29236bf9fb4003808ad9"
+RUN_RATES = (
+    "[34.30357142857143, 30.543650793650794, 27.376984126984127, "
+    "27.884920634920636, 32.87301587301587]"
+)
+
+
+def test_readme_budget_trajectory_on_corpus_9001():
+    ts = generate_corpus(CorpusSpec(rng_seed=9001, **CLUSTERED))
+    cfg = EaConfig(k=12, l=64, rng_seed=7, stagnation_limit=30, max_evaluations=600)
+    report = run_many(BlockStats(partition(flatten(ts), 12)),
+                      original_size_bits(ts), cfg)
+    assert repr(report.run_rates) == RUN_RATES
+    assert len(report.history) == 119
+    assert report.history[0] == 19.648809523809526
+    assert report.history[-1] == 34.30357142857143
+    assert hashlib.sha256(repr(report.history).encode()).hexdigest() == HISTORY_SHA256
+    assert report.evaluations == 3000
+    assert report.generations == 590
