@@ -188,7 +188,7 @@ def cmd_compress(args) -> int:
 def cmd_decompress(args) -> int:
     with open(args.input, "rb") as handle:
         stream = container.read_container(handle.read())
-    bits = codec.decode(stream)
+    bits = codec.decode(stream, args.max_symbols)
     width = args.width if args.width is not None else stream.pattern_width
     if width is None:
         raise InvalidConfig(
@@ -335,6 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--width", type=int, default=None,
                    help="pattern width (defaults to the container's record)")
+    p.add_argument("--max-symbols", type=int, default=codec.MAX_DECODE_SYMBOLS,
+                   help="refuse containers that decode to more symbols "
+                        f"(default {codec.MAX_DECODE_SYMBOLS})")
     p.set_defaults(func=cmd_decompress)
 
     p = sub.add_parser("stats", help="show size and table facts of a container")

@@ -30,6 +30,7 @@ from .errors import (
     LengthMismatch,
     NoCodeword,
     NotMatching,
+    OutputTooLarge,
     UnknownCodeword,
     UnmatchedBlock,
     ZeroOriginal,
@@ -41,6 +42,10 @@ _BLOCK_ONES = str.maketrans("01X", "010")
 _BLOCK_ZEROS = str.maketrans("01X", "100")
 
 FILL_CHOICES = ("zero", "one", "random")
+
+# Default cap on the symbols ``decode`` produces; a header alone can
+# declare up to 2^64 of them.
+MAX_DECODE_SYMBOLS = 1 << 30
 
 
 def mv_masks(symbols: str) -> tuple[int, int]:
@@ -423,12 +428,19 @@ def encode_all(
     )
 
 
-def decode(stream: EncodedStream) -> str:
+def decode(stream: EncodedStream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:
     """Reconstruct the fully specified bit string of ``original_length`` bits.
 
     Walks the payload bit-serially: each codeword names a vector, whose U
-    positions are then filled from the next N_U payload bits.
+    positions are then filled from the next N_U payload bits.  Raises
+    OutputTooLarge, before decoding anything, when ``original_length``
+    exceeds ``max_symbols``.
     """
+    if stream.original_length > max_symbols:
+        raise OutputTooLarge(
+            f"stream declares {stream.original_length} symbols, "
+            f"more than the limit of {max_symbols}"
+        )
     table = {
         (len(code), int(code, 2) if code else 0): pos
         for pos, code in stream.codebook.entries.items()
@@ -462,14 +474,34 @@ def compression_rate(original_bits: int, payload_bits: int) -> float:
     return 100.0 * (original_bits - payload_bits) / original_bits
 
 
+def huffman_cost(frequencies: Sequence[int]) -> int:
+    """Sum of F * |codeword| over an optimal prefix code of the nonzero
+    frequencies, without building the code.
+
+    Every Huffman merge adds one level above both merged subtrees, so each
+    leaf's weight is counted once per merge above it, that is once per bit
+    of its codeword: the sum of the merge weights is sum(F * length) of
+    the Huffman code, and every optimal code has that cost.  0 when fewer
+    than two frequencies are nonzero (a lone codeword is empty).
+    """
+    heap = [f for f in frequencies if f > 0]
+    heapq.heapify(heap)
+    cost = 0
+    for _ in range(len(heap) - 1):
+        merged = heapq.heappop(heap) + heap[0]
+        heapq.heapreplace(heap, merged)
+        cost += merged
+    return cost
+
+
 def payload_bits_for(
     frequencies: Sequence[int], n_unspecified: Sequence[int]
 ) -> int:
     """Total payload size for a covering: sum of F * (|codeword| + N_U)."""
-    lengths = huffman_code_lengths(frequencies)
-    return sum(
-        frequencies[i] * (length + n_unspecified[i])
-        for i, length in lengths.items()
+    if not any(f > 0 for f in frequencies):
+        raise AllZeroFrequencies("every frequency is zero")
+    return huffman_cost(frequencies) + sum(
+        f * n for f, n in zip(frequencies, n_unspecified)
     )
 
 
@@ -497,34 +529,57 @@ def merge_subsumed_frequencies(
     Candidate pairs are scanned by rising (j, i); every accepted drop
     restarts the scan, so the result is a deterministic fixed point.
     Returns the merged frequencies and the {dropped: absorber} map.
+
+    Pricing.  A drop moves F_j onto i, so the fill bits grow by
+    extra = F_j * (N_U[i] - N_U[j]) (never negative: i's specified
+    positions are among j's) and the drop is taken iff
+    huffman_cost(after) + extra < huffman_cost(before).  Two cases are
+    decided without pricing, both exactly:
+
+    - F_i == 0: the drop only renames a leaf, so the Huffman cost stays
+      and the fill bits cannot fall.  Vectors at zero frequency therefore
+      never take part, as droppers or absorbers.
+    - extra >= F_i + F_j: splitting the merged leaf of an optimal code for
+      the state after the drop into two children i and j gives a code for
+      the state before it that costs exactly F_i + F_j more, so
+      huffman_cost(before) <= huffman_cost(after) + F_i + F_j, and the
+      drop cannot make the payload shrink.
+
+    ``n_unspecified`` must count the positions that neither mask sets.
     """
     freqs = list(frequencies)
-    n = len(freqs)
     redirect: dict[int, int] = {}
-    if not any(freqs):
-        return freqs, redirect
-    current = payload_bits_for(freqs, n_unspecified)
+    live = [j for j, f in enumerate(freqs) if f > 0]
+    absorbers = {
+        j: [
+            i for i in live
+            if i != j and not (ones[i] & ~ones[j]) and not (zeros[i] & ~zeros[j])
+        ]
+        for j in live
+    }
+    current = huffman_cost(freqs)
     improved = True
     while improved:
         improved = False
-        for j in range(n):
-            if freqs[j] == 0:
+        for j in live:
+            fj = freqs[j]
+            if not fj:
                 continue
-            for i in range(n):
-                if i == j:
+            for i in absorbers[j]:
+                fi = freqs[i]
+                if not fi:
                     continue
-                if (ones[i] & ~ones[j]) or (zeros[i] & ~zeros[j]):
+                extra = fj * (n_unspecified[i] - n_unspecified[j])
+                if extra >= fi + fj:
                     continue
-                candidate = list(freqs)
-                candidate[i] += candidate[j]
-                candidate[j] = 0
-                cost = payload_bits_for(candidate, n_unspecified)
-                if cost < current:
-                    freqs = candidate
+                freqs[i], freqs[j] = fi + fj, 0
+                cost = huffman_cost(freqs)
+                if cost + extra < current:
                     current = cost
                     redirect[j] = i
                     improved = True
                     break
+                freqs[i], freqs[j] = fi, fj
             if improved:
                 break
     resolved = {}

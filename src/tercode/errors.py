@@ -92,5 +92,9 @@ class ChecksumMismatch(ContainerError):
     """The container checksum does not match its contents."""
 
 
+class OutputTooLarge(ContainerError):
+    """The stream declares more symbols than the decoder may produce."""
+
+
 class InvalidConfig(TercodeError):
     """An evolutionary-search or CLI configuration value is out of range."""

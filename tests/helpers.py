@@ -7,6 +7,8 @@ catch systematic errors in the production paths.
 """
 
 import random
+import struct
+import zlib
 from functools import lru_cache
 
 from tercode import (
@@ -20,6 +22,8 @@ from tercode import (
     original_size_bits,
     partition,
 )
+from tercode.codec import huffman_code_lengths
+from tercode.container import MAGIC
 
 
 def random_test_set(rng: random.Random, max_rows=12, max_cols=16,
@@ -130,6 +134,66 @@ def payload_bitstring(stream) -> str:
     """The payload as a '0'/'1' string, trailing pad bits stripped."""
     bits = "".join(format(byte, "08b") for byte in stream.payload)
     return bits[: stream.payload_bits]
+
+
+def naive_payload_bits(frequencies, n_unspecified) -> int:
+    """Payload size priced from a full Huffman code: sum of F * (len + N_U)."""
+    lengths = huffman_code_lengths(frequencies)
+    return sum(
+        frequencies[i] * (length + n_unspecified[i])
+        for i, length in lengths.items()
+    )
+
+
+def naive_merge_subsumed_frequencies(frequencies, ones, zeros, n_unspecified):
+    """Reference subsumption merge: every candidate drop priced with a full
+    Huffman code, every pair tested for subsumption inside the scan."""
+    freqs = list(frequencies)
+    n = len(freqs)
+    redirect: dict[int, int] = {}
+    if not any(freqs):
+        return freqs, redirect
+    current = naive_payload_bits(freqs, n_unspecified)
+    improved = True
+    while improved:
+        improved = False
+        for j in range(n):
+            if freqs[j] == 0:
+                continue
+            for i in range(n):
+                if i == j:
+                    continue
+                if (ones[i] & ~ones[j]) or (zeros[i] & ~zeros[j]):
+                    continue
+                candidate = list(freqs)
+                candidate[i] += candidate[j]
+                candidate[j] = 0
+                cost = naive_payload_bits(candidate, n_unspecified)
+                if cost < current:
+                    freqs = candidate
+                    current = cost
+                    redirect[j] = i
+                    improved = True
+                    break
+            if improved:
+                break
+    resolved = {}
+    for j in redirect:
+        target = redirect[j]
+        while target in redirect:
+            target = redirect[target]
+        resolved[j] = target
+    return freqs, resolved
+
+
+def single_vector_container(k: int, block_count: int, original_length: int) -> bytes:
+    """A container whose one vector is all 0 with the empty codeword, so
+    every block decodes from zero payload bits; the CRC is valid."""
+    body = struct.pack(">4sBHHQQ", MAGIC, 1, k, 1, block_count, original_length)
+    body += bytes((2 * k + 7) // 8)  # the vector: K symbols coded 00 = '0'
+    body += bytes([0])  # codeword length 0
+    body += struct.pack(">Q", 0)  # payload bits
+    return body + struct.pack(">I", zlib.crc32(body))
 
 
 class ScriptedRng:

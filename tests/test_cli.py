@@ -6,6 +6,8 @@ import pytest
 
 from tercode import cli, parse_test_set, read_container
 
+from helpers import single_vector_container
+
 
 def run_cli(args):
     return cli.main(args)
@@ -310,6 +312,27 @@ class TestDecompress:
              "--output", str(tmp_path / "r.txt")]
         )
         assert code == 4
+
+    def test_output_cap_refuses_bomb(self, tmp_path):
+        # a consistent 39-byte header declaring 2**40 zero-cost symbols
+        container = tmp_path / "bomb.tcc"
+        container.write_bytes(single_vector_container(1, 2**40, 2**40))
+        restored = tmp_path / "r.txt"
+        code = run_cli(
+            ["decompress", "--input", str(container), "--output", str(restored),
+             "--width", "1"]
+        )
+        assert code == 4
+        assert not restored.exists()
+
+    def test_max_symbols_flag(self, corpus_file, tmp_path):
+        container = self._compress(corpus_file, tmp_path)
+        restored = tmp_path / "r.txt"
+        args = ["decompress", "--input", str(container), "--output", str(restored)]
+        assert run_cli([*args, "--max-symbols", str(30 * 48 - 1)]) == 4
+        assert not restored.exists()
+        assert run_cli([*args, "--max-symbols", str(30 * 48)]) == 0
+        assert parse_test_set(restored.read_text()).pattern_count == 30
 
 
 class TestStats:

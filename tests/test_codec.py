@@ -25,6 +25,9 @@ from tercode import (
 from tercode.codec import (
     BlockStats,
     huffman_code_lengths,
+    huffman_cost,
+    merge_subsumed_frequencies,
+    mv_masks,
     payload_bits_for,
     subsumes,
 )
@@ -44,6 +47,7 @@ from helpers import (
     char_match,
     codebook_cost,
     naive_cover,
+    naive_merge_subsumed_frequencies,
     optimal_prefix_cost,
     payload_bitstring,
     random_mv_set,
@@ -298,6 +302,25 @@ class TestHuffman:
         values = [int(codebook.entries[i], 2) for i in ordered]
         assert values == sorted(values)
 
+    def test_huffman_cost_examples(self):
+        assert huffman_cost([5, 3, 2]) == 15  # merges 5 + 10
+        assert huffman_cost([0, 7, 0]) == 0
+        assert huffman_cost([]) == 0
+        assert huffman_cost([4, 4]) == 8
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 500), max_size=70),
+           st.lists(st.integers(0, 129), min_size=70, max_size=70))
+    def test_payload_bits_from_code_lengths(self, freqs, n_us):
+        if not any(freqs):
+            with pytest.raises(AllZeroFrequencies):
+                payload_bits_for(freqs, n_us)
+            return
+        lengths = huffman_code_lengths(freqs)
+        assert payload_bits_for(freqs, n_us) == sum(
+            freqs[i] * (length + n_us[i]) for i, length in lengths.items()
+        )
+
     def test_codebook_rejects_prefix_violation(self):
         with pytest.raises(ValueError):
             Codebook({0: "0", 1: "01"})
@@ -523,3 +546,49 @@ class TestSubsumeMerge:
             for idx in merged.assignment:
                 recount[idx] += 1
             assert tuple(recount) == merged.frequencies
+
+
+@st.composite
+def merge_cases(draw):
+    """Frequencies and vectors at K 1-4, L 1-12, with duplicate vectors,
+    zero frequencies and sometimes an all-U vector."""
+    k = draw(st.integers(1, 4))
+    symbols = st.text(alphabet="01U", min_size=k, max_size=k)
+    size = draw(st.integers(1, 12))
+    vectors = draw(st.lists(symbols, min_size=size, max_size=size))
+    if len(vectors) < 12 and draw(st.booleans()):
+        vectors.insert(draw(st.integers(0, len(vectors))), "U" * k)
+    if len(vectors) < 12 and draw(st.booleans()):
+        vectors.append(draw(st.sampled_from(vectors)))
+    freqs = draw(st.lists(st.integers(0, 60), min_size=len(vectors),
+                          max_size=len(vectors)))
+    ones, zeros = zip(*(mv_masks(v) for v in vectors))
+    return freqs, list(ones), list(zeros), [v.count("U") for v in vectors]
+
+
+class TestMergeProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(merge_cases())
+    def test_agrees_with_naive_merge(self, case):
+        assert (merge_subsumed_frequencies(*case)
+                == naive_merge_subsumed_frequencies(*case))
+
+    def test_drop_accepted_only_when_payload_strictly_shrinks(self):
+        # 1110 (F=1) into 111U (F=1): the codewords shrink from 1+1 bits to
+        # none and the fill grows by 1 bit, so 3 payload bits become 2
+        ones, zeros = zip(*(mv_masks(v) for v in ("111U", "1110")))
+        assert merge_subsumed_frequencies([1, 1], ones, zeros, [1, 0]) == (
+            [2, 0], {1: 0})
+        # 1100 into 11UU: the fill grows by 2 bits, so 4 bits stay 4
+        ones, zeros = zip(*(mv_masks(v) for v in ("11UU", "1100")))
+        assert merge_subsumed_frequencies([1, 1], ones, zeros, [2, 0]) == (
+            [1, 1], {})
+
+    def test_scan_restarts_after_every_drop(self):
+        # the first drop (UU1 into UUU) makes 110 -> UUU pay off; a scan
+        # that went on with 1U0 instead would stop at [4, 7, 0, 0]
+        vectors = ("110", "UUU", "UU1", "1U0")
+        ones, zeros = zip(*(mv_masks(v) for v in vectors))
+        n_us = [v.count("U") for v in vectors]
+        assert merge_subsumed_frequencies([4, 5, 1, 1], ones, zeros, n_us) == (
+            [0, 11, 0, 0], {2: 1, 0: 1, 3: 1})

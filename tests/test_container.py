@@ -1,19 +1,25 @@
 import random
 import struct
-import zlib
 
 import pytest
 
 from tercode import decode, read_container, write_container
+from tercode.codec import MAX_DECODE_SYMBOLS
 from tercode.container import MAGIC
 from tercode.errors import (
     BadMagic,
     ChecksumMismatch,
     CorruptHeader,
+    OutputTooLarge,
     UnsupportedVersion,
 )
 
-from helpers import encode_test_set, random_mv_set, random_test_set
+from helpers import (
+    encode_test_set,
+    random_mv_set,
+    random_test_set,
+    single_vector_container,
+)
 
 
 def random_stream(rng: random.Random, pattern_width=None):
@@ -93,25 +99,15 @@ class TestErrors:
             read_container(b"")
 
 
-def _single_vector_container(k: int, block_count: int, original_length: int) -> bytes:
-    """A container whose one vector is all 0 with the empty codeword, so
-    every block decodes from zero payload bits; the CRC is valid."""
-    body = struct.pack(">4sBHHQQ", MAGIC, 1, k, 1, block_count, original_length)
-    body += bytes((2 * k + 7) // 8)  # the vector: K symbols coded 00 = '0'
-    body += bytes([0])  # codeword length 0
-    body += struct.pack(">Q", 0)  # payload bits
-    return body + struct.pack(">I", zlib.crc32(body))
-
-
 class TestBlockCount:
     def test_consistent_header_decodes(self):
-        stream = read_container(_single_vector_container(3, 2, 5))
+        stream = read_container(single_vector_container(3, 2, 5))
         assert decode(stream) == "00000"
 
     def test_decompression_bomb_rejected(self):
         # 39 bytes declaring 2**40 zero-cost blocks for one original symbol;
         # were it accepted, decode would run without bound
-        data = _single_vector_container(1, 2**40, 1)
+        data = single_vector_container(1, 2**40, 1)
         assert len(data) == 39
         with pytest.raises(CorruptHeader):
             read_container(data)
@@ -122,4 +118,27 @@ class TestBlockCount:
     )
     def test_block_count_must_fit_original_length(self, k, block_count, original_length):
         with pytest.raises(CorruptHeader):
-            read_container(_single_vector_container(k, block_count, original_length))
+            read_container(single_vector_container(k, block_count, original_length))
+
+
+class TestOutputCap:
+    def test_consistent_bomb_fails_fast(self):
+        # 39 bytes, consistent header: 2**40 zero-cost blocks of one symbol
+        data = single_vector_container(1, 2**40, 2**40)
+        assert len(data) == 39
+        stream = read_container(data)
+        with pytest.raises(OutputTooLarge):
+            decode(stream)
+
+    def test_limit_is_inclusive(self):
+        stream = read_container(single_vector_container(3, 2, 5))
+        assert decode(stream, max_symbols=5) == "00000"
+        with pytest.raises(OutputTooLarge):
+            decode(stream, max_symbols=4)
+
+    def test_default_cap_leaves_round_trips_alone(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            stream = random_stream(rng)
+            assert stream.original_length <= MAX_DECODE_SYMBOLS
+            assert decode(read_container(write_container(stream))) == decode(stream)

@@ -1,4 +1,4 @@
-"""Fixed-seed EA trajectory pin.
+"""Fixed-seed EA trajectory pins.
 
 ``run_many`` on acceptance corpus 9001 at the README budget (K=12, L=64,
 seed 7, stagnation 30, max 600 evaluations, 5 runs) must walk the same
@@ -7,11 +7,24 @@ the same per-run rates and the same counted work.  Every fitness float
 enters the selection order, so a matching or coding change that moves
 any of them by one ulp shows up here.  A pin may only change together
 with a deliberate change of the search or of the fitness.
+
+The subsume pins run one short search with the subsumption merge in the
+fitness (max 200 evaluations, 1 run), and pin the container that
+``pipeline.compress`` writes with that config: its final
+``subsume_merge`` redirect decides which vector codes each block.
 """
 
 import hashlib
 
-from tercode import EaConfig, flatten, original_size_bits, partition, run_many
+from tercode import (
+    EaConfig,
+    flatten,
+    original_size_bits,
+    partition,
+    pipeline,
+    run_many,
+    write_container,
+)
 from tercode.codec import BlockStats
 from tercode.corpus import CorpusSpec, generate_corpus
 
@@ -36,3 +49,36 @@ def test_readme_budget_trajectory_on_corpus_9001():
     assert hashlib.sha256(repr(report.history).encode()).hexdigest() == HISTORY_SHA256
     assert report.evaluations == 3000
     assert report.generations == 590
+
+
+CORPUS_9001 = CorpusSpec(rng_seed=9001, **CLUSTERED)
+SUBSUME_CFG = dict(k=12, l=64, rng_seed=7, stagnation_limit=30,
+                   max_evaluations=200, runs=1, subsume=True)
+SUBSUME_HISTORY_SHA256 = (
+    "bb4d8815c665c198962d32d22cd7f9b511f9d8acf7a6f29920cc86199b507dbe"
+)
+SUBSUME_CONTAINER_SHA256 = (
+    "d99b4d61485643f25daa40e681f1211b15c4564026cc8c0cc8700c984f3fbe47"
+)
+
+
+def test_subsume_trajectory_on_corpus_9001():
+    ts = generate_corpus(CORPUS_9001)
+    report = run_many(BlockStats(partition(flatten(ts), 12)),
+                      original_size_bits(ts), EaConfig(**SUBSUME_CFG))
+    assert repr(report.run_rates) == "[23.883928571428573]"
+    assert len(report.history) == 39
+    assert report.history[0] == 20.00793650793651
+    assert report.history[-1] == 23.883928571428573
+    assert (hashlib.sha256(repr(report.history).encode()).hexdigest()
+            == SUBSUME_HISTORY_SHA256)
+    assert report.evaluations == 200
+    assert report.generations == 38
+
+
+def test_subsume_container_on_corpus_9001():
+    result = pipeline.compress(generate_corpus(CORPUS_9001), "ea",
+                               EaConfig(**SUBSUME_CFG))
+    data = write_container(result.stream)
+    assert len(data) == 9879
+    assert hashlib.sha256(data).hexdigest() == SUBSUME_CONTAINER_SHA256
