@@ -1,77 +1,21 @@
-"""MSB-first bit packing helpers shared by the codec and the container."""
+"""The bit packing rule shared by the codec and the container.
+
+A run of bits is a string of '0'/'1' characters.  It is packed MSB-first:
+the first character is the top bit of the first byte, and the last byte
+is zero-padded.
+"""
 
 from __future__ import annotations
 
-from .errors import TruncatedPayload
+
+def pack_bits(bits: str) -> bytes:
+    """Pack a '0'/'1' string MSB-first, zero-padding the last byte."""
+    n_bytes = (len(bits) + 7) // 8
+    if not n_bytes:
+        return b""
+    return int(bits.ljust(8 * n_bytes, "0"), 2).to_bytes(n_bytes, "big")
 
 
-class BitWriter:
-    """Accumulates bits MSB-first; the final partial byte is zero-padded."""
-
-    __slots__ = ("_acc", "_nbits", "_out")
-
-    def __init__(self):
-        self._out = bytearray()
-        self._acc = 0
-        self._nbits = 0
-
-    def write_bit(self, bit: int) -> None:
-        self._acc = (self._acc << 1) | (bit & 1)
-        self._nbits += 1
-        if self._nbits == 8:
-            self._out.append(self._acc)
-            self._acc = 0
-            self._nbits = 0
-
-    def write_uint(self, value: int, width: int) -> None:
-        """Write ``value`` in ``width`` bits, most significant bit first."""
-        for shift in range(width - 1, -1, -1):
-            self.write_bit((value >> shift) & 1)
-
-    def write_bitstring(self, bits: str) -> None:
-        """Write a string of '0'/'1' characters in order."""
-        for ch in bits:
-            self.write_bit(ch == "1")
-
-    @property
-    def bit_length(self) -> int:
-        return len(self._out) * 8 + self._nbits
-
-    def getvalue(self) -> bytes:
-        """Packed bytes with the trailing partial byte zero-padded."""
-        if self._nbits:
-            return bytes(self._out) + bytes([self._acc << (8 - self._nbits)])
-        return bytes(self._out)
-
-
-class BitReader:
-    """Reads bits MSB-first from ``data``, at most ``bit_length`` of them."""
-
-    __slots__ = ("_data", "_limit", "_pos")
-
-    def __init__(self, data: bytes, bit_length: int | None = None):
-        self._data = data
-        self._limit = len(data) * 8 if bit_length is None else bit_length
-        if self._limit > len(data) * 8:
-            raise ValueError("bit_length exceeds the available data")
-        self._pos = 0
-
-    def read_bit(self) -> int:
-        if self._pos >= self._limit:
-            raise TruncatedPayload(
-                f"bit {self._pos} requested but only {self._limit} available"
-            )
-        byte = self._data[self._pos >> 3]
-        bit = (byte >> (7 - (self._pos & 7))) & 1
-        self._pos += 1
-        return bit
-
-    def read_uint(self, width: int) -> int:
-        value = 0
-        for _ in range(width):
-            value = (value << 1) | self.read_bit()
-        return value
-
-    @property
-    def bits_remaining(self) -> int:
-        return self._limit - self._pos
+def unpack_bits(data: bytes, n: int) -> str:
+    """The first ``n`` bits of ``data`` as a '0'/'1' string, MSB-first."""
+    return format(int.from_bytes(data, "big"), "b").zfill(8 * len(data))[:n]

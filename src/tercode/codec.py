@@ -1,9 +1,12 @@
 """Matching semantics, greedy covering, Huffman coding, encode/decode.
 
-An input block over {0,1,X} matches a vector over {0,1,U} when no
-position pairs a specified 0 with a specified 1.  Each block is encoded
-as the codeword of its assigned vector followed by the block's bits at
-the vector's U positions, so the per-block cost is |codeword| + N_U.
+An input block is a string of K symbols over {0,1,X}; it matches a vector
+over {0,1,U} when no position pairs a specified 0 with a specified 1.
+Each block is encoded as the codeword of its assigned vector followed by
+the block's bits at the vector's U positions, so the per-block cost is
+|codeword| + N_U.  The payload is the concatenation of those '0'/'1'
+strings, packed once by ``bits.pack_bits``; decoding unpacks it once and
+walks the string.
 
 Matching is implemented on bitmask pairs (ones, zeros): a block and a
 vector conflict iff the block's ones overlap the vector's zeros or vice
@@ -22,15 +25,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .bits import BitReader, BitWriter
-from .core import InputBlock
+from .bits import pack_bits, unpack_bits
 from .errors import (
     AllZeroFrequencies,
     DanglingBits,
+    InvalidConfig,
     LengthMismatch,
     NoCodeword,
     NotMatching,
     OutputTooLarge,
+    TruncatedPayload,
     UnknownCodeword,
     UnmatchedBlock,
     ZeroOriginal,
@@ -158,18 +162,22 @@ class EncodedStream:
             raise ValueError("payload byte count disagrees with payload_bits")
         if self.original_length > self.block_count * self.k:
             raise ValueError("original_length exceeds the decoded size")
+        # every block must hold an original symbol, or decode would emit
+        # up to block_count * k symbols only to trim them away
+        if self.block_count and (self.block_count - 1) * self.k >= self.original_length:
+            raise ValueError("a block holds no original symbol")
         for index in self.codebook.entries:
             if not 0 <= index < len(self.mv_table):
                 raise ValueError(f"codebook entry {index} outside the MV table")
 
 
-def matches(v: MatchingVector, ib: InputBlock) -> bool:
+def matches(v: MatchingVector, block: str) -> bool:
     """True iff no position pairs a 0 with a 1; X and U match anything."""
-    if len(v.symbols) != len(ib.symbols):
+    if len(v.symbols) != len(block):
         raise LengthMismatch(
-            f"vector length {len(v.symbols)} vs block length {len(ib.symbols)}"
+            f"vector length {len(v.symbols)} vs block length {len(block)}"
         )
-    ones, zeros = block_masks(ib.symbols)
+    ones, zeros = block_masks(block)
     return (v.ones_mask & zeros) == 0 and (v.zeros_mask & ones) == 0
 
 
@@ -190,12 +198,12 @@ class BlockStats:
 
     __slots__ = ("k", "total", "fits_zero", "fits_one")
 
-    def __init__(self, blocks: Sequence[InputBlock]):
-        self.k = len(blocks[0].symbols) if blocks else 0
-        if any(len(block.symbols) != self.k for block in blocks):
+    def __init__(self, blocks: Sequence[str]):
+        self.k = len(blocks[0]) if blocks else 0
+        if any(len(block) != self.k for block in blocks):
             raise LengthMismatch("blocks differ in length")
         self.total = len(blocks)
-        joined = "".join(block.symbols for block in blocks).encode("ascii")
+        joined = "".join(blocks).encode("ascii")
         codes = np.frombuffer(joined, dtype=np.uint8).reshape(self.total, self.k)
         # mask bit b is column K-1-b
         columns = codes[:, ::-1].T
@@ -223,7 +231,7 @@ def _block_flags(block_set: int, total: int) -> np.ndarray:
     return np.unpackbits(raw, count=total, bitorder="little").view(bool)
 
 
-def as_block_stats(blocks: Sequence[InputBlock] | BlockStats) -> BlockStats:
+def as_block_stats(blocks: Sequence[str] | BlockStats) -> BlockStats:
     return blocks if isinstance(blocks, BlockStats) else BlockStats(blocks)
 
 
@@ -273,7 +281,7 @@ def match_frequencies(
 
 
 def cover(
-    blocks: Sequence[InputBlock] | BlockStats,
+    blocks: Sequence[str] | BlockStats,
     mvs: Sequence[MatchingVector],
 ) -> Covering:
     """Greedy covering: vectors sorted by rising U count, first match wins.
@@ -358,22 +366,15 @@ def encoding_length(v: MatchingVector, codebook: Codebook, index: int) -> int:
     return len(codebook.codeword(index)) + v.n_unspecified
 
 
-def _fill_bit(ch: str, fill: str, rng: random.Random | None) -> str:
-    if ch != "X":
-        return ch
-    if fill == "zero":
-        return "0"
-    if fill == "one":
-        return "1"
-    if fill == "random":
-        if rng is None:
-            raise ValueError("random fill requires an rng")
-        return "01"[rng.getrandbits(1)]
-    raise ValueError(f"unknown fill policy {fill!r}")
+def _check_fill(fill: str, rng: random.Random | None) -> None:
+    if fill not in FILL_CHOICES:
+        raise InvalidConfig(f"unknown fill policy {fill!r}; choose from {FILL_CHOICES}")
+    if fill == "random" and rng is None:
+        raise InvalidConfig("random fill requires an rng")
 
 
 def encode_block(
-    ib: InputBlock,
+    block: str,
     v: MatchingVector,
     codebook: Codebook,
     index: int,
@@ -382,17 +383,26 @@ def encode_block(
 ) -> str:
     """Codeword of ``v`` followed by the block's bits at the U positions.
 
-    An X at a U position is resolved by the fill policy (default '0').
+    An X at a U position is resolved by the fill policy (default '0');
+    random fill draws one ``rng.getrandbits(1)`` per such X, in order.
     """
-    if not matches(v, ib):
-        raise NotMatching(f"vector {v.symbols} does not match block {ib.symbols}")
+    _check_fill(fill, rng)
+    if not matches(v, block):
+        raise NotMatching(f"vector {v.symbols} does not match block {block}")
     code = codebook.codeword(index)
-    fills = "".join(_fill_bit(ib.symbols[p], fill, rng) for p in v.u_positions)
+    fills = "".join([block[p] for p in v.u_positions])
+    if "X" in fills:
+        if fill == "random":
+            fills = "".join(
+                ["01"[rng.getrandbits(1)] if ch == "X" else ch for ch in fills]
+            )
+        else:
+            fills = fills.replace("X", "0" if fill == "zero" else "1")
     return code + fills
 
 
 def encode_all(
-    blocks: Sequence[InputBlock],
+    blocks: Sequence[str],
     covering: Covering,
     codebook: Codebook,
     mvs: Sequence[MatchingVector],
@@ -401,7 +411,12 @@ def encode_all(
     original_length: int | None = None,
     pattern_width: int | None = None,
 ) -> EncodedStream:
-    """Concatenate per-block encodings into a packed payload stream."""
+    """Concatenate per-block encodings into a packed payload stream.
+
+    Raises InvalidConfig, before encoding anything, for a fill policy
+    outside ``FILL_CHOICES`` or random fill without an rng.
+    """
+    _check_fill(fill, rng)
     if len(blocks) != len(covering.assignment):
         raise ValueError(
             f"covering assigns {len(covering.assignment)} blocks, got {len(blocks)}"
@@ -409,16 +424,15 @@ def encode_all(
     k = len(mvs[0].symbols) if mvs else 0
     table_indices = sorted(codebook.entries)
     remap = {orig: pos for pos, orig in enumerate(table_indices)}
-    writer = BitWriter()
-    for block, v_idx in zip(blocks, covering.assignment):
-        writer.write_bitstring(
-            encode_block(block, mvs[v_idx], codebook, v_idx, fill=fill, rng=rng)
-        )
+    bits = "".join([
+        encode_block(block, mvs[v_idx], codebook, v_idx, fill=fill, rng=rng)
+        for block, v_idx in zip(blocks, covering.assignment)
+    ])
     if original_length is None:
         original_length = len(blocks) * k
     return EncodedStream(
-        payload=writer.getvalue(),
-        payload_bits=writer.bit_length,
+        payload=pack_bits(bits),
+        payload_bits=len(bits),
         block_count=len(blocks),
         k=k,
         mv_table=tuple(mvs[i] for i in table_indices),
@@ -431,39 +445,51 @@ def encode_all(
 def decode(stream: EncodedStream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:
     """Reconstruct the fully specified bit string of ``original_length`` bits.
 
-    Walks the payload bit-serially: each codeword names a vector, whose U
-    positions are then filled from the next N_U payload bits.  Raises
-    OutputTooLarge, before decoding anything, when ``original_length``
-    exceeds ``max_symbols``.
+    Unpacks the payload once and walks it: each codeword names a vector,
+    whose U positions are then filled from the next N_U payload bits.
+    Raises OutputTooLarge, before decoding anything, when
+    ``original_length`` exceeds ``max_symbols``; UnknownCodeword when the
+    next ``max_len`` bits start with no codeword, TruncatedPayload when
+    the payload ends inside a codeword or its fill bits, and DanglingBits
+    when bits are left after the last block.
     """
     if stream.original_length > max_symbols:
         raise OutputTooLarge(
             f"stream declares {stream.original_length} symbols, "
             f"more than the limit of {max_symbols}"
         )
-    table = {
-        (len(code), int(code, 2) if code else 0): pos
-        for pos, code in stream.codebook.entries.items()
-    }
-    max_len = max((ln for ln, _ in table), default=0)
-    reader = BitReader(stream.payload, stream.payload_bits)
+    table = {code: pos for pos, code in stream.codebook.entries.items()}
+    lengths = sorted({len(code) for code in table})
+    max_len = lengths[-1] if lengths else 0
+    # each vector as a %-template whose slots are its U positions
+    templates = [
+        (v.symbols.replace("U", "%s"), v.n_unspecified) for v in stream.mv_table
+    ]
+    bits = unpack_bits(stream.payload, stream.payload_bits)
+    n_bits = len(bits)
+    pos = 0
     out: list[str] = []
     for _ in range(stream.block_count):
-        length, acc = 0, 0
-        while (length, acc) not in table:
-            if length >= max_len:
+        # a slice cut short by the payload's end cannot equal a codeword:
+        # a code is prefix-free and shorter lengths were tried first
+        for length in lengths:
+            entry = table.get(bits[pos : pos + length])
+            if entry is not None:
+                break
+        else:
+            if pos + max_len <= n_bits:
                 raise UnknownCodeword(
-                    f"no codeword matches payload prefix of {length} bits"
+                    f"no codeword matches payload prefix of {max_len} bits"
                 )
-            acc = (acc << 1) | reader.read_bit()
-            length += 1
-        v = stream.mv_table[table[(length, acc)]]
-        symbols = list(v.symbols)
-        for p in v.u_positions:
-            symbols[p] = "01"[reader.read_bit()]
-        out.append("".join(symbols))
-    if reader.bits_remaining:
-        raise DanglingBits(f"{reader.bits_remaining} undecoded payload bits")
+            raise TruncatedPayload(f"payload ends inside a codeword at bit {n_bits}")
+        pos += length
+        template, n_u = templates[entry]
+        if pos + n_u > n_bits:
+            raise TruncatedPayload(f"payload ends inside fill bits at bit {n_bits}")
+        out.append(template % tuple(bits[pos : pos + n_u]))
+        pos += n_u
+    if pos < n_bits:
+        raise DanglingBits(f"{n_bits - pos} undecoded payload bits")
     return "".join(out)[: stream.original_length]
 
 

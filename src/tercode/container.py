@@ -7,13 +7,15 @@ Layout (all integers big-endian):
     payload bit length u64 | payload bytes | CRC32 u32 | extensions...
 
 Each MV table entry packs K symbols at 2 bits (00=0, 01=1, 10=U),
-MSB-first and zero-padded to a byte boundary.  Each codeword entry is a
-length byte followed by that many bits, again byte-padded.  The CRC32
-covers every byte before it.  K is at least 1 and block_count is
-ceil(original_length / K).  Extension records after the CRC are
-length-prefixed (4-byte tag, u32 size, body) so unknown tags and older
-readers that stop at the CRC both stay compatible; the only tag written
-today is "WDTH" carrying the pattern width as a u64.
+MSB-first and zero-padded to a byte boundary; a 11 pair is corrupt.  Each
+codeword entry is a length byte followed by that many bits, again
+byte-padded.  Both are packed and read back with ``bits.pack_bits`` and
+``bits.unpack_bits``, like the payload.  The CRC32 covers every byte
+before it.  K is at least 1 and block_count is ceil(original_length / K).
+Extension records after the CRC are length-prefixed (4-byte tag, u32
+size, body) so unknown tags and older readers that stop at the CRC both
+stay compatible; the only tag written today is "WDTH" carrying the
+pattern width as a u64.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import struct
 import zlib
 
-from .bits import BitReader, BitWriter
+from .bits import pack_bits, unpack_bits
 from .codec import Codebook, EncodedStream, MatchingVector
 from .errors import BadMagic, ChecksumMismatch, CorruptHeader, UnsupportedVersion
 
@@ -29,21 +31,8 @@ MAGIC = b"TCC1"
 VERSION = 1
 _WIDTH_TAG = b"WDTH"
 
-_SYMBOL_CODE = {"0": 0, "1": 1, "U": 2}
-_CODE_SYMBOL = {0: "0", 1: "1", 2: "U"}
-
-
-def _packed_symbols(symbols: str) -> bytes:
-    w = BitWriter()
-    for ch in symbols:
-        w.write_uint(_SYMBOL_CODE[ch], 2)
-    return w.getvalue()
-
-
-def _packed_bitstring(bits: str) -> bytes:
-    w = BitWriter()
-    w.write_bitstring(bits)
-    return w.getvalue()
+_SYMBOL_PAIRS = str.maketrans({"0": "00", "1": "01", "U": "10"})
+_PAIR_SYMBOL = {"00": "0", "01": "1", "10": "U"}
 
 
 def write_container(stream: EncodedStream) -> bytes:
@@ -59,13 +48,13 @@ def write_container(stream: EncodedStream) -> bytes:
         stream.original_length,
     )
     for v in stream.mv_table:
-        out += _packed_symbols(v.symbols)
+        out += pack_bits(v.symbols.translate(_SYMBOL_PAIRS))
     for pos in range(len(stream.mv_table)):
         code = stream.codebook.codeword(pos)
         if len(code) > 255:
             raise ValueError(f"codeword of {len(code)} bits exceeds the format limit")
         out.append(len(code))
-        out += _packed_bitstring(code)
+        out += pack_bits(code)
     out += struct.pack(">Q", stream.payload_bits)
     out += stream.payload
     out += struct.pack(">I", zlib.crc32(bytes(out)))
@@ -143,18 +132,15 @@ def read_container(data: bytes) -> EncodedStream:
     try:
         mv_table = []
         for raw in mv_raw:
-            reader = BitReader(raw)
-            symbols = []
-            for _ in range(k):
-                code = reader.read_uint(2)
-                if code not in _CODE_SYMBOL:
-                    raise CorruptHeader(f"invalid 2-bit symbol {code:02b} in MV table")
-                symbols.append(_CODE_SYMBOL[code])
+            pairs = unpack_bits(raw, 2 * k)
+            symbols = [_PAIR_SYMBOL.get(pairs[i : i + 2]) for i in range(0, 2 * k, 2)]
+            if None in symbols:
+                raise CorruptHeader("invalid 2-bit symbol 11 in MV table")
             mv_table.append(MatchingVector("".join(symbols)))
-        entries = {}
-        for pos, (code_len, raw) in enumerate(code_raw):
-            reader = BitReader(raw)
-            entries[pos] = "".join("01"[reader.read_bit()] for _ in range(code_len))
+        entries = {
+            pos: unpack_bits(raw, code_len)
+            for pos, (code_len, raw) in enumerate(code_raw)
+        }
         return EncodedStream(
             payload=payload,
             payload_bits=payload_bits,

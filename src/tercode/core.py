@@ -3,7 +3,7 @@
 A test set is a T x n grid over {0,1,X} where X marks a don't-care
 position.  For coding purposes the grid is read row-major into one long
 symbol string which is then cut into fixed-length input blocks, padding
-the tail block with X.
+the tail block with X.  A block is a plain string of K symbols.
 """
 
 from __future__ import annotations
@@ -62,14 +62,6 @@ class TernaryString:
             raise ValueError("symbol count and original_length disagree")
 
 
-@dataclass(frozen=True)
-class InputBlock:
-    """One fixed-length slice of the flattened test set (1-based ``index``)."""
-
-    symbols: str
-    index: int
-
-
 def parse_test_set(text: str | IO[str] | Iterable[str]) -> TestSet:
     """Parse a test-set file: one pattern per line over {0,1,X,x}.
 
@@ -106,15 +98,13 @@ def flatten(ts: TestSet) -> TernaryString:
     return TernaryString(symbols, len(symbols))
 
 
-def partition(s: TernaryString, k: int) -> list[InputBlock]:
+def partition(s: TernaryString, k: int) -> list[str]:
     """Cut the string into blocks of length ``k``, X-padding the tail block."""
     if k < 1:
         raise ValueError("block length must be >= 1")
     n_blocks = math.ceil(s.original_length / k)
     padded = s.symbols + "X" * (n_blocks * k - s.original_length)
-    return [
-        InputBlock(padded[i * k : (i + 1) * k], i + 1) for i in range(n_blocks)
-    ]
+    return [padded[i : i + k] for i in range(0, n_blocks * k, k)]
 
 
 def original_size_bits(ts: TestSet) -> int:

@@ -29,7 +29,6 @@ from .codec import (
     mv_masks,
     payload_bits_for,
 )
-from .core import InputBlock
 from .errors import InvalidConfig
 
 GENE_ALPHABET = "01U"
@@ -234,7 +233,7 @@ def genome_masks(
 
 def evaluate_fitness(
     ind: Individual,
-    blocks: Sequence[InputBlock] | BlockStats,
+    blocks: Sequence[str] | BlockStats,
     original_bits: int,
     subsume: bool = False,
 ) -> float:
@@ -283,7 +282,7 @@ class EvolutionReport:
 
 
 def evolve(
-    blocks: Sequence[InputBlock] | BlockStats,
+    blocks: Sequence[str] | BlockStats,
     original_bits: int,
     cfg: EaConfig,
 ) -> EvolutionReport:
@@ -384,7 +383,7 @@ def evolve(
 
 
 def run_many(
-    blocks: Sequence[InputBlock] | BlockStats,
+    blocks: Sequence[str] | BlockStats,
     original_bits: int,
     cfg: EaConfig,
 ) -> EvolutionReport:

@@ -87,14 +87,14 @@ def naive_cover(blocks, mvs):
     order = sorted(range(len(mvs)), key=lambda i: mvs[i].n_unspecified)
     assignment = []
     freqs = [0] * len(mvs)
-    for block in blocks:
+    for index, block in enumerate(blocks, 1):
         for idx in order:
-            if char_match(block.symbols, mvs[idx].symbols):
+            if char_match(block, mvs[idx].symbols):
                 assignment.append(idx)
                 freqs[idx] += 1
                 break
         else:
-            return None, block.index
+            return None, index
     return tuple(assignment), tuple(freqs)
 
 

@@ -15,7 +15,7 @@ from tercode import (
     original_size_bits,
     partition,
 )
-from tercode.errors import OddK
+from tercode.errors import InvalidConfig, OddK
 
 from helpers import payload_bitstring, random_test_set
 
@@ -117,6 +117,14 @@ class TestCompress9c:
     def test_odd_k_rejected(self):
         with pytest.raises(OddK):
             self._compress(TestSet(("111",)), 3)
+
+    @pytest.mark.parametrize(
+        "patterns, k",
+        [(("0101", "1100"), 2), (("X01000", "110011"), 6)],  # no X at a U; one X
+    )
+    def test_unknown_fill_rejected(self, patterns, k):
+        with pytest.raises(InvalidConfig):
+            compress(TestSet(patterns), "9c-hc", EaConfig(k=k), fill="bogus")
 
     def test_round_trip(self):
         rng = random.Random(72)

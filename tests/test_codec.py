@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tercode import (
     Codebook,
     EncodedStream,
-    InputBlock,
     MatchingVector,
     TernaryString,
     build_huffman,
@@ -34,6 +33,7 @@ from tercode.codec import (
 from tercode.errors import (
     AllZeroFrequencies,
     DanglingBits,
+    InvalidConfig,
     LengthMismatch,
     NoCodeword,
     NotMatching,
@@ -59,12 +59,12 @@ def mv(s: str) -> MatchingVector:
     return MatchingVector(s)
 
 
-def block(s: str, index=1) -> InputBlock:
-    return InputBlock(s, index)
+def block(s: str) -> str:
+    return s
 
 
-def blocks_from(symbols_list) -> list[InputBlock]:
-    return [InputBlock(s, i + 1) for i, s in enumerate(symbols_list)]
+def blocks_from(symbols_list) -> list[str]:
+    return list(symbols_list)
 
 
 class TestMatches:
@@ -107,7 +107,7 @@ class TestMatches:
             k = rng.randrange(1, 10)
             v = mv("".join(rng.choice("01U") for _ in range(k)))
             ib = block("".join(rng.choice("01X") for _ in range(k)))
-            assert matches(v, ib) == char_match(ib.symbols, v.symbols)
+            assert matches(v, ib) == char_match(ib, v.symbols)
 
 
 class TestMatchingVector:
@@ -353,6 +353,8 @@ class TestEncodeBlock:
         rng = random.Random(0)
         bits = encode_block(block("XX"), mv("UU"), codebook, 0, fill="random", rng=rng)
         assert set(bits) <= {"0", "1"}
+        with pytest.raises(InvalidConfig):
+            encode_block(block("XX"), mv("UU"), codebook, 0, fill="bogus")
 
     def test_not_matching(self):
         with pytest.raises(NotMatching):
@@ -382,6 +384,16 @@ class TestEncodeAll:
         codebook = build_huffman(merged.frequencies)
         stream = encode_all(blocks, merged, codebook, mvs)
         assert stream.payload_bits == 18
+
+    @pytest.mark.parametrize("symbols", ["0101", "X101"])  # no X at a U; one X
+    @pytest.mark.parametrize("fill, rng", [("bogus", None), ("random", None)])
+    def test_fill_checked_before_encoding(self, symbols, fill, rng):
+        blocks = blocks_from([symbols])
+        mvs = [mv("U101")]
+        covering = cover(blocks, mvs)
+        with pytest.raises(InvalidConfig):
+            encode_all(blocks, covering, build_huffman(covering.frequencies), mvs,
+                       fill=fill, rng=rng)
 
     def test_zero_blocks(self):
         from tercode import Covering

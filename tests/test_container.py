@@ -1,9 +1,19 @@
 import random
 import struct
+import zlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tercode import decode, read_container, write_container
+from tercode import (
+    Codebook,
+    EncodedStream,
+    MatchingVector,
+    decode,
+    read_container,
+    write_container,
+)
 from tercode.codec import MAX_DECODE_SYMBOLS
 from tercode.container import MAGIC
 from tercode.errors import (
@@ -11,6 +21,7 @@ from tercode.errors import (
     ChecksumMismatch,
     CorruptHeader,
     OutputTooLarge,
+    TercodeError,
     UnsupportedVersion,
 )
 
@@ -130,6 +141,31 @@ class TestOutputCap:
         with pytest.raises(OutputTooLarge):
             decode(stream)
 
+    @pytest.mark.parametrize(
+        "k, block_count, original_length, ok",
+        [(1, 2**40, 1, False), (3, 2, 3, False), (3, 2, 4, True), (3, 0, 0, True)],
+    )
+    def test_in_memory_stream_needs_original_symbol_per_block(
+        self, k, block_count, original_length, ok
+    ):
+        # built without read_container, which ties the counts itself
+        def build():
+            return EncodedStream(
+                payload=b"",
+                payload_bits=0,
+                block_count=block_count,
+                k=k,
+                mv_table=(MatchingVector("0" * k),),
+                codebook=Codebook({0: ""}),
+                original_length=original_length,
+            )
+
+        if ok:
+            assert decode(build()) == "0" * original_length
+        else:
+            with pytest.raises(ValueError):
+                build()
+
     def test_limit_is_inclusive(self):
         stream = read_container(single_vector_container(3, 2, 5))
         assert decode(stream, max_symbols=5) == "00000"
@@ -142,3 +178,32 @@ class TestOutputCap:
             stream = random_stream(rng)
             assert stream.original_length <= MAX_DECODE_SYMBOLS
             assert decode(read_container(write_container(stream))) == decode(stream)
+
+
+class TestMutatedContainers:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.one_of(st.none(), st.integers(1, 20)),
+        fix_crc=st.booleans(),
+        data=st.data(),
+    )
+    def test_flipped_bits_decode_or_raise(self, seed, width, fix_crc, data):
+        stream = random_stream(random.Random(seed), pattern_width=width)
+        raw = bytearray(write_container(stream))
+        # the CRC sits just before the optional 16-byte width record
+        crc_offset = len(raw) - 4 - (16 if width is not None else 0)
+        flips = data.draw(
+            st.lists(st.integers(0, 8 * len(raw) - 1), min_size=1, max_size=3)
+        )
+        for bit in flips:
+            raw[bit >> 3] ^= 0x80 >> (bit & 7)
+        if fix_crc:
+            raw[crc_offset : crc_offset + 4] = struct.pack(
+                ">I", zlib.crc32(bytes(raw[:crc_offset]))
+            )
+        try:
+            mutated = read_container(bytes(raw))
+            out = decode(mutated, max_symbols=2**20)
+        except TercodeError:
+            return
+        assert len(out) == mutated.original_length

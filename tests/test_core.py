@@ -3,7 +3,6 @@ import random
 import pytest
 
 from tercode import (
-    InputBlock,
     TernaryString,
     TestSet,
     flatten,
@@ -77,16 +76,15 @@ class TestFlatten:
 class TestPartition:
     def test_exact_multiple(self):
         blocks = partition(TernaryString("011X", 4), 2)
-        assert [b.symbols for b in blocks] == ["01", "1X"]
-        assert [b.index for b in blocks] == [1, 2]
+        assert blocks == ["01", "1X"]
 
     def test_pads_tail_with_x(self):
         blocks = partition(TernaryString("011", 3), 2)
-        assert [b.symbols for b in blocks] == ["01", "1X"]
+        assert blocks == ["01", "1X"]
 
     def test_single_padded_block(self):
         blocks = partition(TernaryString("01", 2), 4)
-        assert [b.symbols for b in blocks] == ["01XX"]
+        assert blocks == ["01XX"]
 
     def test_round_trip_for_all_k(self):
         rng = random.Random(7)
@@ -96,8 +94,8 @@ class TestPartition:
             for k in list(range(1, 9)) + [13, 64, 65]:
                 blocks = partition(s, k)
                 assert len(blocks) == -(-s.original_length // k)
-                assert all(len(b.symbols) == k for b in blocks)
-                joined = "".join(b.symbols for b in blocks)
+                assert all(len(b) == k for b in blocks)
+                joined = "".join(blocks)
                 assert joined[: s.original_length] == s.symbols
                 assert set(joined[s.original_length :]) <= {"X"}
 
@@ -125,7 +123,3 @@ class TestInvariants:
             TestSet(("0U",))
         with pytest.raises(EmptyInput):
             TestSet(())
-
-    def test_input_block_is_value_like(self):
-        assert InputBlock("01X", 1) == InputBlock("01X", 1)
-        assert InputBlock("01X", 1) != InputBlock("01X", 2)

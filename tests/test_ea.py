@@ -6,7 +6,6 @@ import pytest
 from tercode import (
     EaConfig,
     Individual,
-    InputBlock,
     crossover,
     evaluate_fitness,
     evolve,
@@ -23,7 +22,7 @@ from helpers import ScriptedRng
 
 
 def blocks_from(symbols_list):
-    return [InputBlock(s, i + 1) for i, s in enumerate(symbols_list)]
+    return list(symbols_list)
 
 
 class TestConfig:
@@ -386,7 +385,7 @@ class TestEvolve:
         report = evolve(blocks, 240, cfg)
         assert report.best.genes == "".join(v.symbols for v in nine_mvs(4))
         # its fitness equals the Huffman-recoded nine-vector rate
-        ts = TestSet(tuple(b.symbols for b in blocks))
+        ts = TestSet(tuple(blocks))
         stream = compress(ts, "9c-hc", EaConfig(k=4)).stream
         assert report.best_fitness == pytest.approx(
             compression_rate(240, stream.payload_bits)
