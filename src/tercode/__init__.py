@@ -26,7 +26,6 @@ from .codec import (
 )
 from .container import read_container, write_container
 from .core import (
-    TernaryString,
     TestSet,
     flatten,
     original_size_bits,

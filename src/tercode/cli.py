@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import codec, container, core, corpus, ea, pipeline
 from .errors import (
@@ -25,32 +24,6 @@ from .errors import (
 )
 
 SEED_ENV_VAR = "TERCODE_SEED"
-
-
-@dataclass
-class RunReport:
-    """One compression run in reportable form.
-
-    ``duration_seconds`` appears only in the human-readable table; the
-    JSON rendering omits it so that fixed seeds yield byte-identical
-    reports.
-    """
-
-    method: str
-    k: int
-    l: int
-    original_bits: int
-    payload_bits: int
-    compression_rate: float
-    mv_usage: list[dict]
-    duration_seconds: float
-    ea_stats: dict | None = None
-    container_bytes: int | None = None
-
-    def to_jsonable(self) -> dict:
-        data = dataclasses.asdict(self)
-        del data["duration_seconds"]
-        return data
 
 
 def _mv_usage(result: pipeline.CompressResult) -> list[dict]:
@@ -84,47 +57,47 @@ def _ea_stats(report: ea.EvolutionReport | None) -> dict | None:
 def _run_report(
     method: str,
     result: pipeline.CompressResult,
-    started: float,
     container_bytes: int | None = None,
-) -> RunReport:
-    """Describe one compress run; its duration counts from ``started``."""
-    return RunReport(
-        method=method,
-        k=result.stream.k,
-        l=len(result.mvs),
-        original_bits=result.stream.original_length,
-        payload_bits=result.stream.payload_bits,
-        compression_rate=result.rate,
-        mv_usage=_mv_usage(result),
-        duration_seconds=time.perf_counter() - started,
-        ea_stats=_ea_stats(result.evolution),
-        container_bytes=container_bytes,
-    )
+) -> dict:
+    """Describe one compress run as its JSON report.
+
+    The report holds no duration, so that fixed seeds yield byte-identical
+    reports; only the table shows one.
+    """
+    return {
+        "method": method,
+        "k": result.stream.k,
+        "l": len(result.mvs),
+        "original_bits": result.stream.original_length,
+        "payload_bits": result.stream.payload_bits,
+        "compression_rate": result.rate,
+        "mv_usage": _mv_usage(result),
+        "ea_stats": _ea_stats(result.evolution),
+        "container_bytes": container_bytes,
+    }
 
 
-def _print_report(report: RunReport, mode: str) -> None:
-    if mode == "json":
-        print(json.dumps(report.to_jsonable(), indent=2))
-        return
-    print(f"method            {report.method}")
-    print(f"block length K    {report.k}")
-    print(f"vector count L    {report.l}")
-    print(f"original bits     {report.original_bits}")
-    print(f"payload bits      {report.payload_bits}")
-    print(f"compression rate  {report.compression_rate:.2f}%")
-    if report.container_bytes is not None:
-        print(f"container bytes   {report.container_bytes}")
-    print(f"duration          {report.duration_seconds:.3f}s")
-    if report.ea_stats:
-        rates = ", ".join(f"{r:.2f}" for r in report.ea_stats["run_rates"])
+def _print_table(report: dict, duration: float) -> None:
+    print(f"method            {report['method']}")
+    print(f"block length K    {report['k']}")
+    print(f"vector count L    {report['l']}")
+    print(f"original bits     {report['original_bits']}")
+    print(f"payload bits      {report['payload_bits']}")
+    print(f"compression rate  {report['compression_rate']:.2f}%")
+    if report["container_bytes"] is not None:
+        print(f"container bytes   {report['container_bytes']}")
+    print(f"duration          {duration:.3f}s")
+    ea_stats = report["ea_stats"]
+    if ea_stats:
+        rates = ", ".join(f"{r:.2f}" for r in ea_stats["run_rates"])
         print(f"ea runs           [{rates}]")
-        print(f"ea mean rate      {report.ea_stats['mean_rate']:.2f}%")
-        print(f"ea best rate      {report.ea_stats['best_rate']:.2f}%")
-        print(f"ea generations    {report.ea_stats['generations']}")
-        print(f"ea evaluations    {report.ea_stats['evaluations']}")
-    if report.mv_usage:
+        print(f"ea mean rate      {ea_stats['mean_rate']:.2f}%")
+        print(f"ea best rate      {ea_stats['best_rate']:.2f}%")
+        print(f"ea generations    {ea_stats['generations']}")
+        print(f"ea evaluations    {ea_stats['evaluations']}")
+    if report["mv_usage"]:
         print("used vectors (mv, frequency, codeword length):")
-        for row in report.mv_usage:
+        for row in report["mv_usage"]:
             print(f"  {row['mv']}  {row['frequency']}  {row['codeword_length']}")
 
 
@@ -142,12 +115,10 @@ def _resolve_seed(args) -> int:
 
 def _ea_config(args, seed: int) -> ea.EaConfig:
     """Explicit flags override the config file; flags left at their None
-    default fall back to the file and then to the built-in defaults."""
-    if args.config:
-        cfg = ea.EaConfig.from_file(args.config)
-    else:
-        cfg = ea.EaConfig()
-    overrides = dict(
+    default fall back to the file and then to the built-in defaults.  The
+    config is built once, so the default evaluation budget follows the
+    final population and children counts."""
+    flags = dict(
         k=args.k,
         l=args.l,
         population_size=args.population,
@@ -164,8 +135,10 @@ def _ea_config(args, seed: int) -> ea.EaConfig:
         seed_nine_code=args.seed_nine_code,
         rng_seed=seed,
     )
-    values = {key: val for key, val in overrides.items() if val is not None}
-    return dataclasses.replace(cfg, **values)
+    values = {key: val for key, val in flags.items() if val is not None}
+    if args.config:
+        return ea.EaConfig.from_file(args.config, **values)
+    return ea.EaConfig(**values)
 
 
 def _load_test_set(path: str) -> core.TestSet:
@@ -181,7 +154,11 @@ def cmd_compress(args) -> int:
     data = container.write_container(result.stream)
     with open(args.output, "wb") as handle:
         handle.write(data)
-    _print_report(_run_report(args.method, result, started, len(data)), args.report)
+    report = _run_report(args.method, result, len(data))
+    if args.report == "json":
+        print(json.dumps(report, indent=2))
+    else:
+        _print_table(report, time.perf_counter() - started)
     return 0
 
 
@@ -240,28 +217,25 @@ def cmd_compare(args) -> int:
     seed = _resolve_seed(args)
     ts = _load_test_set(args.input)
     cfg = _ea_config(args, seed)
-    reports = []
-    for method in ("9c", "9c-hc", "ea"):
-        started = time.perf_counter()
-        result = pipeline.compress(ts, method, cfg, args.fill)
-        reports.append(_run_report(method, result, started))
+    reports = [
+        _run_report(method, pipeline.compress(ts, method, cfg, args.fill))
+        for method in ("9c", "9c-hc", "ea")
+    ]
     if args.report == "json":
-        print(json.dumps([r.to_jsonable() for r in reports], indent=2))
+        print(json.dumps(reports, indent=2))
         return 0
-    ea_report = reports[2]
+    ea_stats = reports[2]["ea_stats"]
     print(
-        f"original bits {reports[0].original_bits}   "
+        f"original bits {reports[0]['original_bits']}   "
         f"K={cfg.k}  L={cfg.l}  seed={seed}"
     )
     print(f"{'method':10} {'payload':>10} {'rate':>8}")
     for r in reports[:2]:
-        print(f"{r.method:10} {r.payload_bits:>10} {r.compression_rate:7.2f}%")
+        print(f"{r['method']:10} {r['payload_bits']:>10} {r['compression_rate']:7.2f}%")
+    print(f"{'ea (mean)':10} {'-':>10} {ea_stats['mean_rate']:7.2f}%")
     print(
-        f"{'ea (mean)':10} {'-':>10} {ea_report.ea_stats['mean_rate']:7.2f}%"
-    )
-    print(
-        f"{'ea (best)':10} {ea_report.payload_bits:>10} "
-        f"{ea_report.ea_stats['best_rate']:7.2f}%"
+        f"{'ea (best)':10} {reports[2]['payload_bits']:>10} "
+        f"{ea_stats['best_rate']:7.2f}%"
     )
     return 0
 

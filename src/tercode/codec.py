@@ -132,12 +132,6 @@ class Codebook:
     def kraft_sum(self) -> float:
         return sum(2.0 ** -len(c) for c in self.entries.values())
 
-    def __contains__(self, index: int) -> bool:
-        return index in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 @dataclass(frozen=True)
 class EncodedStream:
@@ -145,7 +139,8 @@ class EncodedStream:
 
     ``mv_table`` lists only the vectors that hold codewords; ``codebook``
     is indexed by table position.  ``original_length`` is the unpadded
-    symbol count the decoder must trim to.
+    symbol count the decoder must trim to.  A codeword holds at most 255
+    bits, the most a container's length byte can state.
     """
 
     payload: bytes
@@ -166,9 +161,11 @@ class EncodedStream:
         # up to block_count * k symbols only to trim them away
         if self.block_count and (self.block_count - 1) * self.k >= self.original_length:
             raise ValueError("a block holds no original symbol")
-        for index in self.codebook.entries:
+        for index, code in self.codebook.entries.items():
             if not 0 <= index < len(self.mv_table):
                 raise ValueError(f"codebook entry {index} outside the MV table")
+            if len(code) > 255:
+                raise ValueError(f"codeword of {len(code)} bits exceeds 255")
 
 
 def matches(v: MatchingVector, block: str) -> bool:
@@ -193,12 +190,13 @@ class BlockStats:
     symbol there is not ``1`` and ``fits_one[b]`` those whose symbol there
     is not ``0``.  The blocks a vector matches are the AND of
     ``fits_zero`` over its 0 positions and ``fits_one`` over its 1
-    positions.
+    positions.  ``blocks`` is the sequence itself, kept by reference.
     """
 
-    __slots__ = ("k", "total", "fits_zero", "fits_one")
+    __slots__ = ("blocks", "k", "total", "fits_zero", "fits_one")
 
     def __init__(self, blocks: Sequence[str]):
+        self.blocks = blocks
         self.k = len(blocks[0]) if blocks else 0
         if any(len(block) != self.k for block in blocks):
             raise LengthMismatch("blocks differ in length")
@@ -212,12 +210,8 @@ class BlockStats:
 
     @property
     def n_unique(self) -> int:
-        """Number of distinct blocks, rebuilt from the sets on each access."""
-        if not self.total:
-            return 0
-        sets = self.fits_zero + self.fits_one
-        flags = np.stack([_block_flags(s, self.total) for s in sets], axis=1)
-        return len(np.unique(flags.view(f"V{len(sets)}")))
+        """Number of distinct blocks, counted from the blocks on each access."""
+        return len(set(self.blocks))
 
 
 def _block_set(flags: np.ndarray) -> int:

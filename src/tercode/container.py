@@ -11,11 +11,12 @@ MSB-first and zero-padded to a byte boundary; a 11 pair is corrupt.  Each
 codeword entry is a length byte followed by that many bits, again
 byte-padded.  Both are packed and read back with ``bits.pack_bits`` and
 ``bits.unpack_bits``, like the payload.  The CRC32 covers every byte
-before it.  K is at least 1 and block_count is ceil(original_length / K).
-Extension records after the CRC are length-prefixed (4-byte tag, u32
-size, body) so unknown tags and older readers that stop at the CRC both
-stay compatible; the only tag written today is "WDTH" carrying the
-pattern width as a u64.
+before it.  K and original_length are at least 1, and block_count is
+ceil(original_length / K).  Extension records after the CRC are
+length-prefixed (4-byte tag, u32 size, body) so unknown tags and older
+readers that stop at the CRC both stay compatible; the only tag written
+today is "WDTH" carrying the pattern width as a u64, which must divide
+original_length.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ def write_container(stream: EncodedStream) -> bytes:
         out += pack_bits(v.symbols.translate(_SYMBOL_PAIRS))
     for pos in range(len(stream.mv_table)):
         code = stream.codebook.codeword(pos)
-        if len(code) > 255:
-            raise ValueError(f"codeword of {len(code)} bits exceeds the format limit")
         out.append(len(code))
         out += pack_bits(code)
     out += struct.pack(">Q", stream.payload_bits)
@@ -88,8 +87,9 @@ class _Cursor:
 def read_container(data: bytes) -> EncodedStream:
     """Parse container bytes back into an EncodedStream.
 
-    Raises BadMagic, UnsupportedVersion, CorruptHeader (also for a block
-    count that does not fit the original length) or ChecksumMismatch as
+    Raises BadMagic, UnsupportedVersion, CorruptHeader (also for no
+    original symbols, a block count that does not fit the original length
+    or a width that does not divide it) or ChecksumMismatch as
     appropriate.
     """
     cur = _Cursor(data)
@@ -112,6 +112,8 @@ def read_container(data: bytes) -> EncodedStream:
     (crc_stored,) = cur.unpack(">I")
     if zlib.crc32(data[:crc_offset]) != crc_stored:
         raise ChecksumMismatch("container checksum does not match its contents")
+    if original_length == 0:
+        raise CorruptHeader("container holds no symbols")
     # encode_all writes exactly the blocks that hold the original symbols;
     # a header claiming more would let decode run on without bound
     if k < 1 or block_count != -(-original_length // k):
@@ -128,6 +130,11 @@ def read_container(data: bytes) -> EncodedStream:
             if size != 8:
                 raise CorruptHeader(f"width extension has size {size}, expected 8")
             (pattern_width,) = struct.unpack(">Q", body)
+            if not pattern_width or original_length % pattern_width:
+                raise CorruptHeader(
+                    f"pattern width {pattern_width} does not divide "
+                    f"{original_length} symbols"
+                )
 
     try:
         mv_table = []

@@ -8,14 +8,12 @@ the tail block with X.  A block is a plain string of K symbols.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .errors import EmptyInput, IllegalCharacter, RaggedRows
 
 TEST_ALPHABET = "01X"
-MV_ALPHABET = "01U"
 
 _NORMALIZE = str.maketrans("x", "X")
 
@@ -50,18 +48,6 @@ class TestSet:
         return len(self.patterns[0])
 
 
-@dataclass(frozen=True)
-class TernaryString:
-    """The flattened test set; ``original_length`` is the pre-padding size."""
-
-    symbols: str
-    original_length: int
-
-    def __post_init__(self):
-        if len(self.symbols) != self.original_length:
-            raise ValueError("symbol count and original_length disagree")
-
-
 def parse_test_set(text: str | IO[str] | Iterable[str]) -> TestSet:
     """Parse a test-set file: one pattern per line over {0,1,X,x}.
 
@@ -92,19 +78,17 @@ def write_test_set(ts: TestSet) -> str:
     return "".join(row + "\n" for row in ts.patterns)
 
 
-def flatten(ts: TestSet) -> TernaryString:
+def flatten(ts: TestSet) -> str:
     """Concatenate the patterns row-major into one symbol string."""
-    symbols = "".join(ts.patterns)
-    return TernaryString(symbols, len(symbols))
+    return "".join(ts.patterns)
 
 
-def partition(s: TernaryString, k: int) -> list[str]:
-    """Cut the string into blocks of length ``k``, X-padding the tail block."""
+def partition(symbols: str, k: int) -> list[str]:
+    """Cut ``symbols`` into blocks of length ``k``, X-padding the tail block."""
     if k < 1:
         raise ValueError("block length must be >= 1")
-    n_blocks = math.ceil(s.original_length / k)
-    padded = s.symbols + "X" * (n_blocks * k - s.original_length)
-    return [padded[i : i + k] for i in range(0, n_blocks * k, k)]
+    padded = symbols + "X" * (-len(symbols) % k)
+    return [padded[i : i + k] for i in range(0, len(padded), k)]
 
 
 def original_size_bits(ts: TestSet) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 import statistics
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 from .baseline9c import nine_mvs
@@ -94,8 +94,9 @@ class EaConfig:
         return self.k * self.l
 
     @classmethod
-    def from_file(cls, path: str) -> "EaConfig":
-        """Load key=value lines ('#' comments allowed) into a config."""
+    def from_file(cls, path: str, **overrides) -> "EaConfig":
+        """Load key=value lines ('#' comments allowed) into a config;
+        keyword ``overrides`` win over the file's values."""
         names = {f.name for f in fields(cls)}
         values = {}
         with open(path, encoding="utf-8") as handle:
@@ -110,7 +111,7 @@ class EaConfig:
                 if key not in names:
                     raise InvalidConfig(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = _parse_value(text.strip())
-        return cls(**values)
+        return cls(**{**values, **overrides})
 
 
 def _parse_value(text: str):
@@ -266,19 +267,44 @@ class RunStats:
 
 @dataclass
 class EvolutionReport:
-    """Outcome of one or several evolution runs."""
+    """Outcome of one or several evolution runs.
+
+    Stores the winning run's best individual and best-fitness history,
+    one ``RunStats`` per run and the lowest fitness seen; every other
+    figure is derived from those.  The winner is the first run with the
+    highest rate.
+    """
 
     best: Individual
-    best_fitness: float
     history: list[float]
-    generations: int
-    evaluations: int
-    termination: str
+    per_run: list[RunStats]
     min_fitness_evaluated: float
-    run_rates: list[float]
-    mean_rate: float
-    best_rate: float
-    per_run: list[RunStats] = field(default_factory=list)
+
+    @property
+    def best_fitness(self) -> float:
+        return self.best.fitness
+
+    best_rate = best_fitness
+
+    @property
+    def run_rates(self) -> list[float]:
+        return [r.rate for r in self.per_run]
+
+    @property
+    def mean_rate(self) -> float:
+        return statistics.fmean(self.run_rates)
+
+    @property
+    def generations(self) -> int:
+        return sum(r.generations for r in self.per_run)
+
+    @property
+    def evaluations(self) -> int:
+        return sum(r.evaluations for r in self.per_run)
+
+    @property
+    def termination(self) -> str:
+        return max(self.per_run, key=lambda r: r.rate).termination
 
 
 def evolve(
@@ -295,6 +321,7 @@ def evolve(
     stops after ``stagnation_limit`` generations without improvement or
     once ``max_evaluations`` fitness lookups occurred (cache hits count:
     caching only skips recomputation and cannot change the outcome).
+    Returns a one-run report.
     """
     stats = as_block_stats(blocks)
     if stats.total == 0:
@@ -365,21 +392,8 @@ def evolve(
         else:
             stagnant += 1
         history.append(best.fitness)
-    return EvolutionReport(
-        best=best,
-        best_fitness=best.fitness,
-        history=history,
-        generations=generations,
-        evaluations=evaluations,
-        termination=termination,
-        min_fitness_evaluated=min_seen,
-        run_rates=[best.fitness],
-        mean_rate=best.fitness,
-        best_rate=best.fitness,
-        per_run=[
-            RunStats(cfg.rng_seed, best.fitness, generations, evaluations, termination)
-        ],
-    )
+    run = RunStats(cfg.rng_seed, best.fitness, generations, evaluations, termination)
+    return EvolutionReport(best, history, [run], min_seen)
 
 
 def run_many(
@@ -388,7 +402,8 @@ def run_many(
     cfg: EaConfig,
 ) -> EvolutionReport:
     """``cfg.runs`` independent evolve() runs with seeds derived from
-    ``cfg.rng_seed``; reports per-run rates, their mean and their max."""
+    ``cfg.rng_seed``; the report joins their ``per_run`` lists and takes
+    ``best`` and ``history`` from the first run with the highest rate."""
     stats = as_block_stats(blocks)
     seed_source = random.Random(cfg.rng_seed)
     seeds = [seed_source.randrange(2**62) for _ in range(cfg.runs)]
@@ -396,17 +411,9 @@ def run_many(
         evolve(stats, original_bits, replace(cfg, rng_seed=seed)) for seed in seeds
     ]
     winner = max(reports, key=lambda r: r.best_fitness)
-    rates = [r.best_fitness for r in reports]
     return EvolutionReport(
         best=winner.best,
-        best_fitness=winner.best_fitness,
         history=winner.history,
-        generations=sum(r.generations for r in reports),
-        evaluations=sum(r.evaluations for r in reports),
-        termination=winner.termination,
+        per_run=[run for r in reports for run in r.per_run],
         min_fitness_evaluated=min(r.min_fitness_evaluated for r in reports),
-        run_rates=rates,
-        mean_rate=statistics.fmean(rates),
-        best_rate=max(rates),
-        per_run=[r.per_run[0] for r in reports],
     )

@@ -27,8 +27,11 @@ class CompressResult:
     mvs: tuple[codec.MatchingVector, ...]
     covering: codec.Covering
     codebook: codec.Codebook
-    rate: float
     evolution: ea.EvolutionReport | None
+
+    @property
+    def rate(self) -> float:
+        return codec.compression_rate(self.stream.original_length, self.stream.payload_bits)
 
 
 def compress(
@@ -73,5 +76,4 @@ def compress(
         original_length=original_bits,
         pattern_width=ts.width,
     )
-    rate = codec.compression_rate(original_bits, stream.payload_bits)
-    return CompressResult(stream, mvs, covering, codebook, rate, evolution)
+    return CompressResult(stream, mvs, covering, codebook, evolution)

@@ -241,6 +241,35 @@ class TestCompress:
         report = json.loads(capsys.readouterr().out)
         assert report["ea_stats"]["best_rate"] >= report["ea_stats"]["mean_rate"]
 
+    @pytest.mark.parametrize(
+        "flags, conf, evaluations",
+        [
+            # the default budget is 100 * S * C of the final S and C
+            (["--population", "2", "--children", "1"], None, 200),
+            (["--children", "1"], "population_size = 2\n", 200),
+            (["--population", "2"], "children_per_generation = 1\n", 200),
+            # an explicit budget wins, from a flag or from the file
+            (["--population", "2", "--children", "1", "--max-evals", "50"], None, 50),
+            (["--population", "2", "--children", "1"], "max_evaluations = 60\n", 60),
+        ],
+        ids=["flags", "file-s", "file-c", "max-evals-flag", "max-evals-file"],
+    )
+    def test_default_budget_follows_population_and_children(
+        self, corpus_file, tmp_path, capsys, flags, conf, evaluations
+    ):
+        argv = ["compress", "--input", str(corpus_file),
+                "--output", str(tmp_path / "o.tcc"), "--method", "ea", "-K", "6",
+                "-L", "4", "--runs", "1", "--stagnation", "100000",
+                "--report", "json", *flags]
+        if conf is not None:
+            path = tmp_path / "ea.conf"
+            path.write_text(conf)
+            argv += ["--config", str(path)]
+        assert run_cli(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ea_stats"]["evaluations"] == evaluations
+        assert report["ea_stats"]["per_run"][0]["termination"] == "max_evaluations"
+
     def test_config_file(self, corpus_file, tmp_path, capsys):
         conf = tmp_path / "ea.conf"
         conf.write_text("l = 4\npopulation_size = 4\nchildren_per_generation = 3\n"
@@ -333,6 +362,28 @@ class TestDecompress:
         assert not restored.exists()
         assert run_cli([*args, "--max-symbols", str(30 * 48)]) == 0
         assert parse_test_set(restored.read_text()).pattern_count == 30
+
+
+class TestHeaderChecks:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            single_vector_container(3, 0, 0),
+            single_vector_container(3, 2, 6, width=0),
+            single_vector_container(3, 2, 6, width=4),
+        ],
+        ids=["no-symbols", "width-0", "width-not-dividing"],
+    )
+    @pytest.mark.parametrize("command", ["stats", "decompress"])
+    def test_inconsistent_header_is_container_error(self, command, data, tmp_path):
+        container = tmp_path / "bad.tcc"
+        container.write_bytes(data)
+        restored = tmp_path / "restored.txt"
+        args = [command, "--input", str(container)]
+        if command == "decompress":
+            args += ["--output", str(restored)]
+        assert run_cli(args) == 4
+        assert not restored.exists()
 
 
 class TestStats:

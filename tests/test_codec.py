@@ -9,7 +9,6 @@ from tercode import (
     Codebook,
     EncodedStream,
     MatchingVector,
-    TernaryString,
     build_huffman,
     compression_rate,
     cover,
@@ -19,7 +18,9 @@ from tercode import (
     encoding_length,
     matches,
     partition,
+    read_container,
     subsume_merge,
+    write_container,
 )
 from tercode.codec import (
     BlockStats,
@@ -162,7 +163,7 @@ class TestCover:
             k = rng.randrange(1, 9)
             mvs = random_mv_set(rng, k, rng.randrange(1, 7))
             ts = random_test_set(rng, max_cols=k * 3)
-            blocks = partition(TernaryString(ts.patterns[0], ts.width), k)
+            blocks = partition(ts.patterns[0], k)
             covering = cover(blocks, mvs)
             for b, idx in zip(blocks, covering.assignment):
                 best = min(
@@ -394,6 +395,22 @@ class TestEncodeAll:
         with pytest.raises(InvalidConfig):
             encode_all(blocks, covering, build_huffman(covering.frequencies), mvs,
                        fill=fill, rng=rng)
+
+    def test_codeword_over_255_bits_rejected(self):
+        # the container stores each codeword length in one byte
+        blocks = blocks_from(["01", "10"])
+        mvs = [mv("UU")]
+        covering = cover(blocks, mvs)
+        with pytest.raises(ValueError, match="256 bits"):
+            encode_all(blocks, covering, Codebook({0: "0" * 256}), mvs)
+
+    def test_255_bit_codeword_round_trips(self):
+        blocks = blocks_from(["01", "10"])
+        mvs = [mv("UU")]
+        covering = cover(blocks, mvs)
+        stream = encode_all(blocks, covering, Codebook({0: "0" * 255}), mvs)
+        assert stream.payload_bits == 2 * 257
+        assert decode(read_container(write_container(stream))) == "0110"
 
     def test_zero_blocks(self):
         from tercode import Covering

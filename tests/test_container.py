@@ -1,3 +1,4 @@
+import math
 import random
 import struct
 import zlib
@@ -41,7 +42,9 @@ def random_stream(rng: random.Random, pattern_width=None):
     if pattern_width is not None:
         import dataclasses
 
-        stream = dataclasses.replace(stream, pattern_width=pattern_width)
+        # a readable container's width divides its symbol count
+        width = math.gcd(pattern_width, stream.original_length)
+        stream = dataclasses.replace(stream, pattern_width=width)
     return stream
 
 
@@ -54,9 +57,9 @@ class TestRoundTrip:
 
     def test_width_extension_preserved(self):
         rng = random.Random(51)
-        stream = random_stream(rng, pattern_width=7)
+        stream = random_stream(rng, pattern_width=8)
         restored = read_container(write_container(stream))
-        assert restored.pattern_width == 7
+        assert restored.pattern_width == 8
         assert restored == stream
 
     def test_write_is_deterministic(self):
@@ -130,6 +133,23 @@ class TestBlockCount:
     def test_block_count_must_fit_original_length(self, k, block_count, original_length):
         with pytest.raises(CorruptHeader):
             read_container(single_vector_container(k, block_count, original_length))
+
+
+class TestLengthAndWidth:
+    def test_zero_original_length_rejected(self):
+        with pytest.raises(CorruptHeader, match="no symbols"):
+            read_container(single_vector_container(3, 0, 0))
+
+    @pytest.mark.parametrize("width", [0, 4, 7])
+    def test_width_must_divide_original_length(self, width):
+        with pytest.raises(CorruptHeader, match="width"):
+            read_container(single_vector_container(3, 2, 6, width=width))
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 6])
+    def test_dividing_width_accepted(self, width):
+        stream = read_container(single_vector_container(3, 2, 6, width=width))
+        assert stream.pattern_width == width
+        assert decode(stream) == "000000"
 
 
 class TestOutputCap:

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from tercode import (
-    TernaryString,
     TestSet,
     flatten,
     original_size_bits,
@@ -58,32 +57,27 @@ class TestParse:
 
 class TestFlatten:
     def test_row_major_order(self):
-        s = flatten(TestSet(("01", "1X")))
-        assert s.symbols == "011X"
-        assert s.original_length == 4
+        assert flatten(TestSet(("01", "1X"))) == "011X"
 
     def test_single_symbol(self):
-        s = flatten(TestSet(("X",)))
-        assert s.symbols == "X"
-        assert s.original_length == 1
+        assert flatten(TestSet(("X",))) == "X"
 
     def test_preserves_row_order(self):
         ts = TestSet(("00", "11", "XX"))
-        assert flatten(ts).symbols == "0011XX"
-        assert flatten(ts).original_length == 6
+        assert flatten(ts) == "0011XX"
 
 
 class TestPartition:
     def test_exact_multiple(self):
-        blocks = partition(TernaryString("011X", 4), 2)
+        blocks = partition("011X", 2)
         assert blocks == ["01", "1X"]
 
     def test_pads_tail_with_x(self):
-        blocks = partition(TernaryString("011", 3), 2)
+        blocks = partition("011", 2)
         assert blocks == ["01", "1X"]
 
     def test_single_padded_block(self):
-        blocks = partition(TernaryString("01", 2), 4)
+        blocks = partition("01", 4)
         assert blocks == ["01XX"]
 
     def test_round_trip_for_all_k(self):
@@ -93,15 +87,15 @@ class TestPartition:
             s = flatten(ts)
             for k in list(range(1, 9)) + [13, 64, 65]:
                 blocks = partition(s, k)
-                assert len(blocks) == -(-s.original_length // k)
+                assert len(blocks) == -(-len(s) // k)
                 assert all(len(b) == k for b in blocks)
                 joined = "".join(blocks)
-                assert joined[: s.original_length] == s.symbols
-                assert set(joined[s.original_length :]) <= {"X"}
+                assert joined[: len(s)] == s
+                assert set(joined[len(s) :]) <= {"X"}
 
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
-            partition(TernaryString("01", 2), 0)
+            partition("01", 0)
 
 
 class TestOriginalSize:

@@ -1,4 +1,4 @@
-"""Byte-identity pins for the CLI's containers and JSON reports.
+"""Byte-identity pins for the CLI's containers and reports.
 
 A small seeded corpus is compressed by every method at K=12 (one-word
 masks) and K=70 (masks spanning two 64-bit words), once with random
@@ -6,7 +6,8 @@ fill, and run through ``compare``.  Its rows are runs of 35 equal bits
 with flips and X, so the nine half-block vectors match at both block
 lengths and the K=70 search (seeded with them) covers blocks with more
 than the all-U vector.  The sha256 of each container and of
-each ``--report json`` output is pinned, so any change to matching,
+each ``--report json`` output is pinned, and so are two ``--report table``
+outputs and the ``compare`` table, so any change to matching,
 covering, coding, the fill rng's draw order or the report layout shows
 up here.  A pin may only change together with a deliberate format or
 behaviour change.
@@ -112,3 +113,39 @@ def test_compare_report_is_pinned(corpus, capsys):
             "--seed", "3", *EA_TINY]
     assert cli.main(argv) == 0
     assert _sha(capsys.readouterr().out.encode("utf-8")) == COMPARE_SHA256
+
+
+
+# Table reports, pinned with their duration line removed:
+# name -> (argv after the input/output flags, report sha256)
+TABLE_CASES = {
+    "9c-hc-k12": (
+        ["--method", "9c-hc", "-K", "12"],
+        "6db761192939b9d26b3b4d21b07b87b94ef4680006bbda36bfc8620a673e91c8",
+    ),
+    "ea-k12": (
+        ["--method", "ea", "-K", "12", "--seed", "3", *EA_TINY],
+        "118740ad4f67a74c7d97a4b13a5b2c5162a0042d3634745601114cc7bde7a1b7",
+    ),
+}
+
+COMPARE_TABLE_SHA256 = "0eeabb6d3fcecf61c0c73a629c4bd84cf2a78156b4fcef86d2f812ad3c4333f3"
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_compress_table_reports_are_pinned(name, corpus, tmp_path, capsys):
+    flags, report_sha = TABLE_CASES[name]
+    argv = ["compress", "--input", str(corpus), "--output",
+            str(tmp_path / "out.tcc"), *flags]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith("duration ")]
+    assert len(kept) == len(lines) - 1
+    assert _sha("".join(kept).encode("utf-8")) == report_sha
+
+
+def test_compare_table_is_pinned(corpus, capsys):
+    argv = ["compare", "--input", str(corpus), "-K", "12", "--seed", "3",
+            *EA_TINY]
+    assert cli.main(argv) == 0
+    assert _sha(capsys.readouterr().out.encode("utf-8")) == COMPARE_TABLE_SHA256
