@@ -165,7 +165,6 @@ def cmd_compress(args) -> int:
 def cmd_decompress(args) -> int:
     with open(args.input, "rb") as handle:
         stream = container.read_container(handle.read())
-    bits = codec.decode(stream, args.max_symbols)
     width = args.width if args.width is not None else stream.pattern_width
     if width is None:
         raise InvalidConfig(
@@ -176,6 +175,7 @@ def cmd_decompress(args) -> int:
             f"width {width} does not divide the decoded length "
             f"{stream.original_length}"
         )
+    bits = codec.decode(stream, args.max_symbols)
     rows = tuple(bits[i : i + width] for i in range(0, len(bits), width))
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(core.write_test_set(core.TestSet(rows)))

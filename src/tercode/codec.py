@@ -12,8 +12,11 @@ Matching is implemented on bitmask pairs (ones, zeros): a block and a
 vector conflict iff the block's ones overlap the vector's zeros or vice
 versa.  Covering turns the block sequence into block sets once, one set
 per (mask bit, vector symbol), each a Python int with one bit per block;
-a vector's matching blocks are the AND of the sets at its specified
-positions, so one code path serves every block length.
+a vector's matching blocks, its ``match_set``, are the AND of the sets
+at its specified positions, so one code path serves every block length.
+``match_frequencies`` then assigns blocks greedily from those raw sets;
+``cover`` and the search's fitness share both steps, and the search
+keeps each vector's raw set across fitness calls (see ``ea``).
 """
 
 from __future__ import annotations
@@ -242,30 +245,39 @@ def _mask_bits(mask: int):
         mask ^= low
 
 
+def match_set(stats: BlockStats, ones: int, zeros: int) -> int:
+    """Block set of every block the vector with masks (ones, zeros) matches:
+    the AND of ``fits_zero`` over its 0 positions and ``fits_one`` over its
+    1 positions, starting from all blocks."""
+    if not stats.total:
+        return 0  # no blocks, and no block sets to index
+    hit = (1 << stats.total) - 1
+    fits_zero, fits_one = stats.fits_zero, stats.fits_one
+    for b in _mask_bits(zeros):
+        hit &= fits_zero[b]
+    for b in _mask_bits(ones):
+        hit &= fits_one[b]
+    return hit
+
+
 def match_frequencies(
     stats: BlockStats,
-    ones: Sequence[int],
-    zeros: Sequence[int],
+    sets: Sequence[int],
     n_unspecified: Sequence[int],
 ) -> tuple[list[int], list[int], int, int]:
     """Assign every block to its first matching vector in rising-U order.
 
-    Returns (frequencies, per-vector block set of the blocks it takes,
-    unmatched block count, 1-based index of the first unmatched block
-    or 0).
+    ``sets[i]`` is vector i's ``match_set``.  Returns (frequencies,
+    per-vector block set of the blocks it takes, unmatched block count,
+    1-based index of the first unmatched block or 0).
     """
-    freqs = [0] * len(ones)
-    hits = [0] * len(ones)
+    freqs = [0] * len(sets)
+    hits = [0] * len(sets)
     unassigned = (1 << stats.total) - 1
-    fits_zero, fits_one = stats.fits_zero, stats.fits_one
     for idx in _match_order(n_unspecified):
         if not unassigned:
             break
-        hit = unassigned
-        for b in _mask_bits(zeros[idx]):
-            hit &= fits_zero[b]
-        for b in _mask_bits(ones[idx]):
-            hit &= fits_one[b]
+        hit = unassigned & sets[idx]
         if hit:
             freqs[idx] = hit.bit_count()
             hits[idx] = hit
@@ -291,8 +303,7 @@ def cover(
             )
     freqs, hits, unmatched, first = match_frequencies(
         stats,
-        [v.ones_mask for v in mvs],
-        [v.zeros_mask for v in mvs],
+        [match_set(stats, v.ones_mask, v.zeros_mask) for v in mvs],
         [v.n_unspecified for v in mvs],
     )
     if unmatched:

@@ -7,6 +7,14 @@ evaluation is pure and the only randomness lives in the generation of
 individuals.  Selection is elitist: the best S of S parents plus C
 children survive, which makes the best-fitness series nondecreasing.
 
+A run caches fitness per genome, and per vector string the vector's raw
+match set (``codec.match_set``), its U count and its masks: a child
+shares almost every vector with a parent, so a fitness call mostly does
+L dict lookups and one AND per vector in ``codec.match_frequencies``.
+Once that cache holds more than (S + C) * L entries after a generation,
+it keeps only the survivors' vectors, so it never exceeds (S + 2C) * L
+entries of about ceil(blocks / 8) bytes each.
+
 When the all-U reservation is on, the last vector is pinned to all U and
 no operator touches it, so every individual can cover every block
 sequence and the infeasibility penalty is unreachable.
@@ -25,6 +33,7 @@ from .codec import (
     as_block_stats,
     compression_rate,
     match_frequencies,
+    match_set,
     merge_subsumed_frequencies,
     mv_masks,
     payload_bits_for,
@@ -78,11 +87,7 @@ class EaConfig:
             raise InvalidConfig("operator probabilities must lie in [0,1] and sum to <= 1")
         if self.stagnation_limit < 1:
             raise InvalidConfig("stagnation_limit must be >= 1")
-        if self.max_evaluations is None:
-            self.max_evaluations = (
-                100 * self.population_size * self.children_per_generation
-            )
-        if self.max_evaluations < 1:
+        if self.max_evaluations is not None and self.max_evaluations < 1:
             raise InvalidConfig("max_evaluations must be >= 1")
         if self.runs < 1:
             raise InvalidConfig("runs must be >= 1")
@@ -92,6 +97,14 @@ class EaConfig:
     @property
     def n_genes(self) -> int:
         return self.k * self.l
+
+    @property
+    def evaluation_budget(self) -> int:
+        """``max_evaluations``, or 100 * S * C when it is None; derived on
+        each read, so it follows S and C through ``dataclasses.replace``."""
+        if self.max_evaluations is not None:
+            return self.max_evaluations
+        return 100 * self.population_size * self.children_per_generation
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "EaConfig":
@@ -218,18 +231,13 @@ def _clone(a: Individual) -> Individual:
     return Individual(a.genes, a.k, a.reserve_all_u)
 
 
-def genome_masks(
-    genes: str, k: int
-) -> tuple[list[int], list[int], list[int]]:
-    """(ones, zeros, U counts) for each K-gene vector slice."""
-    ones, zeros, n_us = [], [], []
-    for i in range(0, len(genes), k):
-        seg = genes[i : i + k]
-        o, z = mv_masks(seg)
-        ones.append(o)
-        zeros.append(z)
-        n_us.append(seg.count("U"))
-    return ones, zeros, n_us
+VectorEntry = tuple[int, int, int, int]
+
+
+def vector_entry(stats: BlockStats, symbols: str) -> VectorEntry:
+    """(match set, U count, ones, zeros) of one K-gene vector."""
+    ones, zeros = mv_masks(symbols)
+    return match_set(stats, ones, zeros), symbols.count("U"), ones, zeros
 
 
 def evaluate_fitness(
@@ -237,16 +245,29 @@ def evaluate_fitness(
     blocks: Sequence[str] | BlockStats,
     original_bits: int,
     subsume: bool = False,
+    vectors: dict[str, VectorEntry] | None = None,
 ) -> float:
     """Compression rate of the individual's vector set over ``blocks``.
 
     Infeasible coverings yield INFEASIBLE_BASE minus the unmatched block
     count instead of an error, so the search can rank near-feasible
-    individuals.
+    individuals.  ``vectors`` maps vector strings to their
+    ``vector_entry`` and is filled as a side effect; pass the same dict
+    only with the same blocks.
     """
     stats = as_block_stats(blocks)
-    ones, zeros, n_us = genome_masks(ind.genes, ind.k)
-    freqs, _, unmatched, _ = match_frequencies(stats, ones, zeros, n_us)
+    if vectors is None:
+        vectors = {}
+    genes, k = ind.genes, ind.k
+    entries = []
+    for i in range(0, len(genes), k):
+        symbols = genes[i : i + k]
+        entry = vectors.get(symbols)
+        if entry is None:
+            entry = vectors[symbols] = vector_entry(stats, symbols)
+        entries.append(entry)
+    sets, n_us, ones, zeros = zip(*entries)
+    freqs, _, unmatched, _ = match_frequencies(stats, sets, n_us)
     if unmatched:
         return INFEASIBLE_BASE - unmatched
     if subsume:
@@ -319,8 +340,9 @@ def evolve(
     parents; the residual probability mass clones a parent unchanged.
     Survivors are the best S of S+C, incumbents winning ties.  The run
     stops after ``stagnation_limit`` generations without improvement or
-    once ``max_evaluations`` fitness lookups occurred (cache hits count:
-    caching only skips recomputation and cannot change the outcome).
+    once ``cfg.evaluation_budget`` fitness lookups occurred (cache hits
+    count: caching only skips recomputation and cannot change the
+    outcome).
     Returns a one-run report.
     """
     stats = as_block_stats(blocks)
@@ -328,6 +350,10 @@ def evolve(
         raise InvalidConfig("cannot evolve against an empty block sequence")
     rng = random.Random(cfg.rng_seed)
     cache: dict[str, float] = {}
+    vectors: dict[str, VectorEntry] = {}
+    # pruned to the population's vectors past this size, so it never holds
+    # more than (S + 2C) * L entries: C children add at most C * L
+    vector_limit = (cfg.population_size + cfg.children_per_generation) * cfg.l
     evaluations = 0
     min_seen = float("inf")
 
@@ -336,7 +362,9 @@ def evolve(
         evaluations += 1
         value = cache.get(ind.genes)
         if value is None:
-            value = evaluate_fitness(ind, stats, original_bits, subsume=cfg.subsume)
+            value = evaluate_fitness(
+                ind, stats, original_bits, subsume=cfg.subsume, vectors=vectors
+            )
             cache[ind.genes] = value
         ind.fitness = value
         if value < min_seen:
@@ -357,7 +385,7 @@ def evolve(
     generations = 0
     stagnant = 0
     termination = "max_evaluations"
-    while evaluations < cfg.max_evaluations:
+    while evaluations < cfg.evaluation_budget:
         if stagnant >= cfg.stagnation_limit:
             termination = "stagnation"
             break
@@ -385,6 +413,9 @@ def evolve(
         pool = population + children
         pool.sort(key=lambda ind: -ind.fitness)
         population = pool[: cfg.population_size]
+        if len(vectors) > vector_limit:
+            live = {symbols for ind in population for symbols in ind.vector_symbols()}
+            vectors = {s: e for s, e in vectors.items() if s in live}
         generations += 1
         if population[0].fitness > best.fitness:
             best = population[0]

@@ -187,15 +187,20 @@ def naive_merge_subsumed_frequencies(frequencies, ones, zeros, n_unspecified):
 
 
 def single_vector_container(
-    k: int, block_count: int, original_length: int, width: int | None = None
+    k: int,
+    block_count: int,
+    original_length: int,
+    width: int | None = None,
+    payload_bits: int = 0,
 ) -> bytes:
     """A container whose one vector is all 0 with the empty codeword, so
     every block decodes from zero payload bits; the CRC is valid.  A
-    ``width`` adds a WDTH record."""
+    ``width`` adds a WDTH record; ``payload_bits`` adds that many zero
+    payload bits, which decode leaves dangling."""
     body = struct.pack(">4sBHHQQ", MAGIC, 1, k, 1, block_count, original_length)
     body += bytes((2 * k + 7) // 8)  # the vector: K symbols coded 00 = '0'
     body += bytes([0])  # codeword length 0
-    body += struct.pack(">Q", 0)  # payload bits
+    body += struct.pack(">Q", payload_bits) + bytes((payload_bits + 7) // 8)
     data = body + struct.pack(">I", zlib.crc32(body))
     if width is not None:
         data += b"WDTH" + struct.pack(">IQ", 8, width)

@@ -331,6 +331,32 @@ class TestDecompress:
         )
         assert code == 3
 
+    def test_width_checked_before_decoding(self, tmp_path, monkeypatch):
+        # 8 payload bits that no block reads: decoding raises DanglingBits
+        dangling = single_vector_container(3, 2, 6, payload_bits=8)
+        # 2**40 symbols: decoding raises OutputTooLarge, exit 4
+        bomb = single_vector_container(1, 2**40, 2**40)
+        decode = cli.codec.decode
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return decode(*args)
+
+        monkeypatch.setattr(cli.codec, "decode", recording)
+        container = tmp_path / "bad.tcc"
+        restored = tmp_path / "r.txt"
+        args = ["decompress", "--input", str(container), "--output", str(restored)]
+        for data, width in ((dangling, 4), (bomb, 3)):
+            container.write_bytes(data)
+            assert run_cli([*args, "--width", str(width)]) == 3
+        assert calls == []
+        # a dividing width goes on to decode the corrupt payload
+        container.write_bytes(dangling)
+        assert run_cli([*args, "--width", "3"]) == 3
+        assert len(calls) == 1
+        assert not restored.exists()
+
     def test_corrupt_container_exit_code(self, corpus_file, tmp_path):
         container = self._compress(corpus_file, tmp_path)
         data = bytearray(container.read_bytes())

@@ -221,9 +221,34 @@ class TestMutatedContainers:
             raw[crc_offset : crc_offset + 4] = struct.pack(
                 ">I", zlib.crc32(bytes(raw[:crc_offset]))
             )
-        try:
-            mutated = read_container(bytes(raw))
-            out = decode(mutated, max_symbols=2**20)
-        except TercodeError:
-            return
-        assert len(out) == mutated.original_length
+        read_and_decode(bytes(raw))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.one_of(st.none(), st.integers(1, 20)),
+        garbage=st.binary(min_size=1, max_size=40),
+    )
+    def test_truncated_or_extended_decode_or_raise(self, seed, width, garbage):
+        stream = random_stream(random.Random(seed), pattern_width=width)
+        raw = write_container(stream)
+        accepted = [cut for cut in range(len(raw))
+                    if read_and_decode(raw[:cut]) is not None]
+        # the only readable cut drops the whole 16-byte WDTH record
+        assert accepted == ([] if width is None else [len(raw) - 16])
+        for cut in accepted:
+            assert read_and_decode(raw[:cut]) == decode(stream)
+        # trailing bytes are read as extension records; none reaches the payload
+        out = read_and_decode(raw + garbage)
+        assert out is None or out == decode(stream)
+
+
+def read_and_decode(data: bytes) -> str | None:
+    """The decoded symbols of ``data``, or None when reading or decoding
+    raises a TercodeError; any other exception fails the test."""
+    try:
+        stream = read_container(data)
+        out = decode(stream, max_symbols=2**20)
+    except TercodeError:
+        return None
+    assert len(out) == stream.original_length
+    return out

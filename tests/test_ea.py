@@ -2,23 +2,39 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tercode import (
     EaConfig,
     Individual,
+    MatchingVector,
+    compression_rate,
     crossover,
+    ea,
     evaluate_fitness,
     evolve,
+    flatten,
     invert,
     mutate,
+    original_size_bits,
+    partition,
     random_individual,
     run_many,
 )
 from tercode.codec import BlockStats
-from tercode.ea import INFEASIBLE_BASE, genome_masks
+from tercode.corpus import CorpusSpec, generate_corpus
+from tercode.ea import INFEASIBLE_BASE, vector_entry
 from tercode.errors import InvalidConfig
 
-from helpers import ScriptedRng
+from helpers import (
+    ScriptedRng,
+    char_match,
+    naive_cover,
+    naive_merge_subsumed_frequencies,
+    naive_payload_bits,
+)
+from test_acceptance import CLUSTERED
 
 
 def blocks_from(symbols_list):
@@ -41,8 +57,21 @@ class TestConfig:
         assert (cfg.k, cfg.l) == (65535, 65535)
 
     def test_max_evaluations_derived(self):
-        assert EaConfig().max_evaluations == 100 * 10 * 5
-        assert EaConfig(max_evaluations=42).max_evaluations == 42
+        assert EaConfig().max_evaluations is None
+        assert EaConfig().evaluation_budget == 100 * 10 * 5
+        assert EaConfig(max_evaluations=42).evaluation_budget == 42
+
+    def test_budget_follows_replace(self):
+        # the default budget is derived on read, so replacing S or C moves it
+        replaced = dataclasses.replace(
+            EaConfig(), population_size=20, children_per_generation=8
+        )
+        direct = EaConfig(population_size=20, children_per_generation=8)
+        assert replaced.evaluation_budget == direct.evaluation_budget == 16000
+        assert replaced == direct
+        # an explicit budget is kept as given
+        explicit = dataclasses.replace(EaConfig(max_evaluations=42), population_size=20)
+        assert explicit.evaluation_budget == 42
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -256,11 +285,91 @@ class TestFitness:
             ind, BlockStats(blocks), 32
         )
 
-    def test_genome_masks_roundtrip(self):
-        ones, zeros, n_us = genome_masks("10U0UU", 3)
-        assert ones == [0b100, 0b000]
-        assert zeros == [0b010, 0b100]
-        assert n_us == [1, 2]
+    def test_vector_entry(self):
+        # block i+1 is bit i of a match set
+        stats = BlockStats(["101", "0X0", "XXX", "111"])
+        assert vector_entry(stats, "10U") == (0b0101, 1, 0b100, 0b010)
+        assert vector_entry(stats, "0UU") == (0b0110, 2, 0b000, 0b100)
+        assert vector_entry(stats, "UUU") == (0b1111, 3, 0, 0)
+
+
+@st.composite
+def fitness_cases(draw):
+    """Blocks at K 1, 12 or 65 and genomes drawn from one vector pool, so
+    genomes share vectors; pool vectors are random (mostly infeasible at
+    large K), a block with X turned to U, or all U."""
+    k = draw(st.sampled_from((1, 12, 65)))
+    blocks = draw(st.lists(st.text("01X", min_size=k, max_size=k),
+                           min_size=1, max_size=30))
+    pool = draw(st.lists(st.one_of(
+        st.text("01U", min_size=k, max_size=k),
+        st.sampled_from(blocks).map(lambda b: b.replace("X", "U")),
+        st.just("U" * k),
+    ), min_size=1, max_size=8))
+    l = draw(st.integers(1, 6))
+    genome = st.lists(st.sampled_from(pool), min_size=l, max_size=l).map("".join)
+    return k, blocks, draw(st.lists(genome, min_size=1, max_size=5))
+
+
+def naive_fitness(blocks, genes, k, original_bits, subsume):
+    """Fitness re-derived from the character-level cover and full Huffman
+    codes."""
+    mvs = [MatchingVector(genes[i : i + k]) for i in range(0, len(genes), k)]
+    assignment, freqs = naive_cover(blocks, mvs)
+    if assignment is None:
+        unmatched = sum(
+            not any(char_match(b, v.symbols) for v in mvs) for b in blocks
+        )
+        return INFEASIBLE_BASE - unmatched
+    n_us = [v.n_unspecified for v in mvs]
+    if subsume:
+        freqs, _ = naive_merge_subsumed_frequencies(
+            freqs, [v.ones_mask for v in mvs], [v.zeros_mask for v in mvs], n_us
+        )
+    return compression_rate(original_bits, naive_payload_bits(freqs, n_us))
+
+
+class TestVectorCache:
+    @settings(max_examples=150, deadline=None)
+    @given(case=fitness_cases(), subsume=st.booleans())
+    def test_warm_cache_agrees_with_fresh_and_naive(self, case, subsume):
+        k, blocks, genomes = case
+        stats = BlockStats(blocks)
+        bits = len(blocks) * k
+        shared = {}
+
+        def fitness(genes, vectors):
+            ind = Individual(genes, k, False)
+            return evaluate_fitness(ind, stats, bits, subsume, vectors=vectors)
+
+        first = [fitness(genes, shared) for genes in genomes]
+        warm = [fitness(genes, shared) for genes in genomes]
+        fresh = [fitness(genes, None) for genes in genomes]
+        naive = [naive_fitness(blocks, genes, k, bits, subsume) for genes in genomes]
+        assert first == warm == fresh == naive
+        assert set(shared) == {g[i : i + k] for g in genomes
+                               for i in range(0, len(g), k)}
+
+    def test_size_bounded_on_corpus_9001(self, monkeypatch):
+        ts = generate_corpus(CorpusSpec(rng_seed=9001, **CLUSTERED))
+        stats = BlockStats(partition(flatten(ts), 12))
+        cfg = EaConfig(k=12, l=64, rng_seed=7, stagnation_limit=30,
+                       max_evaluations=600, runs=1)
+        original = ea.evaluate_fitness
+        sizes = []
+
+        def recording(*args, vectors, **kwargs):
+            sizes.append(len(vectors))
+            value = original(*args, vectors=vectors, **kwargs)
+            sizes.append(len(vectors))
+            return value
+
+        monkeypatch.setattr(ea, "evaluate_fitness", recording)
+        evolve(stats, original_size_bits(ts), cfg)
+        s, c, l = cfg.population_size, cfg.children_per_generation, cfg.l
+        assert max(sizes) <= (s + 2 * c) * l
+        # the run outgrows (S + C) * L, so the pruning path is exercised
+        assert max(sizes) > (s + c) * l
 
 
 class TestEvolve:
