@@ -19,7 +19,6 @@ from .codec import (
     cover,
     decode,
     encode_all,
-    encode_block,
     encoding_length,
     matches,
     subsume_merge,

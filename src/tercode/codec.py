@@ -8,21 +8,24 @@ the block's bits at the vector's U positions, so the per-block cost is
 strings, packed once by ``bits.pack_bits``; decoding unpacks it once and
 walks the string.
 
-Matching is implemented on bitmask pairs (ones, zeros): a block and a
-vector conflict iff the block's ones overlap the vector's zeros or vice
-versa.  Covering turns the block sequence into block sets once, one set
-per (mask bit, vector symbol), each a Python int with one bit per block;
-a vector's matching blocks, its ``match_set``, are the AND of the sets
-at its specified positions, so one code path serves every block length.
-``match_frequencies`` then assigns blocks greedily from those raw sets;
-``cover`` and the search's fitness share both steps, and the search
-keeps each vector's raw set across fitness calls (see ``ea``).
+Matching has one implementation, on block sets.  ``BlockStats`` turns
+the block sequence into one set per (mask bit, vector symbol), each a
+Python int with one bit per block; a vector's matching blocks, its
+``match_set``, are the AND of the sets at its specified positions, so
+one code path serves every block length.  ``match_frequencies`` assigns
+blocks greedily from those raw sets for ``cover`` and the search's
+fitness (the search keeps each vector's raw set across fitness calls, see
+``ea``); ``encode_all`` checks a covering against them once per assigned
+vector; and ``matches`` is the one-block case.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+import operator
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -45,8 +48,6 @@ from .errors import (
 
 _MV_ONES = str.maketrans("01U", "010")
 _MV_ZEROS = str.maketrans("01U", "100")
-_BLOCK_ONES = str.maketrans("01X", "010")
-_BLOCK_ZEROS = str.maketrans("01X", "100")
 
 FILL_CHOICES = ("zero", "one", "random")
 
@@ -54,18 +55,13 @@ FILL_CHOICES = ("zero", "one", "random")
 # declare up to 2^64 of them.
 MAX_DECODE_SYMBOLS = 1 << 30
 
+# blocks per slice that encode_all joins at a time
+_SLICE = 1 << 16
+
 
 def mv_masks(symbols: str) -> tuple[int, int]:
     """(ones, zeros) bitmasks of a vector; leftmost symbol is the top bit."""
     return int(symbols.translate(_MV_ONES), 2), int(symbols.translate(_MV_ZEROS), 2)
-
-
-def block_masks(symbols: str) -> tuple[int, int]:
-    """(ones, zeros) bitmasks of a block; X sets neither mask."""
-    return (
-        int(symbols.translate(_BLOCK_ONES), 2),
-        int(symbols.translate(_BLOCK_ZEROS), 2),
-    )
 
 
 @dataclass(frozen=True)
@@ -119,6 +115,8 @@ class Codebook:
 
     def __post_init__(self):
         codes = sorted(self.entries.values())
+        if any(code.strip("01") for code in codes):
+            raise ValueError("a codeword holds a symbol other than 0 and 1")
         for a, b in zip(codes, codes[1:]):
             if b.startswith(a):
                 raise ValueError(f"codebook is not prefix-free: {a!r}, {b!r}")
@@ -164,6 +162,8 @@ class EncodedStream:
         # up to block_count * k symbols only to trim them away
         if self.block_count and (self.block_count - 1) * self.k >= self.original_length:
             raise ValueError("a block holds no original symbol")
+        if any(len(v) != self.k for v in self.mv_table):
+            raise ValueError(f"a table vector is not {self.k} symbols long")
         for index, code in self.codebook.entries.items():
             if not 0 <= index < len(self.mv_table):
                 raise ValueError(f"codebook entry {index} outside the MV table")
@@ -172,13 +172,14 @@ class EncodedStream:
 
 
 def matches(v: MatchingVector, block: str) -> bool:
-    """True iff no position pairs a 0 with a 1; X and U match anything."""
+    """True iff no position pairs a 0 with a 1; X and U match anything.
+
+    The one-block case of ``match_set``."""
     if len(v.symbols) != len(block):
         raise LengthMismatch(
             f"vector length {len(v.symbols)} vs block length {len(block)}"
         )
-    ones, zeros = block_masks(block)
-    return (v.ones_mask & zeros) == 0 and (v.zeros_mask & ones) == 0
+    return bool(match_set(BlockStats([block]), v.ones_mask, v.zeros_mask))
 
 
 class BlockStats:
@@ -188,7 +189,7 @@ class BlockStats:
     the hot path of the evolutionary search.
 
     A block set is a Python int whose bit i stands for block i+1, in
-    sequence order.  For each mask bit b (as in ``block_masks``: the
+    sequence order.  For each mask bit b (as in ``mv_masks``: the
     leftmost symbol is bit K-1), ``fits_zero[b]`` holds the blocks whose
     symbol there is not ``1`` and ``fits_one[b]`` those whose symbol there
     is not ``0``.  The blocks a vector matches are the AND of
@@ -371,43 +372,8 @@ def encoding_length(v: MatchingVector, codebook: Codebook, index: int) -> int:
     return len(codebook.codeword(index)) + v.n_unspecified
 
 
-def _check_fill(fill: str, rng: random.Random | None) -> None:
-    if fill not in FILL_CHOICES:
-        raise InvalidConfig(f"unknown fill policy {fill!r}; choose from {FILL_CHOICES}")
-    if fill == "random" and rng is None:
-        raise InvalidConfig("random fill requires an rng")
-
-
-def encode_block(
-    block: str,
-    v: MatchingVector,
-    codebook: Codebook,
-    index: int,
-    fill: str = "zero",
-    rng: random.Random | None = None,
-) -> str:
-    """Codeword of ``v`` followed by the block's bits at the U positions.
-
-    An X at a U position is resolved by the fill policy (default '0');
-    random fill draws one ``rng.getrandbits(1)`` per such X, in order.
-    """
-    _check_fill(fill, rng)
-    if not matches(v, block):
-        raise NotMatching(f"vector {v.symbols} does not match block {block}")
-    code = codebook.codeword(index)
-    fills = "".join([block[p] for p in v.u_positions])
-    if "X" in fills:
-        if fill == "random":
-            fills = "".join(
-                ["01"[rng.getrandbits(1)] if ch == "X" else ch for ch in fills]
-            )
-        else:
-            fills = fills.replace("X", "0" if fill == "zero" else "1")
-    return code + fills
-
-
 def encode_all(
-    blocks: Sequence[str],
+    blocks: Sequence[str] | BlockStats,
     covering: Covering,
     codebook: Codebook,
     mvs: Sequence[MatchingVector],
@@ -416,33 +382,68 @@ def encode_all(
     original_length: int | None = None,
     pattern_width: int | None = None,
 ) -> EncodedStream:
-    """Concatenate per-block encodings into a packed payload stream.
+    """Encode each block as its vector's codeword followed by the block's
+    symbols at the vector's U positions, and pack the concatenation.
 
-    Raises InvalidConfig, before encoding anything, for a fill policy
-    outside ``FILL_CHOICES`` or random fill without an rng.
+    An X at a U position takes the fill policy's bit ('0' by default);
+    random fill draws one ``rng.getrandbits(1)`` per such X, blocks in
+    order.  Raises InvalidConfig, before encoding anything, for a fill
+    policy outside ``FILL_CHOICES`` or random fill without an rng.  Each
+    assigned vector is then checked once against its blocks, as block
+    sets; the first block in sequence order that cannot be encoded raises
+    LengthMismatch, NotMatching or NoCodeword, in that order of precedence.
     """
-    _check_fill(fill, rng)
-    if len(blocks) != len(covering.assignment):
-        raise ValueError(
-            f"covering assigns {len(covering.assignment)} blocks, got {len(blocks)}"
-        )
-    k = len(mvs[0].symbols) if mvs else 0
+    if fill not in FILL_CHOICES:
+        raise InvalidConfig(f"unknown fill policy {fill!r}; choose from {FILL_CHOICES}")
+    if fill == "random" and rng is None:
+        raise InvalidConfig("random fill requires an rng")
+    stats = as_block_stats(blocks)
+    assignment = covering.assignment
+    if stats.total != len(assignment):
+        raise ValueError(f"covering assigns {len(assignment)} of {stats.total} blocks")
+    # the vectors come from the assignment, which the frequencies may contradict
+    assigned, indices, bad = set(assignment), np.asarray(assignment), 0
+    for i in assigned:
+        hit = _block_set(indices == i)
+        if (-len(mvs) <= i < len(mvs) and len(mvs[i]) == stats.k
+                and i in codebook.entries):
+            hit &= ~match_set(stats, mvs[i].ones_mask, mvs[i].zeros_mask)
+        bad |= hit
+    del indices
+    if bad:
+        first = (bad & -bad).bit_length() - 1
+        block, i = stats.blocks[first], assignment[first]
+        if not matches(mvs[i], block):
+            raise NotMatching(f"vector {mvs[i].symbols} does not match block {block}")
+        raise NoCodeword(f"vector {i} has no codeword")
+    # per vector: its codeword and a getter of a block's fill symbols, where
+    # slice(0) adds "" so that a vector without U positions gets one too
+    emit = {
+        i: (codebook.entries[i], operator.itemgetter(*mvs[i].u_positions, slice(0)))
+        for i in assigned
+    }
+    # joined a slice of blocks at a time: one slice's words are alive at once
+    words = zip(stats.blocks, map(emit.__getitem__, assignment))
+    bits = "".join([
+        "".join([code + "".join(take(b))
+                 for b, (code, take) in itertools.islice(words, _SLICE)])
+        for _ in range(0, stats.total, _SLICE)
+    ])
+    if fill == "random":
+        bits = re.sub("X", lambda _: "01"[rng.getrandbits(1)], bits)
+    else:
+        bits = bits.replace("X", "0" if fill == "zero" else "1")
+    k = stats.k if stats.total else len(mvs[0]) if mvs else 0
     table_indices = sorted(codebook.entries)
     remap = {orig: pos for pos, orig in enumerate(table_indices)}
-    bits = "".join([
-        encode_block(block, mvs[v_idx], codebook, v_idx, fill=fill, rng=rng)
-        for block, v_idx in zip(blocks, covering.assignment)
-    ])
-    if original_length is None:
-        original_length = len(blocks) * k
     return EncodedStream(
         payload=pack_bits(bits),
         payload_bits=len(bits),
-        block_count=len(blocks),
+        block_count=stats.total,
         k=k,
         mv_table=tuple(mvs[i] for i in table_indices),
         codebook=Codebook({remap[i]: c for i, c in codebook.entries.items()}),
-        original_length=original_length,
+        original_length=stats.total * k if original_length is None else original_length,
         pattern_width=pattern_width,
     )
 

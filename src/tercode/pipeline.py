@@ -49,10 +49,9 @@ def compress(
     if method not in METHODS:
         raise InvalidConfig(f"unknown method {method!r}; choose from {METHODS}")
     original_bits = core.original_size_bits(ts)
-    blocks = core.partition(core.flatten(ts), cfg.k)
+    stats = codec.BlockStats(core.partition(core.flatten(ts), cfg.k))
     evolution = None
     if method == "ea":
-        stats = codec.BlockStats(blocks)
         evolution = ea.run_many(stats, original_bits, cfg)
         mvs = tuple(codec.MatchingVector(s) for s in evolution.best.vector_symbols())
         covering = codec.cover(stats, mvs)
@@ -60,14 +59,14 @@ def compress(
             covering, _ = codec.subsume_merge(covering, mvs, cfg.k)
     else:
         mvs = baseline9c.nine_mvs(cfg.k)
-        covering = codec.cover(blocks, mvs)
+        covering = codec.cover(stats, mvs)
     if method == "9c":
         codebook = baseline9c.nine_codebook()
     else:
         codebook = codec.build_huffman(covering.frequencies)
     rng = random.Random(f"fill-{cfg.rng_seed}") if fill == "random" else None
     stream = codec.encode_all(
-        blocks,
+        stats,
         covering,
         codebook,
         mvs,

@@ -24,6 +24,7 @@ from tercode import (
 )
 from tercode.codec import huffman_code_lengths
 from tercode.container import MAGIC
+from tercode.errors import LengthMismatch, NoCodeword, NotMatching
 
 
 def random_test_set(rng: random.Random, max_rows=12, max_cols=16,
@@ -76,6 +77,31 @@ def char_match(block_symbols: str, mv_symbols: str) -> bool:
         not ((b == "1" and v == "0") or (b == "0" and v == "1"))
         for b, v in zip(block_symbols, mv_symbols)
     )
+
+
+def naive_encode_bits(blocks, assignment, codebook, mvs, fill="zero", rng=None) -> str:
+    """Reference payload bits: every block encoded on its own, matched by
+    ``char_match``.  An X at a U position takes the fill bit, or one
+    ``rng.getrandbits(1)`` per X for random fill, blocks in order.  Raises
+    for the first block it cannot encode: LengthMismatch, then
+    NotMatching, then NoCodeword."""
+    out = []
+    for block, idx in zip(blocks, assignment):
+        v = mvs[idx]
+        if len(v.symbols) != len(block):
+            raise LengthMismatch(f"vector {v.symbols} vs block {block}")
+        if not char_match(block, v.symbols):
+            raise NotMatching(f"vector {v.symbols} does not match block {block}")
+        if idx not in codebook.entries:
+            raise NoCodeword(f"vector {idx} has no codeword")
+        fills = ""
+        for p in v.u_positions:
+            ch = block[p]
+            if ch == "X":
+                ch = "01"[rng.getrandbits(1)] if fill == "random" else "01"[fill == "one"]
+            fills += ch
+        out.append(codebook.entries[idx] + fills)
+    return "".join(out)
 
 
 def naive_cover(blocks, mvs):

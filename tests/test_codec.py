@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tercode import (
     Codebook,
+    Covering,
     EncodedStream,
     MatchingVector,
     build_huffman,
@@ -14,7 +15,6 @@ from tercode import (
     cover,
     decode,
     encode_all,
-    encode_block,
     encoding_length,
     matches,
     partition,
@@ -38,6 +38,7 @@ from tercode.errors import (
     LengthMismatch,
     NoCodeword,
     NotMatching,
+    TercodeError,
     TruncatedPayload,
     UnknownCodeword,
     UnmatchedBlock,
@@ -48,6 +49,7 @@ from helpers import (
     char_match,
     codebook_cost,
     naive_cover,
+    naive_encode_bits,
     naive_merge_subsumed_frequencies,
     optimal_prefix_cost,
     payload_bitstring,
@@ -326,6 +328,10 @@ class TestHuffman:
         with pytest.raises(ValueError):
             Codebook({0: "0", 1: "01"})
 
+    def test_codebook_rejects_symbols_other_than_0_and_1(self):
+        with pytest.raises(ValueError, match="other than 0 and 1"):
+            Codebook({0: "0", 1: "1X"})
+
 
 class TestEncodingLength:
     def test_examples(self):
@@ -338,32 +344,40 @@ class TestEncodingLength:
             encoding_length(mv("1U"), Codebook({1: "0"}), 0)
 
 
+def encode_one(symbols: str, v: MatchingVector, codebook: Codebook, **kwargs) -> str:
+    """Payload bits of a one-block stream whose block is assigned to ``v``."""
+    stream = encode_all([symbols], Covering((0,), (1,)), codebook, [v], **kwargs)
+    return payload_bitstring(stream)
+
+
 class TestEncodeBlock:
+    """``encode_all`` on one-block inputs."""
+
     def test_fill_bits_follow_codeword(self):
         codebook = Codebook({0: "11010"})
-        assert encode_block(block("111100"), mv("111UUU"), codebook, 0) == "11010100"
-        assert encode_block(block("111011"), mv("111UUU"), codebook, 0) == "11010011"
+        assert encode_one("111100", mv("111UUU"), codebook) == "11010100"
+        assert encode_one("111011", mv("111UUU"), codebook) == "11010011"
 
     def test_x_fills_as_zero_by_default(self):
         codebook = Codebook({0: "1"})
-        assert encode_block(block("1X10"), mv("UU10"), codebook, 0) == "110"
+        assert encode_one("1X10", mv("UU10"), codebook) == "110"
 
     def test_fill_policies(self):
         codebook = Codebook({0: ""})
-        assert encode_block(block("XX"), mv("UU"), codebook, 0, fill="one") == "11"
+        assert encode_one("XX", mv("UU"), codebook, fill="one") == "11"
         rng = random.Random(0)
-        bits = encode_block(block("XX"), mv("UU"), codebook, 0, fill="random", rng=rng)
+        bits = encode_one("XX", mv("UU"), codebook, fill="random", rng=rng)
         assert set(bits) <= {"0", "1"}
         with pytest.raises(InvalidConfig):
-            encode_block(block("XX"), mv("UU"), codebook, 0, fill="bogus")
+            encode_one("XX", mv("UU"), codebook, fill="bogus")
 
     def test_not_matching(self):
         with pytest.raises(NotMatching):
-            encode_block(block("10"), mv("01"), Codebook({0: "0"}), 0)
+            encode_one("10", mv("01"), Codebook({0: "0"}))
 
     def test_no_codeword(self):
         with pytest.raises(NoCodeword):
-            encode_block(block("10"), mv("10"), Codebook({1: "0"}), 0)
+            encode_one("10", mv("10"), Codebook({1: "0"}))
 
 
 class TestEncodeAll:
@@ -412,9 +426,30 @@ class TestEncodeAll:
         assert stream.payload_bits == 2 * 257
         assert decode(read_container(write_container(stream))) == "0110"
 
-    def test_zero_blocks(self):
-        from tercode import Covering
+    def test_not_matching_names_first_block(self):
+        # vector 0 fails at block 4, vector 1 already at block 3
+        blocks = blocks_from(["00", "11", "01", "10"])
+        covering = Covering((0, 1, 1, 0), (2, 2))
+        with pytest.raises(NotMatching, match="^vector 1U does not match block 01$"):
+            encode_all(blocks, covering, Codebook({0: "0", 1: "1"}), [mv("0U"), mv("1U")])
 
+    def test_table_vector_of_another_length_rejected(self):
+        # an unassigned vector of length 2 would enter a K=4 stream's table
+        with pytest.raises(ValueError, match="not 4 symbols"):
+            encode_all(["0000"], Covering((0,), (1,)), Codebook({0: "0", 1: "1"}),
+                       [mv("0000"), mv("UU")])
+
+    def test_block_stats_input(self):
+        blocks = blocks_from(["1111"] * 5 + ["1110"] * 3 + ["0000"] * 2)
+        mvs = [mv("111U"), mv("1110"), mv("0000")]
+        covering = cover(blocks, mvs)
+        codebook = build_huffman(covering.frequencies)
+        stats = BlockStats(blocks)
+        assert cover(stats, mvs) == covering
+        assert encode_all(stats, covering, codebook, mvs) == encode_all(
+            blocks, covering, codebook, mvs)
+
+    def test_zero_blocks(self):
         stream = encode_all([], Covering((), ()), Codebook({}), [])
         assert stream.payload == b""
         assert stream.payload_bits == 0
@@ -442,7 +477,71 @@ class TestEncodeAll:
             assert payload_bits_for(covering.frequencies, n_us) == expected
 
 
+@st.composite
+def encode_cases(draw):
+    """Blocks, vectors, a hand-built covering and a codebook at K 1-13.
+
+    The assignment gives each block a random matching vector; faults are
+    drawn independently: blocks moved to a non-matching vector or to a
+    vector of the wrong length, frequencies that disagree with the
+    assignment, a missing codeword."""
+    k = draw(st.sampled_from([1, 2, 5, 13]))
+    symbols = st.text(alphabet="01U", min_size=k, max_size=k)
+    vectors = draw(st.lists(symbols, min_size=0, max_size=5)) + ["U" * k]
+    if draw(st.booleans()):
+        vectors.insert(draw(st.integers(0, len(vectors))),
+                       draw(st.text(alphabet="01U", min_size=1, max_size=k + 2)))
+    mvs = [mv(v) for v in vectors]
+    rng = draw(st.randoms(use_true_random=False))
+    blocks, assignment = [], []
+    for _ in range(draw(st.integers(1, 40))):
+        near = rng.choice([v for v in vectors if len(v) == k])
+        blocks.append("".join(rng.choice("01X") if ch == "U" else ch for ch in near))
+        fits = [i for i, v in enumerate(vectors)
+                if len(v) == k and char_match(blocks[-1], v)]
+        assignment.append(rng.choice(fits))
+    for _ in range(draw(st.integers(0, 3))):
+        assignment[rng.randrange(len(blocks))] = rng.randrange(len(mvs))
+    counts = [assignment.count(i) for i in range(len(mvs))]
+    freqs = draw(st.permutations(counts)) if draw(st.booleans()) else counts
+    codebook = build_huffman(counts)
+    if draw(st.booleans()):
+        entries = dict(codebook.entries)
+        del entries[rng.choice(sorted(entries))]
+        codebook = Codebook(entries)
+    fill = draw(st.sampled_from(["zero", "one", "random"]))
+    return blocks, Covering(tuple(assignment), tuple(freqs)), codebook, mvs, fill
+
+
+class TestEncodeProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(encode_cases(), st.integers(0, 2**32), st.booleans())
+    def test_agrees_with_naive_encoder(self, case, seed, as_stats):
+        blocks, covering, codebook, mvs, fill = case
+        source = BlockStats(blocks) if as_stats else blocks
+        try:
+            want = naive_encode_bits(blocks, covering.assignment, codebook, mvs,
+                                     fill, random.Random(seed))
+        except TercodeError as exc:
+            with pytest.raises(TercodeError) as err:
+                encode_all(source, covering, codebook, mvs, fill, random.Random(seed))
+            assert type(err.value) is type(exc)
+            if isinstance(exc, NotMatching):
+                assert str(err.value) == str(exc)
+            return
+        stream = encode_all(source, covering, codebook, mvs, fill, random.Random(seed))
+        assert payload_bitstring(stream) == want
+        assert (stream.block_count, stream.k) == (len(blocks), len(blocks[0]))
+
+
 class TestDecode:
+    def test_table_vector_of_another_length_rejected(self):
+        # would decode to "0", one symbol where the header declares four
+        with pytest.raises(ValueError, match="not 4 symbols"):
+            EncodedStream(payload=b"", payload_bits=0, block_count=1, k=4,
+                          mv_table=(mv("0"),), codebook=Codebook({0: ""}),
+                          original_length=4)
+
     def _nine_code_stream(self, payload_bits: str, block_count: int,
                           original_length: int) -> EncodedStream:
         from tercode import nine_codebook, nine_mvs
