@@ -163,6 +163,8 @@ def cmd_compress(args) -> int:
 
 
 def cmd_decompress(args) -> int:
+    if args.max_symbols < 1:
+        raise InvalidConfig(f"--max-symbols must be at least 1, got {args.max_symbols}")
     with open(args.input, "rb") as handle:
         stream = container.read_container(handle.read())
     width = args.width if args.width is not None else stream.pattern_width

@@ -6,7 +6,10 @@ Each block is encoded as the codeword of its assigned vector followed by
 the block's bits at the vector's U positions, so the per-block cost is
 |codeword| + N_U.  The payload is the concatenation of those '0'/'1'
 strings, packed once by ``bits.pack_bits``; decoding unpacks it once and
-walks the string.
+walks the string, looking each codeword up by the next (at most 16) bits in
+a table filled as it goes (at most min(2^16, block count) entries) and
+memoising each decoded block by its codeword + fill bits (at most one
+entry per block), since blocks repeat.
 
 Matching has one implementation, on block sets.  ``BlockStats`` turns
 the block sequence into one set per (mask bit, vector symbol), each a
@@ -57,6 +60,9 @@ MAX_DECODE_SYMBOLS = 1 << 30
 
 # blocks per slice that encode_all joins at a time
 _SLICE = 1 << 16
+
+# payload bits decode looks a codeword up by
+_PEEK_BITS = 16
 
 
 def mv_masks(symbols: str) -> tuple[int, int]:
@@ -458,6 +464,15 @@ def decode(stream: EncodedStream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:
     next ``max_len`` bits start with no codeword, TruncatedPayload when
     the payload ends inside a codeword or its fill bits, and DanglingBits
     when bits are left after the last block.
+
+    The codeword is looked up by the next ``min(max_len, 16)`` payload
+    bits, the peek, in a table filled as the walk meets each peek; a
+    missing peek probes each codeword length in rising order, and its
+    result is kept only when the codeword lies inside a full-width peek,
+    so codewords longer than 16 bits and the last bits of the payload are
+    always probed.  The table holds at most min(2^16, ``block_count``)
+    entries.  Each decoded block is memoised by its payload word
+    (codeword + fill bits), at most one entry per block.
     """
     if stream.original_length > max_symbols:
         raise OutputTooLarge(
@@ -467,6 +482,7 @@ def decode(stream: EncodedStream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:
     table = {code: pos for pos, code in stream.codebook.entries.items()}
     lengths = sorted({len(code) for code in table})
     max_len = lengths[-1] if lengths else 0
+    peek_len = min(max_len, _PEEK_BITS)
     # each vector as a %-template whose slots are its U positions
     templates = [
         (v.symbols.replace("U", "%s"), v.n_unspecified) for v in stream.mv_table
@@ -474,29 +490,46 @@ def decode(stream: EncodedStream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:
     bits = unpack_bits(stream.payload, stream.payload_bits)
     n_bits = len(bits)
     pos = 0
+    # peek -> (codeword length, codeword + fill length, template)
+    peeks: dict[str, tuple[int, int, str]] = {}
+    blocks: dict[str, str] = {}
     out: list[str] = []
     for _ in range(stream.block_count):
-        # a slice cut short by the payload's end cannot equal a codeword:
-        # a code is prefix-free and shorter lengths were tried first
-        for length in lengths:
-            entry = table.get(bits[pos : pos + length])
-            if entry is not None:
-                break
-        else:
-            if pos + max_len <= n_bits:
-                raise UnknownCodeword(
-                    f"no codeword matches payload prefix of {max_len} bits"
-                )
-            raise TruncatedPayload(f"payload ends inside a codeword at bit {n_bits}")
-        pos += length
-        template, n_u = templates[entry]
-        if pos + n_u > n_bits:
+        peek = bits[pos : pos + peek_len]
+        hit = peeks.get(peek)
+        if hit is None:
+            # a slice cut short by the payload's end cannot equal a codeword:
+            # a code is prefix-free and shorter lengths were tried first
+            for length in lengths:
+                entry = table.get(bits[pos : pos + length])
+                if entry is not None:
+                    break
+            else:
+                if pos + max_len <= n_bits:
+                    raise UnknownCodeword(
+                        f"no codeword matches payload prefix of {max_len} bits"
+                    )
+                raise TruncatedPayload(f"payload ends inside a codeword at bit {n_bits}")
+            template, n_u = templates[entry]
+            hit = (length, length + n_u, template)
+            # then the probe read only bits of the peek, so the peek decides it
+            if length <= peek_len and len(peek) == peek_len:
+                peeks[peek] = hit
+        length, end, template = hit
+        word = bits[pos : pos + end]
+        if len(word) < end:
             raise TruncatedPayload(f"payload ends inside fill bits at bit {n_bits}")
-        out.append(template % tuple(bits[pos : pos + n_u]))
-        pos += n_u
+        block = blocks.get(word)
+        if block is None:
+            block = blocks[word] = template % tuple(word[length:])
+        out.append(block)
+        pos += end
     if pos < n_bits:
         raise DanglingBits(f"{n_bits - pos} undecoded payload bits")
-    return "".join(out)[: stream.original_length]
+    if out:
+        # every block holds an original symbol, so only the last is trimmed
+        out[-1] = out[-1][: stream.original_length - (len(out) - 1) * stream.k]
+    return "".join(out)
 
 
 def compression_rate(original_bits: int, payload_bits: int) -> float:

@@ -16,6 +16,8 @@ from .errors import EmptyInput, IllegalCharacter, RaggedRows
 TEST_ALPHABET = "01X"
 
 _NORMALIZE = str.maketrans("x", "X")
+# what is left of a row after deleting every legal symbol
+_DELETE_ALPHABET = str.maketrans("", "", TEST_ALPHABET)
 
 
 @dataclass(frozen=True)
@@ -35,9 +37,9 @@ class TestSet:
                 raise RaggedRows(
                     f"pattern length {len(row)} differs from {width}"
                 )
-            for ch in row:
-                if ch not in TEST_ALPHABET:
-                    raise IllegalCharacter(f"illegal symbol {ch!r} in pattern")
+            illegal = row.translate(_DELETE_ALPHABET)
+            if illegal:
+                raise IllegalCharacter(f"illegal symbol {illegal[0]!r} in pattern")
 
     @property
     def pattern_count(self) -> int:

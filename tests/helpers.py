@@ -22,9 +22,18 @@ from tercode import (
     original_size_bits,
     partition,
 )
-from tercode.codec import huffman_code_lengths
+from tercode.bits import unpack_bits
+from tercode.codec import MAX_DECODE_SYMBOLS, huffman_code_lengths
 from tercode.container import MAGIC
-from tercode.errors import LengthMismatch, NoCodeword, NotMatching
+from tercode.errors import (
+    DanglingBits,
+    LengthMismatch,
+    NoCodeword,
+    NotMatching,
+    OutputTooLarge,
+    TruncatedPayload,
+    UnknownCodeword,
+)
 
 
 def random_test_set(rng: random.Random, max_rows=12, max_cols=16,
@@ -102,6 +111,51 @@ def naive_encode_bits(blocks, assignment, codebook, mvs, fill="zero", rng=None) 
             fills += ch
         out.append(codebook.entries[idx] + fills)
     return "".join(out)
+
+
+def naive_decode(stream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:
+    """Reference decoder: probes each codeword length in rising order for
+    every block and fills a %-template per block, with no peek table and
+    no memo.  Raises OutputTooLarge, UnknownCodeword, TruncatedPayload and
+    DanglingBits under the same conditions as ``codec.decode``."""
+    if stream.original_length > max_symbols:
+        raise OutputTooLarge(
+            f"stream declares {stream.original_length} symbols, "
+            f"more than the limit of {max_symbols}"
+        )
+    table = {code: pos for pos, code in stream.codebook.entries.items()}
+    lengths = sorted({len(code) for code in table})
+    max_len = lengths[-1] if lengths else 0
+    # each vector as a %-template whose slots are its U positions
+    templates = [
+        (v.symbols.replace("U", "%s"), v.n_unspecified) for v in stream.mv_table
+    ]
+    bits = unpack_bits(stream.payload, stream.payload_bits)
+    n_bits = len(bits)
+    pos = 0
+    out: list[str] = []
+    for _ in range(stream.block_count):
+        # a slice cut short by the payload's end cannot equal a codeword:
+        # a code is prefix-free and shorter lengths were tried first
+        for length in lengths:
+            entry = table.get(bits[pos : pos + length])
+            if entry is not None:
+                break
+        else:
+            if pos + max_len <= n_bits:
+                raise UnknownCodeword(
+                    f"no codeword matches payload prefix of {max_len} bits"
+                )
+            raise TruncatedPayload(f"payload ends inside a codeword at bit {n_bits}")
+        pos += length
+        template, n_u = templates[entry]
+        if pos + n_u > n_bits:
+            raise TruncatedPayload(f"payload ends inside fill bits at bit {n_bits}")
+        out.append(template % tuple(bits[pos : pos + n_u]))
+        pos += n_u
+    if pos < n_bits:
+        raise DanglingBits(f"{n_bits - pos} undecoded payload bits")
+    return "".join(out)[: stream.original_length]
 
 
 def naive_cover(blocks, mvs):

@@ -389,6 +389,16 @@ class TestDecompress:
         assert run_cli([*args, "--max-symbols", str(30 * 48)]) == 0
         assert parse_test_set(restored.read_text()).pattern_count == 30
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_nonpositive_max_symbols_is_usage_error(self, corpus_file, tmp_path, cap):
+        container = self._compress(corpus_file, tmp_path)
+        restored = tmp_path / "r.txt"
+        for source in (container, tmp_path / "missing.tcc"):
+            # checked before the file is read: a missing one is not exit 3
+            assert run_cli(["decompress", "--input", str(source), "--output",
+                            str(restored), "--max-symbols", cap]) == 2
+        assert not restored.exists()
+
 
 class TestHeaderChecks:
     @pytest.mark.parametrize(

@@ -22,7 +22,9 @@ from tercode import (
     subsume_merge,
     write_container,
 )
+from tercode.bits import pack_bits
 from tercode.codec import (
+    MAX_DECODE_SYMBOLS,
     BlockStats,
     huffman_code_lengths,
     huffman_cost,
@@ -49,6 +51,7 @@ from helpers import (
     char_match,
     codebook_cost,
     naive_cover,
+    naive_decode,
     naive_encode_bits,
     naive_merge_subsumed_frequencies,
     optimal_prefix_cost,
@@ -614,6 +617,81 @@ class TestDecode:
             for got, want in zip(decoded, flat):
                 if want != "X":
                     assert got == want
+
+
+@st.composite
+def decode_cases(draw):
+    """A stream's table, codebook and payload bits, before any damage.
+
+    The codebook is the Huffman code of random frequencies, of Fibonacci
+    frequencies (18-22 vectors, so the longest codewords have 17-21 bits)
+    or of one vector (the lone empty codeword), and may lose one entry, so
+    that the payload holds codewords the decoder does not know.  The
+    payload encodes 0-40 blocks, and ``original_length`` may end anywhere
+    inside the last one."""
+    k = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["random", "fibonacci", "lone"]))
+    if shape == "lone":
+        freqs = [1]
+    elif shape == "fibonacci":
+        freqs = [1, 1]
+        for _ in range(draw(st.integers(16, 20))):
+            freqs.append(freqs[-1] + freqs[-2])
+        freqs = draw(st.permutations(freqs))
+    else:
+        freqs = draw(st.lists(st.integers(1, 50), min_size=2, max_size=8))
+    mvs = tuple(mv(draw(st.text(alphabet="01U", min_size=k, max_size=k)))
+                for _ in freqs)
+    full = build_huffman(freqs).entries
+    entries = dict(full)
+    if draw(st.booleans()):
+        del entries[draw(st.sampled_from(sorted(entries)))]
+    rng = draw(st.randoms(use_true_random=False))
+    block_count = draw(st.integers(0, 40 if shape != "fibonacci" else 16))
+    words = []
+    for _ in range(block_count):
+        index = rng.randrange(len(mvs))
+        fills = "".join(rng.choice("01") for _ in range(mvs[index].n_unspecified))
+        words.append(full[index] + fills)
+    original_length = (
+        draw(st.integers((block_count - 1) * k + 1, block_count * k))
+        if block_count else 0
+    )
+    return "".join(words), block_count, k, mvs, Codebook(entries), original_length
+
+
+class TestDecodeProperties:
+    @staticmethod
+    def assert_agrees(bits, block_count, k, mvs, codebook, original_length,
+                      max_symbols):
+        stream = EncodedStream(payload=pack_bits(bits), payload_bits=len(bits),
+                               block_count=block_count, k=k, mv_table=mvs,
+                               codebook=codebook, original_length=original_length)
+        try:
+            want = naive_decode(stream, max_symbols)
+        except TercodeError as exc:
+            with pytest.raises(TercodeError) as err:
+                decode(stream, max_symbols)
+            assert type(err.value) is type(exc)
+            return
+        assert decode(stream, max_symbols) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(decode_cases(), st.text(alphabet="01", min_size=1, max_size=24),
+           st.sampled_from(["default", "exact", "one short"]))
+    def test_agrees_with_naive_decoder(self, case, appended, cap):
+        """Same output or the same error class as the reference decoder,
+        for the payload itself, every truncation of it, every one-bit flip
+        of it and the payload with bits appended."""
+        bits, *rest = case
+        max_symbols = {"default": MAX_DECODE_SYMBOLS, "exact": rest[-1],
+                       "one short": rest[-1] - 1}[cap]
+        variants = [bits, bits + appended]
+        variants += [bits[:cut] for cut in range(len(bits))]
+        variants += [bits[:i] + "10"[int(bits[i])] + bits[i + 1:]
+                     for i in range(len(bits))]
+        for variant in variants:
+            self.assert_agrees(variant, *rest, max_symbols)
 
 
 class TestCompressionRate:

@@ -117,3 +117,19 @@ class TestInvariants:
             TestSet(("0U",))
         with pytest.raises(EmptyInput):
             TestSet(())
+
+    def test_testset_error_precedence_and_message(self):
+        # the first bad row in order decides
+        with pytest.raises(IllegalCharacter, match="'A'"):
+            TestSet(("01", "0A", "011"))
+        with pytest.raises(RaggedRows, match="length 3 differs from 2"):
+            TestSet(("01", "011", "0A"))
+        # within a row, a length error comes before an illegal symbol
+        with pytest.raises(RaggedRows):
+            TestSet(("01", "0A1"))
+        # the message names the first illegal symbol of the row
+        for rows, symbol in [(("0101", "0A1B"), "'A'"), (("X1", "1x"), "'x'"),
+                             (("0\u00e91",), "'\u00e9'"), (("01 ",), "' '")]:
+            with pytest.raises(IllegalCharacter) as err:
+                TestSet(rows)
+            assert str(err.value) == f"illegal symbol {symbol} in pattern"
