@@ -36,7 +36,6 @@ from .corpus import CorpusSpec, generate_corpus
 from .ea import (
     EaConfig,
     EvolutionReport,
-    Individual,
     crossover,
     evaluate_fitness,
     evolve,

@@ -115,27 +115,13 @@ def _resolve_seed(args) -> int:
 
 def _ea_config(args, seed: int) -> ea.EaConfig:
     """Explicit flags override the config file; flags left at their None
-    default fall back to the file and then to the built-in defaults.  The
-    config is built once, so the default evaluation budget follows the
-    final population and children counts."""
-    flags = dict(
-        k=args.k,
-        l=args.l,
-        population_size=args.population,
-        children_per_generation=args.children,
-        p_crossover=args.p_crossover,
-        p_mutation=args.p_mutation,
-        p_inversion=args.p_inversion,
-        stagnation_limit=args.stagnation,
-        max_evaluations=args.max_evals,
-        reserve_all_u=args.reserve_all_u,
-        runs=args.runs,
-        subsume=args.subsume,
-        uniform_crossover=args.uniform_crossover,
-        seed_nine_code=args.seed_nine_code,
-        rng_seed=seed,
-    )
+    default fall back to the file and then to the built-in defaults.  Each
+    EA flag stores into the ``EaConfig`` field it names, and the resolved
+    seed is ``rng_seed``.  The config is built once, so the default
+    evaluation budget follows the final population and children counts."""
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(ea.EaConfig)}
     values = {key: val for key, val in flags.items() if val is not None}
+    values["rng_seed"] = seed
     if args.config:
         return ea.EaConfig.from_file(args.config, **values)
     return ea.EaConfig(**values)
@@ -264,15 +250,18 @@ def cmd_gen_corpus(args) -> int:
 
 def _add_ea_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--runs", type=int, default=None, help="EA repetitions (default 5)")
-    parser.add_argument("--population", type=int, default=None, help="population size S")
-    parser.add_argument("--children", type=int, default=None, help="children per generation C")
+    parser.add_argument("--population", dest="population_size", metavar="POPULATION",
+                        type=int, default=None, help="population size S")
+    parser.add_argument("--children", dest="children_per_generation", metavar="CHILDREN",
+                        type=int, default=None, help="children per generation C")
     parser.add_argument("--p-crossover", type=float, default=None)
     parser.add_argument("--p-mutation", type=float, default=None)
     parser.add_argument("--p-inversion", type=float, default=None)
-    parser.add_argument("--stagnation", type=int, default=None,
+    parser.add_argument("--stagnation", dest="stagnation_limit", metavar="STAGNATION",
+                        type=int, default=None,
                         help="stop after this many generations without improvement")
-    parser.add_argument("--max-evals", type=int, default=None,
-                        help="cap on fitness evaluations per run")
+    parser.add_argument("--max-evals", dest="max_evaluations", metavar="MAX_EVALS",
+                        type=int, default=None, help="cap on fitness evaluations per run")
     parser.add_argument("--reserve-all-u", action=argparse.BooleanOptionalAction,
                         default=None, help="pin the last vector to all U")
     parser.add_argument("--subsume", action="store_true", default=None,

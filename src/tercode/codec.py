@@ -54,6 +54,11 @@ _MV_ZEROS = str.maketrans("01U", "100")
 
 FILL_CHOICES = ("zero", "one", "random")
 
+# The container stores K and the vector-table size as u16, and the
+# original length (which bounds the block count) as u64.
+MAX_K_OR_L = 0xFFFF
+MAX_ORIGINAL_LENGTH = (1 << 64) - 1
+
 # Default cap on the symbols ``decode`` produces; a header alone can
 # declare up to 2^64 of them.
 MAX_DECODE_SYMBOLS = 1 << 30
@@ -146,8 +151,11 @@ class EncodedStream:
 
     ``mv_table`` lists only the vectors that hold codewords; ``codebook``
     is indexed by table position.  ``original_length`` is the unpadded
-    symbol count the decoder must trim to.  A codeword holds at most 255
-    bits, the most a container's length byte can state.
+    symbol count the decoder must trim to.  The container's limits hold
+    here: K and the table size are at most ``MAX_K_OR_L`` (u16 fields),
+    ``original_length`` fits a u64, a codeword holds at most 255 bits (a
+    length byte), and ``pattern_width`` is None or a positive divisor of
+    ``original_length``.
     """
 
     payload: bytes
@@ -168,8 +176,17 @@ class EncodedStream:
         # up to block_count * k symbols only to trim them away
         if self.block_count and (self.block_count - 1) * self.k >= self.original_length:
             raise ValueError("a block holds no original symbol")
+        if self.k > MAX_K_OR_L or len(self.mv_table) > MAX_K_OR_L:
+            raise ValueError(f"K and the table size must be at most {MAX_K_OR_L}")
+        if self.original_length > MAX_ORIGINAL_LENGTH:
+            raise ValueError(f"original_length must be at most {MAX_ORIGINAL_LENGTH}")
         if any(len(v) != self.k for v in self.mv_table):
             raise ValueError(f"a table vector is not {self.k} symbols long")
+        width = self.pattern_width
+        if width is not None and (width < 1 or self.original_length % width):
+            raise ValueError(
+                f"pattern width {width} does not divide {self.original_length} symbols"
+            )
         for index, code in self.codebook.entries.items():
             if not 0 <= index < len(self.mv_table):
                 raise ValueError(f"codebook entry {index} outside the MV table")
@@ -326,34 +343,22 @@ def huffman_code_lengths(frequencies: Sequence[int]) -> dict[int, int]:
     """Optimal codeword length per nonzero-frequency index.
 
     Deterministic: the merge queue orders by (weight, earliest index
-    contained in the subtree).  A single coded index gets length 0.
+    contained in the subtree).  Each merge adds one bit to every leaf of
+    both merged subtrees, so the work is the sum of the codeword lengths.
+    A single coded index gets length 0.
     """
-    live = [(f, i) for i, f in enumerate(frequencies) if f > 0]
+    live = [(f, i, [i]) for i, f in enumerate(frequencies) if f > 0]
     if not live:
         raise AllZeroFrequencies("every frequency is zero")
-    if len(live) == 1:
-        return {live[0][1]: 0}
-    heap = [(f, i, i) for f, i in live]
-    children: dict[int, tuple[int, int]] = {}
-    next_id = len(frequencies)
-    heapq.heapify(heap)
-    while len(heap) > 1:
-        fa, ea, a = heapq.heappop(heap)
-        fb, eb, b = heapq.heappop(heap)
-        children[next_id] = (a, b)
-        heapq.heappush(heap, (fa + fb, min(ea, eb), next_id))
-        next_id += 1
-    root = heap[0][2]
-    lengths: dict[int, int] = {}
-    stack = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        pair = children.get(node)
-        if pair is None:
-            lengths[node] = depth
-        else:
-            stack.append((pair[0], depth + 1))
-            stack.append((pair[1], depth + 1))
+    lengths = {i: 0 for _, i, _ in live}
+    heapq.heapify(live)
+    while len(live) > 1:
+        fa, ea, a = heapq.heappop(live)
+        fb, eb, b = heapq.heappop(live)
+        a += b
+        for leaf in a:
+            lengths[leaf] += 1
+        heapq.heappush(live, (fa + fb, min(ea, eb), a))
     return lengths
 
 

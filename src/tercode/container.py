@@ -130,11 +130,6 @@ def read_container(data: bytes) -> EncodedStream:
             if size != 8:
                 raise CorruptHeader(f"width extension has size {size}, expected 8")
             (pattern_width,) = struct.unpack(">Q", body)
-            if not pattern_width or original_length % pattern_width:
-                raise CorruptHeader(
-                    f"pattern width {pattern_width} does not divide "
-                    f"{original_length} symbols"
-                )
 
     try:
         mv_table = []

@@ -1,19 +1,22 @@
 """Evolutionary search for a good matching-vector set.
 
-An individual is a string of L*K genes over {0,1,U}; gene slice
-[i*K, (i+1)*K) is vector i.  Fitness is the compression rate reached by
-covering and Huffman-coding the block sequence with those vectors, so
-evaluation is pure and the only randomness lives in the generation of
-individuals.  Selection is elitist: the best S of S parents plus C
-children survive, which makes the best-fitness series nondecreasing.
+An individual is its genome: a string of L*K genes over {0,1,U}, whose
+slice [i*K, (i+1)*K) is vector i.  The operators take the ``EaConfig``,
+which owns K, the all-U reservation and the crossover mode.  Fitness is
+the compression rate reached by covering and Huffman-coding the block
+sequence with those vectors, with K taken from the blocks, so evaluation
+is pure and the only randomness lives in the generation of individuals.
+Selection is elitist: the best S of S parents plus C children survive,
+which makes the best-fitness series nondecreasing.
 
-A run caches fitness per genome, and per vector string the vector's raw
-match set (``codec.match_set``), its U count and its masks: a child
-shares almost every vector with a parent, so a fitness call mostly does
-L dict lookups and one AND per vector in ``codec.match_frequencies``.
-Once that cache holds more than (S + C) * L entries after a generation,
-it keeps only the survivors' vectors, so it never exceeds (S + 2C) * L
-entries of about ceil(blocks / 8) bytes each.
+A run keeps fitness only in its cache from genome to fitness, and per
+vector string the vector's raw match set (``codec.match_set``), its U
+count and its masks: a child shares almost every vector with a parent,
+so a fitness call mostly does L dict lookups and one AND per vector in
+``codec.match_frequencies``.  Once that vector cache holds more than
+(S + C) * L entries after a generation, it keeps only the survivors'
+vectors, so it never exceeds (S + 2C) * L entries of about
+ceil(blocks / 8) bytes each.
 
 When the all-U reservation is on, the last vector is pinned to all U and
 no operator touches it, so every individual can cover every block
@@ -29,6 +32,7 @@ from typing import Sequence
 
 from .baseline9c import nine_mvs
 from .codec import (
+    MAX_K_OR_L,
     BlockStats,
     as_block_stats,
     compression_rate,
@@ -38,16 +42,13 @@ from .codec import (
     mv_masks,
     payload_bits_for,
 )
-from .errors import InvalidConfig
+from .errors import InvalidConfig, LengthMismatch
 
 GENE_ALPHABET = "01U"
 
 # Fitness assigned to individuals whose vectors leave blocks uncovered;
 # always below any reachable compression rate.
 INFEASIBLE_BASE = -1000.0
-
-# The container stores K and the vector count as u16.
-MAX_K_OR_L = 0xFFFF
 
 
 @dataclass
@@ -72,8 +73,10 @@ class EaConfig:
 
     def __post_init__(self):
         for name in ("k", "l", "population_size", "children_per_generation",
-                     "stagnation_limit", "runs"):
+                     "stagnation_limit", "runs", "max_evaluations"):
             value = getattr(self, name)
+            if value is None and name == "max_evaluations":
+                continue
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InvalidConfig(f"{name} must be an integer, got {value!r}")
         if self.k < 1 or self.l < 1:
@@ -143,92 +146,67 @@ def _parse_value(text: str):
         raise InvalidConfig(f"cannot parse config value {text!r}") from None
 
 
-@dataclass
-class Individual:
-    """An ordered vector set as a gene string, plus its cached fitness."""
+def vector_symbols(genes: str, k: int) -> list[str]:
+    """The genome's K-symbol vectors in order.
 
-    genes: str
-    k: int
-    reserve_all_u: bool
-    fitness: float | None = None
-
-    @property
-    def n_vectors(self) -> int:
-        return len(self.genes) // self.k
-
-    def vector_symbols(self) -> list[str]:
-        return [
-            self.genes[i * self.k : (i + 1) * self.k]
-            for i in range(self.n_vectors)
-        ]
+    Raises LengthMismatch unless the genes split into one or more of them.
+    """
+    if k < 1 or not genes or len(genes) % k:
+        raise LengthMismatch(
+            f"{len(genes)} genes do not split into vectors of {k} symbols"
+        )
+    return [genes[i : i + k] for i in range(0, len(genes), k)]
 
 
-def _reimpose_reservation(genes: str, k: int, reserved: bool) -> str:
-    if not reserved:
-        return genes
-    return genes[:-k] + "U" * k
+def _free_genes(cfg: EaConfig) -> int:
+    """Genes the operators draw or change: all but the reserved tail vector."""
+    return cfg.n_genes - cfg.k if cfg.reserve_all_u else cfg.n_genes
 
 
-def random_individual(cfg: EaConfig, rng: random.Random) -> Individual:
+def _reserve(genes: str, cfg: EaConfig) -> str:
+    """The free genes of ``genes`` followed by the reserved all-U tail, if any."""
+    free = _free_genes(cfg)
+    return genes[:free] + "U" * (cfg.n_genes - free)
+
+
+def random_individual(cfg: EaConfig, rng: random.Random) -> str:
     """Uniform random genes; the reserved tail vector is pinned to all U."""
-    body = cfg.n_genes - cfg.k if cfg.reserve_all_u else cfg.n_genes
-    genes = "".join(rng.choice(GENE_ALPHABET) for _ in range(body))
-    if cfg.reserve_all_u:
-        genes += "U" * cfg.k
-    return Individual(genes, cfg.k, cfg.reserve_all_u)
+    genes = "".join(rng.choice(GENE_ALPHABET) for _ in range(_free_genes(cfg)))
+    return _reserve(genes, cfg)
 
 
-def crossover(
-    a: Individual,
-    b: Individual,
-    rng: random.Random,
-    uniform: bool = False,
-) -> tuple[Individual, Individual]:
+def crossover(a: str, b: str, rng: random.Random, cfg: EaConfig) -> tuple[str, str]:
     """Two children exchanging parent genes: one cut point by default,
-    per-gene coin flips in uniform mode."""
-    n = len(a.genes)
-    if uniform:
+    per-gene coin flips when ``cfg.uniform_crossover`` is set."""
+    n = len(a)
+    if cfg.uniform_crossover:
         picks = [rng.getrandbits(1) for _ in range(n)]
-        g1 = "".join(a.genes[i] if p else b.genes[i] for i, p in enumerate(picks))
-        g2 = "".join(b.genes[i] if p else a.genes[i] for i, p in enumerate(picks))
+        g1 = "".join(a[i] if p else b[i] for i, p in enumerate(picks))
+        g2 = "".join(b[i] if p else a[i] for i, p in enumerate(picks))
     elif n < 2:
-        g1, g2 = a.genes, b.genes
+        g1, g2 = a, b
     else:
         p = rng.randrange(1, n)
-        g1 = a.genes[:p] + b.genes[p:]
-        g2 = b.genes[:p] + a.genes[p:]
-    g1 = _reimpose_reservation(g1, a.k, a.reserve_all_u)
-    g2 = _reimpose_reservation(g2, a.k, a.reserve_all_u)
-    return (
-        Individual(g1, a.k, a.reserve_all_u),
-        Individual(g2, a.k, a.reserve_all_u),
-    )
+        g1 = a[:p] + b[p:]
+        g2 = b[:p] + a[p:]
+    return _reserve(g1, cfg), _reserve(g2, cfg)
 
 
-def mutate(a: Individual, rng: random.Random) -> Individual:
+def mutate(a: str, rng: random.Random, cfg: EaConfig) -> str:
     """Redraw one non-reserved gene uniformly (it may keep its old value)."""
-    body = len(a.genes) - a.k if a.reserve_all_u else len(a.genes)
-    if body == 0:
-        return Individual(a.genes, a.k, a.reserve_all_u)
-    pos = rng.randrange(body)
-    ch = rng.choice(GENE_ALPHABET)
-    return Individual(
-        a.genes[:pos] + ch + a.genes[pos + 1 :], a.k, a.reserve_all_u
-    )
+    free = _free_genes(cfg)
+    if free == 0:
+        return a
+    pos = rng.randrange(free)
+    return _reserve(a[:pos] + rng.choice(GENE_ALPHABET) + a[pos + 1 :], cfg)
 
 
-def invert(a: Individual, rng: random.Random) -> Individual:
+def invert(a: str, rng: random.Random, cfg: EaConfig) -> str:
     """Reverse the gene order between two uniformly drawn positions."""
-    n = len(a.genes)
+    n = len(a)
     i, j = rng.randrange(n), rng.randrange(n)
     p, q = min(i, j), max(i, j)
-    genes = a.genes[:p] + a.genes[p : q + 1][::-1] + a.genes[q + 1 :]
-    genes = _reimpose_reservation(genes, a.k, a.reserve_all_u)
-    return Individual(genes, a.k, a.reserve_all_u)
-
-
-def _clone(a: Individual) -> Individual:
-    return Individual(a.genes, a.k, a.reserve_all_u)
+    return _reserve(a[:p] + a[p : q + 1][::-1] + a[q + 1 :], cfg)
 
 
 VectorEntry = tuple[int, int, int, int]
@@ -241,27 +219,26 @@ def vector_entry(stats: BlockStats, symbols: str) -> VectorEntry:
 
 
 def evaluate_fitness(
-    ind: Individual,
+    genes: str,
     blocks: Sequence[str] | BlockStats,
     original_bits: int,
     subsume: bool = False,
     vectors: dict[str, VectorEntry] | None = None,
 ) -> float:
-    """Compression rate of the individual's vector set over ``blocks``.
+    """Compression rate of the genome's vector set over ``blocks``.
 
-    Infeasible coverings yield INFEASIBLE_BASE minus the unmatched block
-    count instead of an error, so the search can rank near-feasible
-    individuals.  ``vectors`` maps vector strings to their
-    ``vector_entry`` and is filled as a side effect; pass the same dict
-    only with the same blocks.
+    K is the block length, and the genes must split into K-symbol vectors
+    (LengthMismatch otherwise).  Infeasible coverings yield
+    INFEASIBLE_BASE minus the unmatched block count instead of an error,
+    so the search can rank near-feasible individuals.  ``vectors`` maps
+    vector strings to their ``vector_entry`` and is filled as a side
+    effect; pass the same dict only with the same blocks.
     """
     stats = as_block_stats(blocks)
     if vectors is None:
         vectors = {}
-    genes, k = ind.genes, ind.k
     entries = []
-    for i in range(0, len(genes), k):
-        symbols = genes[i : i + k]
+    for symbols in vector_symbols(genes, stats.k):
         entry = vectors.get(symbols)
         if entry is None:
             entry = vectors[symbols] = vector_entry(stats, symbols)
@@ -290,22 +267,21 @@ class RunStats:
 class EvolutionReport:
     """Outcome of one or several evolution runs.
 
-    Stores the winning run's best individual and best-fitness history,
-    one ``RunStats`` per run and the lowest fitness seen; every other
-    figure is derived from those.  The winner is the first run with the
-    highest rate.
+    Stores the winning run's best genome and best-fitness history, one
+    ``RunStats`` per run and the lowest fitness seen; every other figure
+    is derived from those.  The winner is the first run with the highest
+    rate.
     """
 
-    best: Individual
+    best: str
     history: list[float]
     per_run: list[RunStats]
     min_fitness_evaluated: float
 
     @property
-    def best_fitness(self) -> float:
-        return self.best.fitness
-
-    best_rate = best_fitness
+    def best_rate(self) -> float:
+        """The best genome's fitness, the last entry of ``history``."""
+        return self.history[-1]
 
     @property
     def run_rates(self) -> list[float]:
@@ -342,12 +318,14 @@ def evolve(
     stops after ``stagnation_limit`` generations without improvement or
     once ``cfg.evaluation_budget`` fitness lookups occurred (cache hits
     count: caching only skips recomputation and cannot change the
-    outcome).
+    outcome).  Raises LengthMismatch unless the blocks are ``cfg.k`` long.
     Returns a one-run report.
     """
     stats = as_block_stats(blocks)
     if stats.total == 0:
         raise InvalidConfig("cannot evolve against an empty block sequence")
+    if stats.k != cfg.k:
+        raise LengthMismatch(f"blocks of length {stats.k} searched with K={cfg.k}")
     rng = random.Random(cfg.rng_seed)
     cache: dict[str, float] = {}
     vectors: dict[str, VectorEntry] = {}
@@ -357,31 +335,25 @@ def evolve(
     evaluations = 0
     min_seen = float("inf")
 
-    def fitness(ind: Individual) -> float:
+    def evaluate(genomes: list[str]) -> None:
         nonlocal evaluations, min_seen
-        evaluations += 1
-        value = cache.get(ind.genes)
-        if value is None:
-            value = evaluate_fitness(
-                ind, stats, original_bits, subsume=cfg.subsume, vectors=vectors
-            )
-            cache[ind.genes] = value
-        ind.fitness = value
-        if value < min_seen:
-            min_seen = value
-        return value
+        for genes in genomes:
+            evaluations += 1
+            value = cache.get(genes)
+            if value is None:
+                value = cache[genes] = evaluate_fitness(
+                    genes, stats, original_bits, subsume=cfg.subsume, vectors=vectors
+                )
+            min_seen = min(min_seen, value)
 
     population = [random_individual(cfg, rng) for _ in range(cfg.population_size)]
     if cfg.seed_nine_code:
         injected = "".join(v.symbols for v in nine_mvs(cfg.k))[: cfg.n_genes]
-        genes = injected + population[0].genes[len(injected) :]
-        genes = _reimpose_reservation(genes, cfg.k, cfg.reserve_all_u)
-        population[0] = Individual(genes, cfg.k, cfg.reserve_all_u)
-    for ind in population:
-        fitness(ind)
-    population.sort(key=lambda ind: -ind.fitness)
+        population[0] = _reserve(injected + population[0][len(injected) :], cfg)
+    evaluate(population)
+    population.sort(key=cache.__getitem__, reverse=True)
     best = population[0]
-    history = [best.fitness]
+    history = [cache[best]]
     generations = 0
     stagnant = 0
     termination = "max_evaluations"
@@ -389,41 +361,36 @@ def evolve(
         if stagnant >= cfg.stagnation_limit:
             termination = "stagnation"
             break
-        children: list[Individual] = []
+        children: list[str] = []
         while len(children) < cfg.children_per_generation:
             roll = rng.random()
             if roll < cfg.p_crossover:
                 first, second = crossover(
-                    rng.choice(population),
-                    rng.choice(population),
-                    rng,
-                    uniform=cfg.uniform_crossover,
+                    rng.choice(population), rng.choice(population), rng, cfg
                 )
                 children.append(first)
                 if len(children) < cfg.children_per_generation:
                     children.append(second)
             elif roll < cfg.p_crossover + cfg.p_mutation:
-                children.append(mutate(rng.choice(population), rng))
+                children.append(mutate(rng.choice(population), rng, cfg))
             elif roll < cfg.p_crossover + cfg.p_mutation + cfg.p_inversion:
-                children.append(invert(rng.choice(population), rng))
+                children.append(invert(rng.choice(population), rng, cfg))
             else:
-                children.append(_clone(rng.choice(population)))
-        for child in children:
-            fitness(child)
-        pool = population + children
-        pool.sort(key=lambda ind: -ind.fitness)
+                children.append(rng.choice(population))
+        evaluate(children)
+        pool = sorted(population + children, key=cache.__getitem__, reverse=True)
         population = pool[: cfg.population_size]
         if len(vectors) > vector_limit:
-            live = {symbols for ind in population for symbols in ind.vector_symbols()}
+            live = {s for genes in population for s in vector_symbols(genes, cfg.k)}
             vectors = {s: e for s, e in vectors.items() if s in live}
         generations += 1
-        if population[0].fitness > best.fitness:
+        if cache[population[0]] > cache[best]:
             best = population[0]
             stagnant = 0
         else:
             stagnant += 1
-        history.append(best.fitness)
-    run = RunStats(cfg.rng_seed, best.fitness, generations, evaluations, termination)
+        history.append(cache[best])
+    run = RunStats(cfg.rng_seed, cache[best], generations, evaluations, termination)
     return EvolutionReport(best, history, [run], min_seen)
 
 
@@ -441,7 +408,7 @@ def run_many(
     reports = [
         evolve(stats, original_bits, replace(cfg, rng_seed=seed)) for seed in seeds
     ]
-    winner = max(reports, key=lambda r: r.best_fitness)
+    winner = max(reports, key=lambda r: r.best_rate)
     return EvolutionReport(
         best=winner.best,
         history=winner.history,

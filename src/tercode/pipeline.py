@@ -53,7 +53,9 @@ def compress(
     evolution = None
     if method == "ea":
         evolution = ea.run_many(stats, original_bits, cfg)
-        mvs = tuple(codec.MatchingVector(s) for s in evolution.best.vector_symbols())
+        mvs = tuple(
+            codec.MatchingVector(s) for s in ea.vector_symbols(evolution.best, cfg.k)
+        )
         covering = codec.cover(stats, mvs)
         if cfg.subsume:
             covering, _ = codec.subsume_merge(covering, mvs, cfg.k)

@@ -6,6 +6,7 @@ cost is found by enumerating every full binary tree shape, so they can
 catch systematic errors in the production paths.
 """
 
+import heapq
 import random
 import struct
 import zlib
@@ -23,9 +24,10 @@ from tercode import (
     partition,
 )
 from tercode.bits import unpack_bits
-from tercode.codec import MAX_DECODE_SYMBOLS, huffman_code_lengths
+from tercode.codec import MAX_DECODE_SYMBOLS
 from tercode.container import MAGIC
 from tercode.errors import (
+    AllZeroFrequencies,
     DanglingBits,
     LengthMismatch,
     NoCodeword,
@@ -216,9 +218,46 @@ def payload_bitstring(stream) -> str:
     return bits[: stream.payload_bits]
 
 
+def naive_huffman_code_lengths(frequencies) -> dict[int, int]:
+    """Reference Huffman code lengths: the merge tree is built with explicit
+    child links and walked from the root.
+
+    The merge queue orders by (weight, earliest index contained in the
+    subtree), as ``codec.huffman_code_lengths`` does.  A single coded index
+    gets length 0.
+    """
+    live = [(f, i) for i, f in enumerate(frequencies) if f > 0]
+    if not live:
+        raise AllZeroFrequencies("every frequency is zero")
+    if len(live) == 1:
+        return {live[0][1]: 0}
+    heap = [(f, i, i) for f, i in live]
+    children: dict[int, tuple[int, int]] = {}
+    next_id = len(frequencies)
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        fa, ea, a = heapq.heappop(heap)
+        fb, eb, b = heapq.heappop(heap)
+        children[next_id] = (a, b)
+        heapq.heappush(heap, (fa + fb, min(ea, eb), next_id))
+        next_id += 1
+    root = heap[0][2]
+    lengths: dict[int, int] = {}
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        pair = children.get(node)
+        if pair is None:
+            lengths[node] = depth
+        else:
+            stack.append((pair[0], depth + 1))
+            stack.append((pair[1], depth + 1))
+    return lengths
+
+
 def naive_payload_bits(frequencies, n_unspecified) -> int:
     """Payload size priced from a full Huffman code: sum of F * (len + N_U)."""
-    lengths = huffman_code_lengths(frequencies)
+    lengths = naive_huffman_code_lengths(frequencies)
     return sum(
         frequencies[i] * (length + n_unspecified[i])
         for i, length in lengths.items()

@@ -196,7 +196,7 @@ def test_ea_sanity_sweep():
             earlier <= later
             for earlier, later in zip(report.history, report.history[1:])
         )
-        assert report.best_fitness >= report.history[0]
+        assert report.best_rate >= report.history[0]
         assert report.min_fitness_evaluated > INFEASIBLE_BASE
     _passed("ea sanity", "50 seeds on 100800-bit clustered corpus")
 

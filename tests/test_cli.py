@@ -285,6 +285,20 @@ class TestCompress:
         assert report["l"] == 4
         assert len(report["ea_stats"]["run_rates"]) == 1
 
+    @pytest.mark.parametrize("value", ["2.5", "true"])
+    def test_config_budget_must_be_integer(self, corpus_file, tmp_path, capsys, value):
+        conf = tmp_path / "ea.conf"
+        conf.write_text(f"max_evaluations = {value}\n")
+        out = tmp_path / "conf.tcc"
+        code = run_cli(
+            ["compress", "--input", str(corpus_file), "--output", str(out),
+             "--method", "ea", "-K", "6", "-L", "4", "--runs", "1",
+             "--config", str(conf)]
+        )
+        assert code == 2
+        assert "max_evaluations" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDecompress:
     def _compress(self, corpus_file, tmp_path, extra=()):

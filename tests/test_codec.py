@@ -53,6 +53,7 @@ from helpers import (
     naive_cover,
     naive_decode,
     naive_encode_bits,
+    naive_huffman_code_lengths,
     naive_merge_subsumed_frequencies,
     optimal_prefix_cost,
     payload_bitstring,
@@ -326,6 +327,27 @@ class TestHuffman:
         assert payload_bits_for(freqs, n_us) == sum(
             freqs[i] * (length + n_us[i]) for i, length in lengths.items()
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), shape=st.sampled_from(["ties", "wide", "fibonacci"]))
+    def test_code_lengths_agree_with_naive(self, data, shape):
+        if shape == "ties":
+            # zeros and few distinct weights, so ties decide the merge order
+            freqs = data.draw(st.lists(st.sampled_from((0, 0, 1, 2, 3, 5)), max_size=40))
+        elif shape == "wide":
+            freqs = data.draw(st.lists(st.integers(0, 10**6), max_size=70))
+        else:
+            # Fibonacci weights give the deepest trees; shuffled among zeros
+            freqs = [1, 1]
+            for _ in range(data.draw(st.integers(0, 28))):
+                freqs.append(freqs[-1] + freqs[-2])
+            freqs += [0] * data.draw(st.integers(0, 10))
+            freqs = data.draw(st.permutations(freqs))
+        if not any(freqs):
+            with pytest.raises(AllZeroFrequencies):
+                huffman_code_lengths(freqs)
+            return
+        assert huffman_code_lengths(freqs) == naive_huffman_code_lengths(freqs)
 
     def test_codebook_rejects_prefix_violation(self):
         with pytest.raises(ValueError):

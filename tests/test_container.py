@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from tercode import (
     Codebook,
+    Covering,
     EncodedStream,
     MatchingVector,
     decode,
+    encode_all,
     read_container,
     write_container,
 )
@@ -150,6 +152,43 @@ class TestLengthAndWidth:
         stream = read_container(single_vector_container(3, 2, 6, width=width))
         assert stream.pattern_width == width
         assert decode(stream) == "000000"
+
+    @pytest.mark.parametrize("width", [3, 0, -1, 2**64])
+    def test_stream_refuses_width_the_container_cannot_hold(self, width):
+        # 3 does not divide 8, so read_container would refuse the container;
+        # -1 and 2**64 do not fit its u64 field
+        with pytest.raises(ValueError, match="pattern width"):
+            encode_all(["0000", "1111"], Covering((0, 0), (2,)), Codebook({0: ""}),
+                       [MatchingVector("UUUU")], original_length=8, pattern_width=width)
+
+
+class TestFieldLimits:
+    """K and the vector-table size are u16 fields of the container, and the
+    original length a u64."""
+
+    def test_k_above_limit_refused(self):
+        with pytest.raises(ValueError, match="at most 65535"):
+            EncodedStream(payload=b"", payload_bits=0, block_count=1, k=70000,
+                          mv_table=(), codebook=Codebook({}), original_length=70000)
+
+    def test_table_above_limit_refused(self):
+        with pytest.raises(ValueError, match="at most 65535"):
+            EncodedStream(payload=b"", payload_bits=0, block_count=0, k=1,
+                          mv_table=(MatchingVector("0"),) * 65536,
+                          codebook=Codebook({}), original_length=0)
+
+    def test_original_length_above_limit_refused(self):
+        with pytest.raises(ValueError, match="at most 18446744073709551615"):
+            EncodedStream(payload=b"", payload_bits=0, block_count=2**64, k=1,
+                          mv_table=(MatchingVector("0"),), codebook=Codebook({0: ""}),
+                          original_length=2**64)
+
+    def test_k_at_limit_round_trips(self):
+        k = 65535
+        stream = EncodedStream(payload=bytes(8192), payload_bits=k, block_count=1,
+                               k=k, mv_table=(MatchingVector("U" * k),),
+                               codebook=Codebook({0: ""}), original_length=k)
+        assert read_container(write_container(stream)) == stream
 
 
 class TestOutputCap:

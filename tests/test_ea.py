@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tercode import (
     EaConfig,
-    Individual,
     MatchingVector,
     compression_rate,
     crossover,
@@ -24,8 +23,8 @@ from tercode import (
 )
 from tercode.codec import BlockStats
 from tercode.corpus import CorpusSpec, generate_corpus
-from tercode.ea import INFEASIBLE_BASE, vector_entry
-from tercode.errors import InvalidConfig
+from tercode.ea import INFEASIBLE_BASE, vector_entry, vector_symbols
+from tercode.errors import InvalidConfig, LengthMismatch
 
 from helpers import (
     ScriptedRng,
@@ -85,6 +84,8 @@ class TestConfig:
             dict(p_crossover=0.5, p_mutation=0.5, p_inversion=0.5),
             dict(stagnation_limit=0),
             dict(max_evaluations=0),
+            dict(max_evaluations=2.5),
+            dict(max_evaluations=True),
             dict(runs=0),
             dict(k=65536),
             dict(l=65536),
@@ -121,42 +122,46 @@ class TestConfig:
 class TestRandomIndividual:
     def test_gene_count(self):
         cfg = EaConfig(k=12, l=64)
-        ind = random_individual(cfg, random.Random(1))
-        assert len(ind.genes) == 768
-        assert set(ind.genes) <= {"0", "1", "U"}
+        genes = random_individual(cfg, random.Random(1))
+        assert len(genes) == 768
+        assert set(genes) <= {"0", "1", "U"}
 
     def test_reservation_forces_all_u(self):
         cfg = EaConfig(k=2, l=1, reserve_all_u=True)
         for seed in range(20):
-            ind = random_individual(cfg, random.Random(seed))
-            assert ind.genes == "UU"
+            assert random_individual(cfg, random.Random(seed)) == "UU"
 
     def test_reserved_tail_vector(self):
         cfg = EaConfig(k=3, l=4, reserve_all_u=True)
-        ind = random_individual(cfg, random.Random(5))
-        assert ind.genes[-3:] == "UUU"
+        assert random_individual(cfg, random.Random(5))[-3:] == "UUU"
 
     def test_seed_determinism(self):
         cfg = EaConfig(k=5, l=6)
         a = random_individual(cfg, random.Random(7))
         b = random_individual(cfg, random.Random(7))
-        assert a.genes == b.genes
+        assert a == b
+
+
+def free_cfg(genes: str, k: int, **kwargs) -> EaConfig:
+    """The config of a genome of ``genes``, without the all-U reservation
+    unless asked for."""
+    kwargs.setdefault("reserve_all_u", False)
+    return EaConfig(k=k, l=len(genes) // k, **kwargs)
 
 
 class TestCrossover:
     def test_one_point_cut(self):
-        a = Individual("000000", 6, False)
-        b = Individual("UUUUUU", 6, False)
-        c1, c2 = crossover(a, b, ScriptedRng(randrange=[3]))
-        assert c1.genes == "000UUU"
-        assert c2.genes == "UUU000"
+        c1, c2 = crossover("000000", "UUUUUU", ScriptedRng(randrange=[3]),
+                           free_cfg("000000", 6))
+        assert c1 == "000UUU"
+        assert c2 == "UUU000"
 
     def test_identical_parents_yield_identical_children(self):
-        a = Individual("01U0", 4, False)
+        a = "01U0"
         for seed in range(10):
-            c1, c2 = crossover(a, a, random.Random(seed))
-            assert c1.genes == a.genes
-            assert c2.genes == a.genes
+            c1, c2 = crossover(a, a, random.Random(seed), free_cfg(a, 4))
+            assert c1 == a
+            assert c2 == a
 
     def test_genes_come_from_exactly_one_parent(self):
         rng = random.Random(8)
@@ -164,12 +169,12 @@ class TestCrossover:
         for _ in range(30):
             a = random_individual(cfg, rng)
             b = random_individual(cfg, rng)
-            c1, c2 = crossover(a, b, rng)
-            assert len(c1.genes) == len(a.genes)
-            assert len(c2.genes) == len(a.genes)
-            for i in range(len(a.genes)):
-                assert c1.genes[i] in (a.genes[i], b.genes[i])
-                assert c2.genes[i] in (a.genes[i], b.genes[i])
+            c1, c2 = crossover(a, b, rng, cfg)
+            assert len(c1) == len(a)
+            assert len(c2) == len(a)
+            for i in range(len(a)):
+                assert c1[i] in (a[i], b[i])
+                assert c2[i] in (a[i], b[i])
 
     def test_reservation_reimposed(self):
         cfg = EaConfig(k=2, l=3, reserve_all_u=True)
@@ -177,16 +182,15 @@ class TestCrossover:
         a = random_individual(cfg, rng)
         b = random_individual(cfg, rng)
         for _ in range(20):
-            c1, c2 = crossover(a, b, rng)
-            assert c1.genes[-2:] == "UU"
-            assert c2.genes[-2:] == "UU"
+            c1, c2 = crossover(a, b, rng, cfg)
+            assert c1[-2:] == "UU"
+            assert c2[-2:] == "UU"
 
     def test_uniform_mode(self):
-        a = Individual("0000", 4, False)
-        b = Individual("1111", 4, False)
-        c1, c2 = crossover(a, b, ScriptedRng(getrandbits=[1, 0, 0, 1]), uniform=True)
-        assert c1.genes == "0110"
-        assert c2.genes == "1001"
+        cfg = free_cfg("0000", 4, uniform_crossover=True)
+        c1, c2 = crossover("0000", "1111", ScriptedRng(getrandbits=[1, 0, 0, 1]), cfg)
+        assert c1 == "0110"
+        assert c2 == "1001"
 
 
 class TestMutate:
@@ -195,95 +199,98 @@ class TestMutate:
         cfg = EaConfig(k=4, l=4, reserve_all_u=False)
         for _ in range(50):
             a = random_individual(cfg, rng)
-            child = mutate(a, rng)
-            distance = sum(x != y for x, y in zip(a.genes, child.genes))
+            child = mutate(a, rng, cfg)
+            distance = sum(x != y for x, y in zip(a, child))
             assert distance <= 1
-            assert set(child.genes) <= {"0", "1", "U"}
+            assert set(child) <= {"0", "1", "U"}
 
     def test_single_gene_domain(self):
-        a = Individual("0", 1, False)
         seen = set()
         rng = random.Random(11)
         for _ in range(50):
-            seen.add(mutate(a, rng).genes)
+            seen.add(mutate("0", rng, free_cfg("0", 1)))
         assert seen == {"0", "1", "U"}
 
     def test_reserved_genes_never_touched(self):
-        a = Individual("01UU", 2, True)
         rng = random.Random(12)
+        cfg = free_cfg("01UU", 2, reserve_all_u=True)
         for _ in range(50):
-            child = mutate(a, rng)
-            assert child.genes[-2:] == "UU"
-        fully_reserved = Individual("UU", 2, True)
-        assert mutate(fully_reserved, rng).genes == "UU"
+            child = mutate("01UU", rng, cfg)
+            assert child[-2:] == "UU"
+        assert mutate("UU", rng, free_cfg("UU", 2, reserve_all_u=True)) == "UU"
 
     def test_scripted_position_and_value(self):
-        a = Individual("0000", 4, False)
-        child = mutate(a, ScriptedRng(randrange=[2], choice=["U"]))
-        assert child.genes == "00U0"
+        child = mutate("0000", ScriptedRng(randrange=[2], choice=["U"]),
+                       free_cfg("0000", 4))
+        assert child == "00U0"
 
 
 class TestInvert:
     def test_scripted_reversal(self):
-        a = Individual("01U0", 4, False)
-        child = invert(a, ScriptedRng(randrange=[1, 3]))
-        assert child.genes == "00U1"
+        child = invert("01U0", ScriptedRng(randrange=[1, 3]), free_cfg("01U0", 4))
+        assert child == "00U1"
 
     def test_equal_positions_change_nothing(self):
-        a = Individual("01U0", 4, False)
-        child = invert(a, ScriptedRng(randrange=[2, 2]))
-        assert child.genes == a.genes
+        child = invert("01U0", ScriptedRng(randrange=[2, 2]), free_cfg("01U0", 4))
+        assert child == "01U0"
 
     def test_preserves_gene_multiset_without_reservation(self):
         rng = random.Random(13)
         cfg = EaConfig(k=3, l=5, reserve_all_u=False)
         for _ in range(50):
             a = random_individual(cfg, rng)
-            child = invert(a, rng)
-            assert sorted(child.genes) == sorted(a.genes)
+            child = invert(a, rng, cfg)
+            assert sorted(child) == sorted(a)
 
 
 class TestFitness:
     def test_two_cluster_example(self):
         blocks = blocks_from(["000000"] * 5 + ["111111"] * 5)
-        ind = Individual("000000" + "111111" + "UUUUUU", 6, True)
-        fitness = evaluate_fitness(ind, blocks, 60)
+        fitness = evaluate_fitness("000000" + "111111" + "UUUUUU", blocks, 60)
         # frequencies (5,5,0), both codewords 1 bit, no fill: payload 10
         assert fitness == pytest.approx(100 * (60 - 10) / 60)
 
     def test_worked_example_rate(self):
         blocks = blocks_from(["1111"] * 5 + ["1110"] * 3 + ["0000"] * 2)
-        ind = Individual("111U" + "1110" + "0000", 4, False)
-        assert evaluate_fitness(ind, blocks, 40) == pytest.approx(
+        genes = "111U" + "1110" + "0000"
+        assert evaluate_fitness(genes, blocks, 40) == pytest.approx(
             100 * (40 - 20) / 40
         )
 
     def test_infeasible_penalty(self):
         blocks = blocks_from(["0101", "1111", "0000"])
-        ind = Individual("0000" + "1111", 4, False)
-        fitness = evaluate_fitness(ind, blocks, 12)
+        fitness = evaluate_fitness("0000" + "1111", blocks, 12)
         assert fitness == INFEASIBLE_BASE - 1
         assert fitness <= -1001
 
     def test_penalty_counts_unmatched_blocks(self):
         blocks = blocks_from(["0101", "1010", "0000"])
-        ind = Individual("0000", 4, False)
-        assert evaluate_fitness(ind, blocks, 12) == INFEASIBLE_BASE - 2
+        assert evaluate_fitness("0000", blocks, 12) == INFEASIBLE_BASE - 2
 
     def test_subsume_inside_fitness(self):
         blocks = blocks_from(["1111"] * 5 + ["1110"] * 3 + ["0000"] * 2)
-        ind = Individual("111U" + "1110" + "0000", 4, False)
-        plain = evaluate_fitness(ind, blocks, 40)
-        merged = evaluate_fitness(ind, blocks, 40, subsume=True)
+        genes = "111U" + "1110" + "0000"
+        plain = evaluate_fitness(genes, blocks, 40)
+        merged = evaluate_fitness(genes, blocks, 40, subsume=True)
         assert plain == pytest.approx(50.0)
         assert merged == pytest.approx(100 * (40 - 18) / 40)
 
     def test_block_stats_equivalent(self):
         blocks = blocks_from(["1111"] * 4 + ["0000"] * 4)
-        ind = Individual("1111" + "0000", 4, False)
-        assert evaluate_fitness(ind, blocks, 32) == evaluate_fitness(
-            ind, BlockStats(blocks), 32
+        genes = "1111" + "0000"
+        assert evaluate_fitness(genes, blocks, 32) == evaluate_fitness(
+            genes, BlockStats(blocks), 32
         )
+
+    @pytest.mark.parametrize("genes", ["", "000", "00000", "0000" + "11"])
+    def test_genes_must_split_into_block_length_vectors(self, genes):
+        with pytest.raises(LengthMismatch):
+            evaluate_fitness(genes, ["0000", "1111"], 8)
+
+    def test_vector_symbols(self):
+        assert vector_symbols("01U" + "UUU", 3) == ["01U", "UUU"]
+        with pytest.raises(LengthMismatch):
+            vector_symbols("01U", 2)
 
     def test_vector_entry(self):
         # block i+1 is bit i of a match set
@@ -339,8 +346,7 @@ class TestVectorCache:
         shared = {}
 
         def fitness(genes, vectors):
-            ind = Individual(genes, k, False)
-            return evaluate_fitness(ind, stats, bits, subsume, vectors=vectors)
+            return evaluate_fitness(genes, stats, bits, subsume, vectors=vectors)
 
         first = [fitness(genes, shared) for genes in genomes]
         warm = [fitness(genes, shared) for genes in genomes]
@@ -403,7 +409,7 @@ class TestEvolve:
         blocks = self._blocks()
         a = evolve(blocks, 240, self._cfg())
         b = evolve(blocks, 240, self._cfg())
-        assert a.best.genes == b.best.genes
+        assert a.best == b.best
         assert a.history == b.history
         assert a.evaluations == b.evaluations
 
@@ -415,8 +421,8 @@ class TestEvolve:
                 earlier <= later
                 for earlier, later in zip(report.history, report.history[1:])
             )
-            assert report.best_fitness >= report.history[0]
-            assert report.best_fitness == report.history[-1]
+            assert report.best_rate >= report.history[0]
+            assert report.best_rate == report.per_run[0].rate
 
     def test_reservation_prevents_penalty(self):
         blocks = self._blocks()
@@ -456,9 +462,19 @@ class TestEvolve:
                 runs=1,
             )
             report = evolve(blocks, 120, cfg)
-            if report.best_fitness > report.history[0]:
+            if report.best_rate > report.history[0]:
                 improved += 1
         assert improved >= 20
+
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_block_length_must_be_k(self, k):
+        # blocks of 6 symbols; K=4 would score 4-gene slices against them
+        blocks = ["000000", "111111", "0X0X0X"]
+        cfg = self._cfg(k=k, max_evaluations=20)
+        with pytest.raises(LengthMismatch):
+            evolve(blocks, 18, cfg)
+        with pytest.raises(LengthMismatch):
+            run_many(blocks, 18, cfg)
 
     def test_empty_blocks_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -474,13 +490,13 @@ class TestEvolve:
         # with the nine fixed vectors in the initial population, the fixed
         # scheme's rate is a floor for the best fitness
         nine = "".join(v.symbols for v in nine_mvs(4))
-        assert report.best_fitness >= report.history[0]
+        assert report.best_rate >= report.history[0]
         assert report.history[0] > INFEASIBLE_BASE
         # deterministic and distinct from the unseeded run
         again = evolve(
             blocks, 240, self._cfg(l=12, seed_nine_code=True, max_evaluations=20)
         )
-        assert report.best.genes == again.best.genes
+        assert report.best == again.best
 
     def test_nine_code_seeding_injects_vectors(self):
         from tercode import TestSet, compress, compression_rate, nine_mvs
@@ -492,11 +508,11 @@ class TestEvolve:
             reserve_all_u=False, seed_nine_code=True,
         )
         report = evolve(blocks, 240, cfg)
-        assert report.best.genes == "".join(v.symbols for v in nine_mvs(4))
+        assert report.best == "".join(v.symbols for v in nine_mvs(4))
         # its fitness equals the Huffman-recoded nine-vector rate
         ts = TestSet(tuple(blocks))
         stream = compress(ts, "9c-hc", EaConfig(k=4)).stream
-        assert report.best_fitness == pytest.approx(
+        assert report.best_rate == pytest.approx(
             compression_rate(240, stream.payload_bits)
         )
 
@@ -529,7 +545,7 @@ class TestRunMany:
         a = run_many(self._blocks(), 160, self._cfg(3))
         b = run_many(self._blocks(), 160, self._cfg(3))
         assert a.run_rates == b.run_rates
-        assert a.best.genes == b.best.genes
+        assert a.best == b.best
 
     def test_aggregates(self):
         report = run_many(self._blocks(), 160, self._cfg(4))
@@ -539,5 +555,5 @@ class TestRunMany:
         assert report.mean_rate == pytest.approx(
             sum(report.run_rates) / len(report.run_rates)
         )
-        assert report.best_fitness == report.best_rate
+        assert evaluate_fitness(report.best, self._blocks(), 160) == report.best_rate
         assert report.evaluations == sum(r.evaluations for r in report.per_run)
