@@ -2,7 +2,8 @@
 
 A run of bits is a string of '0'/'1' characters.  It is packed MSB-first:
 the first character is the top bit of the first byte, and the last byte
-is zero-padded.
+is zero-padded.  ``codec.encode_all`` packs the payload from a numpy bit
+array with ``np.packbits``, which follows the same rule.
 """
 
 from __future__ import annotations

@@ -27,18 +27,15 @@ SEED_ENV_VAR = "TERCODE_SEED"
 
 
 def _mv_usage(result: pipeline.CompressResult) -> list[dict]:
-    usage = []
-    for index, freq in enumerate(result.covering.frequencies):
-        if freq == 0:
-            continue
-        usage.append(
-            {
-                "mv": result.mvs[index].symbols,
-                "frequency": freq,
-                "codeword_length": len(result.codebook.codeword(index)),
-            }
-        )
-    return usage
+    return [
+        {
+            "mv": result.mvs[index].symbols,
+            "frequency": freq,
+            "codeword_length": len(result.codebook.codeword(index)),
+        }
+        for index, freq in enumerate(result.covering.frequencies)
+        if freq
+    ]
 
 
 def _ea_stats(report: ea.EvolutionReport | None) -> dict | None:

@@ -3,13 +3,11 @@
 An input block is a string of K symbols over {0,1,X}; it matches a vector
 over {0,1,U} when no position pairs a specified 0 with a specified 1.
 Each block is encoded as the codeword of its assigned vector followed by
-the block's bits at the vector's U positions, so the per-block cost is
-|codeword| + N_U.  The payload is the concatenation of those '0'/'1'
-strings, packed once by ``bits.pack_bits``; decoding unpacks it once and
-walks the string, looking each codeword up by the next (at most 16) bits in
-a table filled as it goes (at most min(2^16, block count) entries) and
-memoising each decoded block by its codeword + fill bits (at most one
-entry per block), since blocks repeat.
+the block's bits at the vector's U positions: a word of |codeword| + N_U
+bits, one fixed width per vector.  ``encode_all`` writes the payload a
+slice of blocks at a time into a numpy bit array, column by column,
+and packs it with ``np.packbits``; ``decode`` unpacks it once and walks
+it, looking codewords up in a table and memoising the decoded words.
 
 Matching has one implementation, on block sets.  ``BlockStats`` turns
 the block sequence into one set per (mask bit, vector symbol), each a
@@ -25,16 +23,13 @@ vector; and ``matches`` is the one-block case.
 from __future__ import annotations
 
 import heapq
-import itertools
-import operator
 import random
-import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .bits import pack_bits, unpack_bits
+from .bits import unpack_bits
 from .errors import (
     AllZeroFrequencies,
     DanglingBits,
@@ -63,7 +58,7 @@ MAX_ORIGINAL_LENGTH = (1 << 64) - 1
 # declare up to 2^64 of them.
 MAX_DECODE_SYMBOLS = 1 << 30
 
-# blocks per slice that encode_all joins at a time
+# blocks per slice that encode_all writes at a time
 _SLICE = 1 << 16
 
 # payload bits decode looks a codeword up by
@@ -137,12 +132,6 @@ class Codebook:
             return self.entries[index]
         except KeyError:
             raise NoCodeword(f"vector {index} has no codeword") from None
-
-    def lengths(self) -> dict[int, int]:
-        return {i: len(c) for i, c in self.entries.items()}
-
-    def kraft_sum(self) -> float:
-        return sum(2.0 ** -len(c) for c in self.entries.values())
 
 
 @dataclass(frozen=True)
@@ -256,11 +245,6 @@ def as_block_stats(blocks: Sequence[str] | BlockStats) -> BlockStats:
     return blocks if isinstance(blocks, BlockStats) else BlockStats(blocks)
 
 
-def _match_order(n_unspecified: Sequence[int]) -> list[int]:
-    """Vector indices sorted by rising U count, ties keeping input order."""
-    return sorted(range(len(n_unspecified)), key=n_unspecified.__getitem__)
-
-
 def _mask_bits(mask: int):
     """Positions of the set bits of ``mask``, lowest first."""
     while mask:
@@ -298,7 +282,8 @@ def match_frequencies(
     freqs = [0] * len(sets)
     hits = [0] * len(sets)
     unassigned = (1 << stats.total) - 1
-    for idx in _match_order(n_unspecified):
+    # rising U count; the sort is stable, so ties keep the input order
+    for idx in sorted(range(len(sets)), key=n_unspecified.__getitem__):
         if not unassigned:
             break
         hit = unassigned & sets[idx]
@@ -397,12 +382,18 @@ def encode_all(
     symbols at the vector's U positions, and pack the concatenation.
 
     An X at a U position takes the fill policy's bit ('0' by default);
-    random fill draws one ``rng.getrandbits(1)`` per such X, blocks in
+    random fill draws one ``rng.getrandbits(1)`` per such X, in payload
     order.  Raises InvalidConfig, before encoding anything, for a fill
     policy outside ``FILL_CHOICES`` or random fill without an rng.  Each
     assigned vector is then checked once against its blocks, as block
     sets; the first block in sequence order that cannot be encoded raises
     LengthMismatch, NotMatching or NoCodeword, in that order of precedence.
+
+    The payload is written ``_SLICE`` blocks at a time, one word column of
+    one vector per scatter; a word ends at the running sum of the widths
+    (``encoding_length``).  Bits past a slice's last full byte carry into
+    the next, so the bytes equal ``bits.pack_bits`` of the whole payload.
+    A symbol other than 0, 1 and X at a U position raises ValueError.
     """
     if fill not in FILL_CHOICES:
         raise InvalidConfig(f"unknown fill policy {fill!r}; choose from {FILL_CHOICES}")
@@ -420,36 +411,55 @@ def encode_all(
                 and i in codebook.entries):
             hit &= ~match_set(stats, mvs[i].ones_mask, mvs[i].zeros_mask)
         bad |= hit
-    del indices
     if bad:
         first = (bad & -bad).bit_length() - 1
         block, i = stats.blocks[first], assignment[first]
         if not matches(mvs[i], block):
             raise NotMatching(f"vector {mvs[i].symbols} does not match block {block}")
         raise NoCodeword(f"vector {i} has no codeword")
-    # per vector: its codeword and a getter of a block's fill symbols, where
-    # slice(0) adds "" so that a vector without U positions gets one too
-    emit = {
-        i: (codebook.entries[i], operator.itemgetter(*mvs[i].u_positions, slice(0)))
+    # per vector: its word width and the word's columns in a slice's symbol
+    # matrix, whose columns K and K+1 hold "0" and "1": codeword, then Us
+    words = {
+        i: (encoding_length(mvs[i], codebook, i),
+            [stats.k + int(b) for b in codebook.entries[i]] + list(mvs[i].u_positions))
         for i in assigned
     }
-    # joined a slice of blocks at a time: one slice's words are alive at once
-    words = zip(stats.blocks, map(emit.__getitem__, assignment))
-    bits = "".join([
-        "".join([code + "".join(take(b))
-                 for b, (code, take) in itertools.islice(words, _SLICE)])
-        for _ in range(0, stats.total, _SLICE)
-    ])
-    if fill == "random":
-        bits = re.sub("X", lambda _: "01"[rng.getrandbits(1)], bits)
-    else:
-        bits = bits.replace("X", "0" if fill == "zero" else "1")
+    # symbol code -> payload bit; 2 marks an X to draw, 3 a foreign symbol
+    bit_of = np.full(256, 3, dtype=np.uint8)
+    bit_of[[ord("0"), ord("1"), ord("X")]] = 0, 1, {"zero": 0, "one": 1, "random": 2}[fill]
+    chunks, carry = [], np.zeros(0, dtype=np.uint8)
+    for lo in range(0, stats.total, _SLICE):
+        part = indices[lo : lo + _SLICE]
+        joined = ("01".join(stats.blocks[lo : lo + _SLICE]) + "01").encode("ascii")
+        symbols = np.frombuffer(joined, dtype=np.uint8).reshape(len(part), stats.k + 2)
+        rows = {i: np.flatnonzero(part == i) for i in words}
+        ends = np.zeros(len(part), dtype=np.int64)
+        for i, (width, _) in words.items():
+            ends[rows[i]] = width
+        ends[0] += len(carry)
+        np.cumsum(ends, out=ends)
+        out = np.empty(ends[-1], dtype=np.uint8)
+        out[: len(carry)] = carry
+        for i, (width, columns) in words.items():
+            at, held = ends[rows[i]] - width, symbols[rows[i]]
+            for j, column in enumerate(columns):
+                out[at + j] = bit_of[held[:, column]]
+        if fill == "random":
+            draws = np.flatnonzero(out == 2)
+            out[draws] = [rng.getrandbits(1) for _ in range(len(draws))]
+        if out.max(initial=0) > 1:
+            raise ValueError("a block holds a symbol other than 0, 1 and X")
+        full = len(out) - len(out) % 8
+        chunks.append(np.packbits(out[:full]).tobytes())
+        carry = out[full:]
+    payload_bits = 8 * sum(map(len, chunks)) + len(carry)
+    chunks.append(np.packbits(carry).tobytes())
     k = stats.k if stats.total else len(mvs[0]) if mvs else 0
     table_indices = sorted(codebook.entries)
     remap = {orig: pos for pos, orig in enumerate(table_indices)}
     return EncodedStream(
-        payload=pack_bits(bits),
-        payload_bits=len(bits),
+        payload=b"".join(chunks),
+        payload_bits=payload_bits,
         block_count=stats.total,
         k=k,
         mv_table=tuple(mvs[i] for i in table_indices),
@@ -572,18 +582,6 @@ def payload_bits_for(
         raise AllZeroFrequencies("every frequency is zero")
     return huffman_cost(frequencies) + sum(
         f * n for f, n in zip(frequencies, n_unspecified)
-    )
-
-
-def subsumes(wider: MatchingVector, narrower: MatchingVector) -> bool:
-    """True iff every block the narrower vector matches, the wider one matches too.
-
-    Holds exactly when each specified position of ``wider`` is specified
-    identically in ``narrower``.
-    """
-    return (
-        (wider.ones_mask & ~narrower.ones_mask) == 0
-        and (wider.zeros_mask & ~narrower.zeros_mask) == 0
     )
 
 

@@ -10,7 +10,7 @@ Each MV table entry packs K symbols at 2 bits (00=0, 01=1, 10=U),
 MSB-first and zero-padded to a byte boundary; a 11 pair is corrupt.  Each
 codeword entry is a length byte followed by that many bits, again
 byte-padded.  Both are packed and read back with ``bits.pack_bits`` and
-``bits.unpack_bits``, like the payload.  The CRC32 covers every byte
+``bits.unpack_bits``, the payload's rule.  The CRC32 covers every byte
 before it.  K and original_length are at least 1, and block_count is
 ceil(original_length / K).  Extension records after the CRC are
 length-prefixed (4-byte tag, u32 size, body) so unknown tags and older
@@ -58,9 +58,7 @@ def write_container(stream: EncodedStream) -> bytes:
     out += stream.payload
     out += struct.pack(">I", zlib.crc32(bytes(out)))
     if stream.pattern_width is not None:
-        out += _WIDTH_TAG
-        out += struct.pack(">I", 8)
-        out += struct.pack(">Q", stream.pattern_width)
+        out += _WIDTH_TAG + struct.pack(">IQ", 8, stream.pattern_width)
     return bytes(out)
 
 

@@ -46,8 +46,8 @@ from .errors import InvalidConfig, LengthMismatch
 
 GENE_ALPHABET = "01U"
 
-# Fitness assigned to individuals whose vectors leave blocks uncovered;
-# always below any reachable compression rate.
+# Fitness of an individual that leaves blocks uncovered, minus their count;
+# a feasible rate is lower only for a payload over 11x the original size.
 INFEASIBLE_BASE = -1000.0
 
 
@@ -298,10 +298,6 @@ class EvolutionReport:
     @property
     def evaluations(self) -> int:
         return sum(r.evaluations for r in self.per_run)
-
-    @property
-    def termination(self) -> str:
-        return max(self.per_run, key=lambda r: r.rate).termination
 
 
 def evolve(

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from . import baseline9c, codec, core, ea
-from .errors import InvalidConfig
+from .errors import InvalidConfig, UnmatchedBlock
 
 METHODS = ("ea", "9c", "9c-hc")
 
@@ -43,8 +43,9 @@ def compress(
     """Compress a test set with ``method`` at block length ``cfg.k``.
 
     ``ea`` runs ``cfg.runs`` searches and encodes with the best vector set
-    (subsumption-merged when ``cfg.subsume``).  Random fill draws from an
-    rng seeded by ``cfg.rng_seed``, so results are reproducible.
+    (subsumption-merged when ``cfg.subsume``), or raises InvalidConfig when
+    that set leaves blocks unmatched.  Random fill draws from an rng seeded
+    by ``cfg.rng_seed``, so results are reproducible.
     """
     if method not in METHODS:
         raise InvalidConfig(f"unknown method {method!r}; choose from {METHODS}")
@@ -56,7 +57,16 @@ def compress(
         mvs = tuple(
             codec.MatchingVector(s) for s in ea.vector_symbols(evolution.best, cfg.k)
         )
-        covering = codec.cover(stats, mvs)
+        try:
+            covering = codec.cover(stats, mvs)
+        except UnmatchedBlock:
+            # cover decides, since a feasible rate can fall below INFEASIBLE_BASE
+            unmatched = round(ea.INFEASIBLE_BASE - evolution.best_rate)
+            raise InvalidConfig(
+                f"the search's best vector set leaves {unmatched} of {stats.total} "
+                "blocks unmatched; reserve the all-U vector (--reserve-all-u), "
+                "or raise L or the evaluation budget"
+            ) from None
         if cfg.subsume:
             covering, _ = codec.subsume_merge(covering, mvs, cfg.k)
     else:

@@ -90,6 +90,13 @@ def char_match(block_symbols: str, mv_symbols: str) -> bool:
     )
 
 
+def subsumes(wider: MatchingVector, narrower: MatchingVector) -> bool:
+    """Each specified position of ``wider`` is specified identically in
+    ``narrower``, so every block the narrower vector matches, the wider
+    one matches too."""
+    return all(w in ("U", n) for w, n in zip(wider.symbols, narrower.symbols))
+
+
 def naive_encode_bits(blocks, assignment, codebook, mvs, fill="zero", rng=None) -> str:
     """Reference payload bits: every block encoded on its own, matched by
     ``char_match``.  An X at a U position takes the fill bit, or one
@@ -206,6 +213,14 @@ def optimal_prefix_cost(nonzero_freqs) -> int:
         sum(f * d for f, d in zip(desc, sorted(profile)))
         for profile in depth_profiles(len(desc))
     )
+
+
+def code_lengths(codebook: Codebook) -> dict[int, int]:
+    return {i: len(c) for i, c in codebook.entries.items()}
+
+
+def kraft_sum(codebook: Codebook) -> float:
+    return sum(2.0 ** -len(c) for c in codebook.entries.values())
 
 
 def codebook_cost(codebook: Codebook, freqs) -> int:

@@ -150,6 +150,22 @@ class TestCompress:
         assert "65535" in capsys.readouterr().err
         assert not output.exists()
 
+    def test_infeasible_search_result_is_usage_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        run_cli(["gen-corpus", "--output", str(corpus), "--patterns", "60",
+                 "--width", "48", "--x-density", "0.3", "--templates", "4",
+                 "--flip-prob", "0.05", "--seed", "1"])
+        output = tmp_path / "x.tcc"
+        code = run_cli(
+            ["compress", "--input", str(corpus), "--output", str(output),
+             "-K", "12", "-L", "4", "--runs", "1", "--max-evals", "5",
+             "--no-reserve-all-u", "--seed", "3"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "blocks unmatched" in err and "--reserve-all-u" in err
+        assert not output.exists()
+
     def test_bad_input_format_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("01\n0\n")

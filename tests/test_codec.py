@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,10 @@ from tercode import (
     subsume_merge,
     write_container,
 )
+from tercode import codec
 from tercode.bits import pack_bits
 from tercode.codec import (
+    FILL_CHOICES,
     MAX_DECODE_SYMBOLS,
     BlockStats,
     huffman_code_lengths,
@@ -31,7 +34,6 @@ from tercode.codec import (
     merge_subsumed_frequencies,
     mv_masks,
     payload_bits_for,
-    subsumes,
 )
 from tercode.errors import (
     AllZeroFrequencies,
@@ -49,7 +51,9 @@ from tercode.errors import (
 
 from helpers import (
     char_match,
+    code_lengths,
     codebook_cost,
+    kraft_sum,
     naive_cover,
     naive_decode,
     naive_encode_bits,
@@ -59,6 +63,7 @@ from helpers import (
     payload_bitstring,
     random_mv_set,
     random_test_set,
+    subsumes,
 )
 
 
@@ -292,7 +297,7 @@ class TestHuffman:
                 for b in codes:
                     if a is not b:
                         assert not b.startswith(a)
-            assert codebook.kraft_sum() <= 1.0 + 1e-12
+            assert kraft_sum(codebook) <= 1.0 + 1e-12
 
     def test_cost_matches_brute_force_oracle(self):
         rng = random.Random(17)
@@ -304,7 +309,7 @@ class TestHuffman:
 
     def test_canonical_codes_ordered_by_length_then_index(self):
         codebook = build_huffman([2, 9, 3, 1])
-        lengths = codebook.lengths()
+        lengths = code_lengths(codebook)
         ordered = sorted(lengths, key=lambda i: (lengths[i], i))
         values = [int(codebook.entries[i], 2) for i in ordered]
         assert values == sorted(values)
@@ -464,6 +469,10 @@ class TestEncodeAll:
             encode_all(["0000"], Covering((0,), (1,)), Codebook({0: "0", 1: "1"}),
                        [mv("0000"), mv("UU")])
 
+    def test_symbol_other_than_0_1_x_rejected(self):
+        with pytest.raises(ValueError, match="other than 0, 1 and X"):
+            encode_all(["0x"], Covering((0,), (1,)), Codebook({0: ""}), [mv("UU")])
+
     def test_block_stats_input(self):
         blocks = blocks_from(["1111"] * 5 + ["1110"] * 3 + ["0000"] * 2)
         mvs = [mv("111U"), mv("1110"), mv("0000")]
@@ -557,6 +566,65 @@ class TestEncodeProperties:
         stream = encode_all(source, covering, codebook, mvs, fill, random.Random(seed))
         assert payload_bitstring(stream) == want
         assert (stream.block_count, stream.k) == (len(blocks), len(blocks[0]))
+
+
+@st.composite
+def slice_cases(draw):
+    """Encodable blocks, their covering and Huffman code at K 1-13.
+
+    Frequencies are uneven, so the words (codeword + fill bits) come in
+    several widths, most of them not multiples of 8."""
+    k = draw(st.integers(1, 13))
+    vectors = draw(st.lists(st.text(alphabet="01U", min_size=k, max_size=k),
+                            max_size=6)) + ["U" * k]
+    rng = draw(st.randoms(use_true_random=False))
+    blocks, assignment = [], []
+    for _ in range(draw(st.integers(1, 60))):
+        near = rng.choice(vectors)
+        blocks.append("".join(rng.choice("01X") if ch == "U" else ch for ch in near))
+        assignment.append(rng.choice(
+            [i for i, v in enumerate(vectors) if char_match(blocks[-1], v)]))
+    counts = [assignment.count(i) for i in range(len(vectors))]
+    covering = Covering(tuple(assignment), tuple(counts))
+    return blocks, covering, build_huffman(counts), [mv(v) for v in vectors]
+
+
+class TestEncodeSlices:
+    """``encode_all`` works a slice of blocks at a time and carries the
+    bits after the last full byte of a slice into the next one."""
+
+    @staticmethod
+    def assert_agrees(blocks, covering, codebook, mvs, fill, seed):
+        rng = random.Random(seed)
+        want = naive_encode_bits(blocks, covering.assignment, codebook, mvs, fill, rng)
+        after = rng.random()
+        rng = random.Random(seed)
+        stream = encode_all(blocks, covering, codebook, mvs, fill, rng)
+        assert stream.payload == pack_bits(want)
+        assert stream.payload_bits == len(want)
+        if fill == "random":
+            assert rng.random() == after
+
+    @settings(max_examples=300, deadline=None)
+    @given(slice_cases(), st.integers(1, 9), st.sampled_from(FILL_CHOICES),
+           st.integers(0, 2**32))
+    def test_small_slices_agree_with_naive_encoder(self, case, size, fill, seed):
+        with mock.patch.object(codec, "_SLICE", size):
+            self.assert_agrees(*case, fill, seed)
+
+    def test_more_blocks_than_one_slice(self):
+        # 70,000 blocks: one full slice of 65,536 and a partial one
+        rng = random.Random(11)
+        mvs = [mv("0U1UU"), mv("10UU1"), mv("UUUUU")]
+        blocks = [
+            "".join(rng.choice("01X") if ch == "U" else ch
+                    for ch in mvs[rng.randrange(3)].symbols)
+            for _ in range(70_000)
+        ]
+        covering = cover(blocks, mvs)
+        assert len(blocks) > codec._SLICE
+        self.assert_agrees(blocks, covering, build_huffman(covering.frequencies),
+                           mvs, "random", 5)
 
 
 class TestDecode:
@@ -733,6 +801,14 @@ class TestSubsumeMerge:
         assert not subsumes(mv("1110"), mv("111U"))
         assert subsumes(mv("UUUU"), mv("10X1".replace("X", "0")))
         assert subsumes(mv("1U"), mv("1U"))
+        # exhaustive at K=3: subsumption is containment of the matched blocks
+        vectors = ["".join(t) for t in itertools.product("01U", repeat=3)]
+        blocks = ["".join(t) for t in itertools.product("01X", repeat=3)]
+        for wider in vectors:
+            for narrower in vectors:
+                contained = all(char_match(b, wider) for b in blocks
+                                if char_match(b, narrower))
+                assert subsumes(mv(wider), mv(narrower)) == contained
 
     def test_no_candidates_is_fixed_point(self):
         blocks = blocks_from(["11", "00"])

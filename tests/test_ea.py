@@ -437,12 +437,12 @@ class TestEvolve:
         report = evolve(
             blocks, 240, self._cfg(stagnation_limit=3, max_evaluations=100000)
         )
-        assert report.termination == "stagnation"
+        assert report.per_run[0].termination == "stagnation"
 
     def test_max_evaluations_termination(self):
         blocks = self._blocks()
         report = evolve(blocks, 240, self._cfg(max_evaluations=30))
-        assert report.termination == "max_evaluations"
+        assert report.per_run[0].termination == "max_evaluations"
         assert report.evaluations >= 30
 
     def test_improvement_is_reachable(self):

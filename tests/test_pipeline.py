@@ -1,0 +1,35 @@
+import pytest
+
+from tercode import CorpusSpec, EaConfig, TestSet, codec, core, ea, generate_corpus, pipeline
+from tercode.errors import InvalidConfig
+
+# 60x48 at K=12: 240 blocks, searched with four vectors, no all-U reserve
+# and a budget of five evaluations, so the best set leaves blocks unmatched
+CORPUS = CorpusSpec(patterns=60, width=48, x_density=0.3, templates=4,
+                    flip_probability=0.05, rng_seed=1)
+INFEASIBLE = EaConfig(k=12, l=4, runs=1, max_evaluations=5, reserve_all_u=False,
+                      rng_seed=3)
+
+
+class TestInfeasibleSearch:
+    def test_best_set_leaving_blocks_unmatched_is_a_config_error(self):
+        ts = generate_corpus(CORPUS)
+        stats = codec.BlockStats(core.partition(core.flatten(ts), 12))
+        best = ea.run_many(stats, core.original_size_bits(ts), INFEASIBLE).best
+        mvs = [codec.MatchingVector(s) for s in ea.vector_symbols(best, 12)]
+        _, _, unmatched, _ = codec.match_frequencies(
+            stats, [codec.match_set(stats, v.ones_mask, v.zeros_mask) for v in mvs],
+            [v.n_unspecified for v in mvs])
+        assert unmatched
+        with pytest.raises(InvalidConfig,
+                           match=f"leaves {unmatched} of 240 blocks unmatched; "
+                                 r"reserve the all-U vector \(--reserve-all-u\)"):
+            pipeline.compress(ts, "ea", INFEASIBLE)
+
+    def test_feasible_rate_below_the_infeasible_base_is_encoded(self):
+        # one symbol at K=12 under the lone all-U vector: 12 payload bits
+        # for 1 original bit, a rate of -1100% < ea.INFEASIBLE_BASE
+        cfg = EaConfig(k=12, l=1, runs=1, max_evaluations=5, rng_seed=3)
+        result = pipeline.compress(TestSet(("X",)), "ea", cfg)
+        assert result.rate == -1100.0 < ea.INFEASIBLE_BASE
+        assert result.stream.payload_bits == 12
