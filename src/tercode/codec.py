@@ -585,6 +585,46 @@ def payload_bits_for(
     )
 
 
+# Scale 2^T of the merge's integer Kraft-dual bound.  Flooring loses less
+# than 2^-T bit per leaf, so under one bit for any table the format allows.
+_DUAL_SCALE = 16
+
+
+def _dual_multiplier(weights: Sequence[int]) -> int:
+    """The multiplier lambda * 2^T at which the Kraft-dual bound of
+    ``weights`` (three or more, all positive) peaks; see
+    ``merge_subsumed_frequencies``.
+
+    The bound is concave in lambda with slope sum(2^-l_k) - 1, where l_k is
+    the length that minimises leaf k's term; l_k rises from l to l + 1 as
+    lambda passes w_k * 2^(l+1).  The sweep passes those breakpoints in
+    rising order, from every length at 1, and stops where the slope is no
+    longer positive.  Any lambda gives an exact bound, so the float slope
+    only decides how tight it is.
+    """
+    heap = [(w << 2, 1) for w in weights]
+    heapq.heapify(heap)
+    kraft = len(heap) / 2
+    while kraft > 1:
+        lam, length = heap[0]
+        kraft -= 0.5 ** (length + 1)
+        heapq.heapreplace(heap, (lam << 1, length + 1))
+    return lam << _DUAL_SCALE
+
+
+def _dual_term(weight: int, lam: int) -> int:
+    """min over l >= 1 of weight * l * 2^T + floor(lam / 2^l).
+
+    Raising l by one adds weight * 2^T - ceil(a / 2), where
+    a = floor(lam / 2^l) falls as l grows.  So the sum falls until the
+    first l with a <= weight * 2^(T+1), that is with
+    floor(lam / (weight * 2^(T+1) + 1)) < 2^l, and never falls after it.
+    """
+    scaled = weight << _DUAL_SCALE
+    length = max(1, (lam // ((scaled << 1) + 1)).bit_length())
+    return scaled * length + (lam >> length)
+
+
 def merge_subsumed_frequencies(
     frequencies: Sequence[int],
     ones: Sequence[int],
@@ -601,8 +641,8 @@ def merge_subsumed_frequencies(
     Pricing.  A drop moves F_j onto i, so the fill bits grow by
     extra = F_j * (N_U[i] - N_U[j]) (never negative: i's specified
     positions are among j's) and the drop is taken iff
-    huffman_cost(after) + extra < huffman_cost(before).  Two cases are
-    decided without pricing, both exactly:
+    huffman_cost(after) + extra < huffman_cost(before).  Three cases are
+    decided without pricing, all exactly:
 
     - F_i == 0: the drop only renames a leaf, so the Huffman cost stays
       and the fill bits cannot fall.  Vectors at zero frequency therefore
@@ -612,6 +652,30 @@ def merge_subsumed_frequencies(
       the state before it that costs exactly F_i + F_j more, so
       huffman_cost(before) <= huffman_cost(after) + F_i + F_j, and the
       drop cannot make the payload shrink.
+    - The Kraft-dual bound of the state after the drop reaches
+      huffman_cost(before) - extra, so huffman_cost(after) does too.
+
+    The bound.  Take any lambda >= 0 and any prefix code over n >= 2
+    leaves of weights w_k.  Every length l_k is at least 1, and Kraft
+    gives sum(2^-l_k) <= 1, so
+
+        sum(w_k * l_k) >= sum(w_k * l_k + lambda * 2^-l_k) - lambda
+                       >= sum(min over l >= 1 of (w_k * l + lambda * 2^-l))
+                          - lambda,
+
+    and in particular huffman_cost(w) is at least the right-hand side.  It
+    is computed in integers scaled by 2^T (T = ``_DUAL_SCALE``), with
+    lambda * 2^T an integer and each lambda * 2^(T-l) floored
+    (``_dual_term``); flooring only lowers a lower bound, so the integer
+    bound B(w) is at most huffman_cost(w) * 2^T.  B is a sum of one term
+    per leaf, so B(after) is B(before) minus the terms of F_i and F_j plus
+    the term of F_i + F_j: three terms per candidate instead of a code.
+    A lone leaf has length 0, not 1, so B is used only while three or
+    more vectors are live and the state after a drop keeps two leaves.  A
+    drop with B(after) >= (huffman_cost(before) - extra) * 2^T is
+    rejected.  lambda is picked once per call, where B of the starting
+    frequencies peaks (``_dual_multiplier``): picking it again after every
+    accepted drop rejects more drops but costs more than it saves.
 
     ``n_unspecified`` must count the positions that neither mask sets.
     """
@@ -626,6 +690,10 @@ def merge_subsumed_frequencies(
         for j in live
     }
     current = huffman_cost(freqs)
+    leaves = len(live)
+    lam = _dual_multiplier([freqs[j] for j in live]) if leaves > 2 else 0
+    terms = [_dual_term(f, lam) if f else 0 for f in freqs]
+    bound = sum(terms) - lam
     improved = True
     while improved:
         improved = False
@@ -640,11 +708,19 @@ def merge_subsumed_frequencies(
                 extra = fj * (n_unspecified[i] - n_unspecified[j])
                 if extra >= fi + fj:
                     continue
+                if leaves > 2:
+                    merged = _dual_term(fi + fj, lam)
+                    after = bound - terms[i] - terms[j] + merged
+                    if after >= (current - extra) << _DUAL_SCALE:
+                        continue
                 freqs[i], freqs[j] = fi + fj, 0
                 cost = huffman_cost(freqs)
                 if cost + extra < current:
                     current = cost
                     redirect[j] = i
+                    if leaves > 2:
+                        bound, terms[i] = after, merged
+                    leaves -= 1
                     improved = True
                     break
                 freqs[i], freqs[j] = fi, fj
@@ -663,9 +739,10 @@ def subsume_merge(
     covering: Covering,
     mvs: Sequence[MatchingVector],
     k: int,
-) -> tuple[Covering, tuple[MatchingVector, ...]]:
+) -> Covering:
     """Optional post-pass over a covering: fold vectors whose blocks are all
     matched by a wider vector, whenever that lowers the payload size.
+    Folded vectors keep their index at frequency zero.
     """
     for v in mvs:
         if len(v.symbols) != k:
@@ -677,10 +754,6 @@ def subsume_merge(
         [v.n_unspecified for v in mvs],
     )
     if not redirect:
-        return covering, tuple(
-            mvs[i] for i, f in enumerate(covering.frequencies) if f > 0
-        )
+        return covering
     assignment = tuple(redirect.get(i, i) for i in covering.assignment)
-    merged = Covering(assignment, tuple(freqs))
-    effective = tuple(mvs[i] for i, f in enumerate(freqs) if f > 0)
-    return merged, effective
+    return Covering(assignment, tuple(freqs))

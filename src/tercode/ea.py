@@ -46,8 +46,9 @@ from .errors import InvalidConfig, LengthMismatch
 
 GENE_ALPHABET = "01U"
 
-# Fitness of an individual that leaves blocks uncovered, minus their count;
-# a feasible rate is lower only for a payload over 11x the original size.
+# Fitness of an individual that leaves blocks uncovered, minus their count,
+# unless a feasible rate can reach it (a payload over 11x the original
+# size); ``infeasible_base`` then goes below every feasible rate.
 INFEASIBLE_BASE = -1000.0
 
 
@@ -218,6 +219,19 @@ def vector_entry(stats: BlockStats, symbols: str) -> VectorEntry:
     return match_set(stats, ones, zeros), symbols.count("U"), ones, zeros
 
 
+def infeasible_base(
+    n_blocks: int, n_vectors: int, k: int, original_bits: int
+) -> float:
+    """Fitness of a genome that leaves blocks unmatched, before their count
+    is subtracted: INFEASIBLE_BASE, or 1 below the lowest feasible rate when
+    that is lower.  A feasible payload is at most n_blocks * (k + n_vectors
+    - 1) bits: each block pays at most k fill bits and a codeword of at most
+    n_vectors - 1 bits, and the subsumption merge only shrinks it.
+    """
+    lowest = compression_rate(original_bits, n_blocks * (k + n_vectors - 1))
+    return min(INFEASIBLE_BASE, lowest - 1)
+
+
 def evaluate_fitness(
     genes: str,
     blocks: Sequence[str] | BlockStats,
@@ -229,10 +243,11 @@ def evaluate_fitness(
 
     K is the block length, and the genes must split into K-symbol vectors
     (LengthMismatch otherwise).  Infeasible coverings yield
-    INFEASIBLE_BASE minus the unmatched block count instead of an error,
-    so the search can rank near-feasible individuals.  ``vectors`` maps
-    vector strings to their ``vector_entry`` and is filled as a side
-    effect; pass the same dict only with the same blocks.
+    ``infeasible_base`` minus the unmatched block count instead of an
+    error, so the search can rank near-feasible individuals below every
+    feasible one.  ``vectors`` maps vector strings to their
+    ``vector_entry`` and is filled as a side effect; pass the same dict
+    only with the same blocks.
     """
     stats = as_block_stats(blocks)
     if vectors is None:
@@ -246,7 +261,8 @@ def evaluate_fitness(
     sets, n_us, ones, zeros = zip(*entries)
     freqs, _, unmatched, _ = match_frequencies(stats, sets, n_us)
     if unmatched:
-        return INFEASIBLE_BASE - unmatched
+        base = infeasible_base(stats.total, len(entries), stats.k, original_bits)
+        return base - unmatched
     if subsume:
         freqs, _ = merge_subsumed_frequencies(freqs, ones, zeros, n_us)
     return compression_rate(original_bits, payload_bits_for(freqs, n_us))

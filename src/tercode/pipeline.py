@@ -60,15 +60,15 @@ def compress(
         try:
             covering = codec.cover(stats, mvs)
         except UnmatchedBlock:
-            # cover decides, since a feasible rate can fall below INFEASIBLE_BASE
-            unmatched = round(ea.INFEASIBLE_BASE - evolution.best_rate)
+            base = ea.infeasible_base(stats.total, len(mvs), cfg.k, original_bits)
+            unmatched = round(base - evolution.best_rate)
             raise InvalidConfig(
                 f"the search's best vector set leaves {unmatched} of {stats.total} "
                 "blocks unmatched; reserve the all-U vector (--reserve-all-u), "
                 "or raise L or the evaluation budget"
             ) from None
         if cfg.subsume:
-            covering, _ = codec.subsume_merge(covering, mvs, cfg.k)
+            covering = codec.subsume_merge(covering, mvs, cfg.k)
     else:
         mvs = baseline9c.nine_mvs(cfg.k)
         covering = codec.cover(stats, mvs)

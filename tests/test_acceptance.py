@@ -79,9 +79,9 @@ def test_worked_example_exact():
     stream = encode_all(blocks, covering, codebook, mvs)
     assert stream.payload_bits == 20
 
-    merged, effective = subsume_merge(covering, mvs, 4)
+    merged = subsume_merge(covering, mvs, 4)
     assert merged.frequencies == (8, 0, 2)
-    assert [v.symbols for v in effective] == ["111U", "0000"]
+    assert [v.symbols for v, f in zip(mvs, merged.frequencies) if f] == ["111U", "0000"]
     merged_stream = encode_all(blocks, merged, build_huffman(merged.frequencies), mvs)
     assert merged_stream.payload_bits == 18
     _passed("worked example", "payload 20 bits, 18 after subsume merge")

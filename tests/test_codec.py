@@ -23,7 +23,7 @@ from tercode import (
     subsume_merge,
     write_container,
 )
-from tercode import codec
+from tercode import codec, core, ea
 from tercode.bits import pack_bits
 from tercode.codec import (
     FILL_CHOICES,
@@ -35,6 +35,7 @@ from tercode.codec import (
     mv_masks,
     payload_bits_for,
 )
+from tercode.corpus import generate_corpus
 from tercode.errors import (
     AllZeroFrequencies,
     DanglingBits,
@@ -65,6 +66,7 @@ from helpers import (
     random_test_set,
     subsumes,
 )
+from test_trajectory import CORPUS_9001, SUBSUME_CFG
 
 
 def mv(s: str) -> MatchingVector:
@@ -423,9 +425,10 @@ class TestEncodeAll:
         blocks = blocks_from(["1111"] * 5 + ["1110"] * 3 + ["0000"] * 2)
         mvs = [mv("111U"), mv("1110"), mv("0000")]
         covering = cover(blocks, mvs)
-        merged, effective = subsume_merge(covering, mvs, 4)
+        merged = subsume_merge(covering, mvs, 4)
         assert merged.frequencies == (8, 0, 2)
-        assert [v.symbols for v in effective] == ["111U", "0000"]
+        assert [v.symbols for v, f in zip(mvs, merged.frequencies) if f] == [
+            "111U", "0000"]
         codebook = build_huffman(merged.frequencies)
         stream = encode_all(blocks, merged, codebook, mvs)
         assert stream.payload_bits == 18
@@ -814,17 +817,18 @@ class TestSubsumeMerge:
         blocks = blocks_from(["11", "00"])
         mvs = [mv("11"), mv("00")]
         covering = cover(blocks, mvs)
-        merged, effective = subsume_merge(covering, mvs, 2)
+        merged = subsume_merge(covering, mvs, 2)
         assert merged == covering
-        assert [v.symbols for v in effective] == ["11", "00"]
+        assert [v.symbols for v, f in zip(mvs, merged.frequencies) if f] == [
+            "11", "00"]
 
     def test_single_vector_unchanged(self):
         blocks = blocks_from(["10", "10"])
         mvs = [mv("1U")]
         covering = cover(blocks, mvs)
-        merged, effective = subsume_merge(covering, mvs, 2)
+        merged = subsume_merge(covering, mvs, 2)
         assert merged == covering
-        assert len(effective) == 1
+        assert sum(f > 0 for f in merged.frequencies) == 1
 
     def test_never_increases_payload(self):
         rng = random.Random(40)
@@ -839,7 +843,7 @@ class TestSubsumeMerge:
             covering = cover(blocks, mvs)
             n_us = [v.n_unspecified for v in mvs]
             before = payload_bits_for(covering.frequencies, n_us)
-            merged, _ = subsume_merge(covering, mvs, k)
+            merged = subsume_merge(covering, mvs, k)
             after = payload_bits_for(merged.frequencies, n_us)
             assert after <= before
             # the rewritten assignment still matches every block
@@ -896,3 +900,75 @@ class TestMergeProperties:
         n_us = [v.count("U") for v in vectors]
         assert merge_subsumed_frequencies([4, 5, 1, 1], ones, zeros, n_us) == (
             [0, 11, 0, 0], {2: 1, 0: 1, 3: 1})
+
+
+@st.composite
+def wide_merge_cases(draw):
+    """Frequencies and vectors at the search's scale: K=12, up to 64
+    vectors, frequencies up to 3000 and a heavy all-U vector.  Vectors are
+    1-4 block templates with positions turned to U by the AND (sparse) or
+    OR (dense) of two random masks, so many pairs subsume each other."""
+    templates = draw(st.lists(st.text("01", min_size=12, max_size=12),
+                              min_size=1, max_size=4))
+    mask = st.integers(0, (1 << 12) - 1)
+    size = draw(st.integers(2, 63))
+    vectors = []
+    for _ in range(size):
+        template, a, b = draw(st.tuples(st.sampled_from(templates), mask, mask))
+        u = a & b if draw(st.booleans()) else a | b
+        vectors.append("".join("U" if u >> p & 1 else c
+                               for p, c in enumerate(template)))
+    freqs = draw(st.lists(st.integers(0, 3000), min_size=size, max_size=size))
+    heavy = draw(st.integers(0, size))
+    vectors.insert(heavy, "U" * 12)
+    freqs.insert(heavy, draw(st.integers(1000, 3000)))
+    ones, zeros = zip(*(mv_masks(v) for v in vectors))
+    return freqs, list(ones), list(zeros), [v.count("U") for v in vectors]
+
+
+class TestWideMerge:
+    @settings(max_examples=300, deadline=None)
+    @given(weights=st.lists(st.integers(1, 5000), min_size=2, max_size=64),
+           lam=st.integers(0, 1 << 40))
+    def test_kraft_dual_bound_never_exceeds_huffman_cost(self, weights, lam):
+        scale = codec._DUAL_SCALE
+        terms = [codec._dual_term(w, lam) for w in weights]
+        # each term is the minimum over every length that can attain it
+        assert terms == [
+            min((w * l << scale) + (lam >> l) for l in range(1, lam.bit_length() + 2))
+            for w in weights]
+        limit = huffman_cost(weights) << scale
+        assert sum(terms) - lam <= limit
+        if len(weights) > 2:
+            peak = codec._dual_multiplier(weights)
+            assert sum(codec._dual_term(w, peak) for w in weights) - peak <= limit
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_merge_cases())
+    def test_agrees_with_naive_merge_at_search_scale(self, case):
+        assert (merge_subsumed_frequencies(*case)
+                == naive_merge_subsumed_frequencies(*case))
+
+    def test_prices_a_quarter_of_the_codes_on_corpus_9001(self):
+        # The subsume trajectory search must call the merge as often as
+        # before and price at most a quarter as many codes.  Before the
+        # Kraft-dual bound its 67 merge calls priced 24,782 codes, 67 of
+        # them the starting cost.
+        ts = generate_corpus(CORPUS_9001)
+        real_merge = ea.merge_subsumed_frequencies
+        priced = []
+
+        def counted_merge(*args):
+            with mock.patch.object(codec, "huffman_cost",
+                                   side_effect=codec.huffman_cost) as cost:
+                result = real_merge(*args)
+            priced.append(cost.call_count)
+            return result
+
+        with mock.patch.object(ea, "merge_subsumed_frequencies", counted_merge):
+            report = ea.run_many(BlockStats(partition(core.flatten(ts), 12)),
+                                 core.original_size_bits(ts),
+                                 ea.EaConfig(**SUBSUME_CFG))
+        assert report.evaluations == 200
+        assert len(priced) == 67
+        assert sum(priced) <= 24_782 // 4

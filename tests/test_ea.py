@@ -267,6 +267,15 @@ class TestFitness:
         blocks = blocks_from(["0101", "1010", "0000"])
         assert evaluate_fitness("0000", blocks, 12) == INFEASIBLE_BASE - 2
 
+    def test_infeasible_ranks_below_a_feasible_rate_under_the_base(self):
+        # one symbol at K=12: the all-U vector pays 12 bits for 1, -1100%;
+        # a feasible payload is at most 12 bits, so the base drops to -1101
+        blocks = partition("0", 12)
+        assert evaluate_fitness("U" * 12, blocks, 1) == -1100.0
+        assert evaluate_fitness("1" + "U" * 11, blocks, 1) == -1102.0
+        assert ea.infeasible_base(1, 1, 12, 1) == -1101.0
+        assert ea.infeasible_base(3, 2, 4, 12) == INFEASIBLE_BASE
+
     def test_subsume_inside_fitness(self):
         blocks = blocks_from(["1111"] * 5 + ["1110"] * 3 + ["0000"] * 2)
         genes = "111U" + "1110" + "0000"
@@ -327,7 +336,8 @@ def naive_fitness(blocks, genes, k, original_bits, subsume):
         unmatched = sum(
             not any(char_match(b, v.symbols) for v in mvs) for b in blocks
         )
-        return INFEASIBLE_BASE - unmatched
+        lowest = compression_rate(original_bits, len(blocks) * (k + len(mvs) - 1))
+        return min(INFEASIBLE_BASE, lowest - 1) - unmatched
     n_us = [v.n_unspecified for v in mvs]
     if subsume:
         freqs, _ = naive_merge_subsumed_frequencies(

@@ -26,6 +26,25 @@ class TestInfeasibleSearch:
                                  r"reserve the all-U vector \(--reserve-all-u\)"):
             pipeline.compress(ts, "ea", INFEASIBLE)
 
+    def test_search_prefers_a_feasible_rate_below_the_infeasible_base(self):
+        # one symbol at K=60: every feasible vector has about 20 U, a rate
+        # near -2000%, and a third of the random vectors leave the block
+        # unmatched; they must rank below the feasible ones
+        cfg = EaConfig(k=60, l=1, runs=1, max_evaluations=10, reserve_all_u=False,
+                       rng_seed=0)
+        result = pipeline.compress(TestSet(("0",)), "ea", cfg)
+        assert result.rate == -1400.0
+        assert result.evolution.min_fitness_evaluated == -5902.0
+
+    def test_unmatched_count_under_a_lowered_base(self):
+        # seed 8 draws one vector that leaves the lone block unmatched, at
+        # fitness -5902: one below the base, which drops below -1000 here
+        cfg = EaConfig(k=60, l=1, runs=1, population_size=1,
+                       children_per_generation=1, max_evaluations=1,
+                       reserve_all_u=False, rng_seed=8)
+        with pytest.raises(InvalidConfig, match="leaves 1 of 1 blocks unmatched"):
+            pipeline.compress(TestSet(("0",)), "ea", cfg)
+
     def test_feasible_rate_below_the_infeasible_base_is_encoded(self):
         # one symbol at K=12 under the lone all-U vector: 12 payload bits
         # for 1 original bit, a rate of -1100% < ea.INFEASIBLE_BASE
