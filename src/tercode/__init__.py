@@ -19,8 +19,6 @@ from .codec import (
     cover,
     decode,
     encode_all,
-    encoding_length,
-    matches,
     subsume_merge,
 )
 from .container import read_container, write_container

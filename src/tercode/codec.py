@@ -1,23 +1,24 @@
 """Matching semantics, greedy covering, Huffman coding, encode/decode.
 
-An input block is a string of K symbols over {0,1,X}; it matches a vector
-over {0,1,U} when no position pairs a specified 0 with a specified 1.
-Each block is encoded as the codeword of its assigned vector followed by
-the block's bits at the vector's U positions: a word of |codeword| + N_U
-bits, one fixed width per vector.  ``encode_all`` writes the payload a
-slice of blocks at a time into a numpy bit array, column by column,
-and packs it with ``np.packbits``; ``decode`` unpacks it once and walks
-it, looking codewords up in a table and memoising the decoded words.
+An input block is a row of K symbols over {0,1,X} in the uint8 matrix of
+ASCII codes that ``core.partition`` returns; it matches a vector over
+{0,1,U} when no position pairs a specified 0 with a specified 1.  Each
+block is encoded as the codeword of its assigned vector followed by the
+block's bits at the vector's U positions: a word of |codeword| + N_U bits,
+one fixed width per vector.  ``encode_all`` masks each block's row of
+codeword and symbol bits down to its word, a slice of blocks at a time,
+and packs the words with ``np.packbits``; ``decode`` unpacks them once
+and walks them, looking codewords up in a table and memoising the
+decoded words.
 
 Matching has one implementation, on block sets.  ``BlockStats`` turns
-the block sequence into one set per (mask bit, vector symbol), each a
+the block matrix into one set per (mask bit, vector symbol), each a
 Python int with one bit per block; a vector's matching blocks, its
 ``match_set``, are the AND of the sets at its specified positions, so
 one code path serves every block length.  ``match_frequencies`` assigns
 blocks greedily from those raw sets for ``cover`` and the search's
 fitness (the search keeps each vector's raw set across fitness calls, see
-``ea``); ``encode_all`` checks a covering against them once per assigned
-vector; and ``matches`` is the one-block case.
+``ea``); and ``encode_all`` checks a covering against them once per vector.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -97,16 +98,24 @@ class MatchingVector:
         return len(self.symbols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Covering:
-    """Per-block vector assignment plus per-vector frequencies of use."""
+    """Per-block vector assignment, a read-only int64 array (a sequence of
+    ints is converted), plus per-vector frequencies of use; equal by value."""
 
-    assignment: tuple[int, ...]
+    assignment: np.ndarray
     frequencies: tuple[int, ...]
 
     def __post_init__(self):
-        if sum(self.frequencies) != len(self.assignment):
+        assignment = np.asarray(self.assignment, dtype=np.int64).view()
+        assignment.flags.writeable = False
+        object.__setattr__(self, "assignment", assignment)
+        if sum(self.frequencies) != len(assignment):
             raise ValueError("frequencies do not sum to the block count")
+
+    def __eq__(self, other):
+        return (isinstance(other, Covering) and self.frequencies == other.frequencies
+                and np.array_equal(self.assignment, other.assignment))
 
 
 @dataclass(frozen=True, eq=True)
@@ -183,19 +192,8 @@ class EncodedStream:
                 raise ValueError(f"codeword of {len(code)} bits exceeds 255")
 
 
-def matches(v: MatchingVector, block: str) -> bool:
-    """True iff no position pairs a 0 with a 1; X and U match anything.
-
-    The one-block case of ``match_set``."""
-    if len(v.symbols) != len(block):
-        raise LengthMismatch(
-            f"vector length {len(v.symbols)} vs block length {len(block)}"
-        )
-    return bool(match_set(BlockStats([block]), v.ones_mask, v.zeros_mask))
-
-
 class BlockStats:
-    """Block sets of a block sequence, shared by many coverings.
+    """Block sets of a block matrix, shared by many coverings.
 
     Building the stats once and covering many vector sets against them is
     the hot path of the evolutionary search.
@@ -206,28 +204,36 @@ class BlockStats:
     symbol there is not ``1`` and ``fits_one[b]`` those whose symbol there
     is not ``0``.  The blocks a vector matches are the AND of
     ``fits_zero`` over its 0 positions and ``fits_one`` over its 1
-    positions.  ``blocks`` is the sequence itself, kept by reference.
+    positions.  ``blocks`` is the (blocks, K) uint8 matrix of ASCII codes,
+    kept by reference; a sequence of equal-length strings is converted.
     """
 
     __slots__ = ("blocks", "k", "total", "fits_zero", "fits_one")
 
-    def __init__(self, blocks: Sequence[str]):
+    def __init__(self, blocks: np.ndarray | Sequence[str]):
+        if not (isinstance(blocks, np.ndarray) and blocks.dtype == np.uint8):
+            k = len(blocks[0]) if len(blocks) else 0
+            if any(len(block) != k for block in blocks):
+                raise LengthMismatch("blocks differ in length")
+            joined = "".join(blocks).encode("ascii")
+            blocks = np.frombuffer(joined, dtype=np.uint8).reshape(len(blocks), k)
         self.blocks = blocks
-        self.k = len(blocks[0]) if blocks else 0
-        if any(len(block) != self.k for block in blocks):
-            raise LengthMismatch("blocks differ in length")
-        self.total = len(blocks)
-        joined = "".join(blocks).encode("ascii")
-        codes = np.frombuffer(joined, dtype=np.uint8).reshape(self.total, self.k)
+        self.total, self.k = blocks.shape
         # mask bit b is column K-1-b
-        columns = codes[:, ::-1].T
+        columns = blocks[:, ::-1].T
         self.fits_zero = [_block_set(col != ord("1")) for col in columns]
         self.fits_one = [_block_set(col != ord("0")) for col in columns]
 
     @property
     def n_unique(self) -> int:
-        """Number of distinct blocks, counted from the blocks on each access."""
-        return len(set(self.blocks))
+        """Number of distinct blocks (matrix rows), counted on each access."""
+        ordered = self.blocks[np.lexsort(self.blocks.T)] if self.k else self.blocks
+        changes = (ordered[1:] != ordered[:-1]).any(axis=1)
+        return min(self.total, 1) + int(np.count_nonzero(changes))
+
+
+# a block matrix, equal-length block strings, or the stats of either
+Blocks = Union[np.ndarray, Sequence[str], BlockStats]
 
 
 def _block_set(flags: np.ndarray) -> int:
@@ -241,7 +247,7 @@ def _block_flags(block_set: int, total: int) -> np.ndarray:
     return np.unpackbits(raw, count=total, bitorder="little").view(bool)
 
 
-def as_block_stats(blocks: Sequence[str] | BlockStats) -> BlockStats:
+def as_block_stats(blocks: Blocks) -> BlockStats:
     return blocks if isinstance(blocks, BlockStats) else BlockStats(blocks)
 
 
@@ -295,10 +301,7 @@ def match_frequencies(
     return freqs, hits, unassigned.bit_count(), first
 
 
-def cover(
-    blocks: Sequence[str] | BlockStats,
-    mvs: Sequence[MatchingVector],
-) -> Covering:
+def cover(blocks: Blocks, mvs: Sequence[MatchingVector]) -> Covering:
     """Greedy covering: vectors sorted by rising U count, first match wins.
 
     Raises UnmatchedBlock (with the 1-based block index) when some block
@@ -306,10 +309,8 @@ def cover(
     """
     stats = as_block_stats(blocks)
     for v in mvs:
-        if stats.k and len(v.symbols) != stats.k:
-            raise LengthMismatch(
-                f"vector length {len(v.symbols)} vs block length {stats.k}"
-            )
+        if stats.k and len(v) != stats.k:
+            raise LengthMismatch(f"vector length {len(v)} vs block length {stats.k}")
     freqs, hits, unmatched, first = match_frequencies(
         stats,
         [match_set(stats, v.ones_mask, v.zeros_mask) for v in mvs],
@@ -321,7 +322,7 @@ def cover(
     for idx, hit in enumerate(hits):
         if hit:
             assign[_block_flags(hit, stats.total)] = idx
-    return Covering(tuple(assign.tolist()), tuple(freqs))
+    return Covering(assign, tuple(freqs))
 
 
 def huffman_code_lengths(frequencies: Sequence[int]) -> dict[int, int]:
@@ -363,13 +364,8 @@ def build_huffman(frequencies: Sequence[int]) -> Codebook:
     return Codebook(entries)
 
 
-def encoding_length(v: MatchingVector, codebook: Codebook, index: int) -> int:
-    """Bits needed for any block assigned to ``v``: |codeword| + N_U."""
-    return len(codebook.codeword(index)) + v.n_unspecified
-
-
 def encode_all(
-    blocks: Sequence[str] | BlockStats,
+    blocks: Blocks,
     covering: Covering,
     codebook: Codebook,
     mvs: Sequence[MatchingVector],
@@ -385,65 +381,65 @@ def encode_all(
     random fill draws one ``rng.getrandbits(1)`` per such X, in payload
     order.  Raises InvalidConfig, before encoding anything, for a fill
     policy outside ``FILL_CHOICES`` or random fill without an rng.  Each
-    assigned vector is then checked once against its blocks, as block
-    sets; the first block in sequence order that cannot be encoded raises
-    LengthMismatch, NotMatching or NoCodeword, in that order of precedence.
+    vector with a codeword is then checked once against its blocks, as
+    block sets; for the first block in sequence order that cannot be
+    encoded, the vector's length decides LengthMismatch, then the block's
+    bit in its ``match_set`` NotMatching, else NoCodeword.
 
-    The payload is written ``_SLICE`` blocks at a time, one word column of
-    one vector per scatter; a word ends at the running sum of the widths
-    (``encoding_length``).  Bits past a slice's last full byte carry into
-    the next, so the bytes equal ``bits.pack_bits`` of the whole payload.
-    A symbol other than 0, 1 and X at a U position raises ValueError.
+    The payload is written ``_SLICE`` blocks at a time: one
+    ``bytes.translate`` turns the slice's symbols into bits, each block's
+    row of codeword bits and symbol bits is masked down to its word, and
+    the masked cells, read row by row, are the slice's payload.  Bits past
+    a slice's last full byte carry into the next, so the bytes equal
+    ``bits.pack_bits`` of the whole payload.  A symbol other than 0, 1 and
+    X at a U position raises ValueError.
     """
     if fill not in FILL_CHOICES:
         raise InvalidConfig(f"unknown fill policy {fill!r}; choose from {FILL_CHOICES}")
     if fill == "random" and rng is None:
         raise InvalidConfig("random fill requires an rng")
     stats = as_block_stats(blocks)
-    assignment = covering.assignment
-    if stats.total != len(assignment):
-        raise ValueError(f"covering assigns {len(assignment)} of {stats.total} blocks")
-    # the vectors come from the assignment, which the frequencies may contradict
-    assigned, indices, bad = set(assignment), np.asarray(assignment), 0
-    for i in assigned:
-        hit = _block_set(indices == i)
-        if (-len(mvs) <= i < len(mvs) and len(mvs[i]) == stats.k
-                and i in codebook.entries):
-            hit &= ~match_set(stats, mvs[i].ones_mask, mvs[i].zeros_mask)
-        bad |= hit
+    indices = covering.assignment
+    if stats.total != len(indices):
+        raise ValueError(f"covering assigns {len(indices)} of {stats.total} blocks")
+    # a block is good when its vector is in range, K long, holds a codeword
+    # and matches it (the assignment may contradict the frequencies).  Row
+    # i + n of ``codes`` is vector i's codeword, left-aligned in ``top`` bits;
+    # with a block's K bits after it, row i + n of ``keep`` marks the word
+    good, n = 0, len(mvs)
+    top = max(map(len, codebook.entries.values()), default=0)
+    codes = np.zeros((2 * n, top), dtype=np.uint8)
+    keep = np.zeros((2 * n, top + stats.k), dtype=bool)
+    for i, code in codebook.entries.items():
+        if -n <= i < n and len(mvs[i]) == stats.k:
+            v, held = mvs[i], indices == i
+            good |= _block_set(held) & match_set(stats, v.ones_mask, v.zeros_mask)
+            codes[i + n, : len(code)] = [int(b) for b in code]
+            keep[i + n, : len(code)] = True
+            keep[i + n, [top + p for p in v.u_positions]] = True
+    bad = ((1 << stats.total) - 1) & ~good
     if bad:
         first = (bad & -bad).bit_length() - 1
-        block, i = stats.blocks[first], assignment[first]
-        if not matches(mvs[i], block):
-            raise NotMatching(f"vector {mvs[i].symbols} does not match block {block}")
+        i = int(indices[first])
+        v = mvs[i]
+        if len(v) != stats.k:
+            raise LengthMismatch(f"vector length {len(v)} vs block length {stats.k}")
+        if not match_set(stats, v.ones_mask, v.zeros_mask) >> first & 1:
+            block = stats.blocks[first].tobytes().decode("latin-1")
+            raise NotMatching(f"vector {v.symbols} does not match block {block}")
         raise NoCodeword(f"vector {i} has no codeword")
-    # per vector: its word width and the word's columns in a slice's symbol
-    # matrix, whose columns K and K+1 hold "0" and "1": codeword, then Us
-    words = {
-        i: (encoding_length(mvs[i], codebook, i),
-            [stats.k + int(b) for b in codebook.entries[i]] + list(mvs[i].u_positions))
-        for i in assigned
-    }
     # symbol code -> payload bit; 2 marks an X to draw, 3 a foreign symbol
-    bit_of = np.full(256, 3, dtype=np.uint8)
-    bit_of[[ord("0"), ord("1"), ord("X")]] = 0, 1, {"zero": 0, "one": 1, "random": 2}[fill]
+    bit_of = bytearray(b"\3" * 256)
+    bit_of[ord("0")], bit_of[ord("1")] = 0, 1
+    bit_of[ord("X")] = {"zero": 0, "one": 1, "random": 2}[fill]
     chunks, carry = [], np.zeros(0, dtype=np.uint8)
     for lo in range(0, stats.total, _SLICE):
-        part = indices[lo : lo + _SLICE]
-        joined = ("01".join(stats.blocks[lo : lo + _SLICE]) + "01").encode("ascii")
-        symbols = np.frombuffer(joined, dtype=np.uint8).reshape(len(part), stats.k + 2)
-        rows = {i: np.flatnonzero(part == i) for i in words}
-        ends = np.zeros(len(part), dtype=np.int64)
-        for i, (width, _) in words.items():
-            ends[rows[i]] = width
-        ends[0] += len(carry)
-        np.cumsum(ends, out=ends)
-        out = np.empty(ends[-1], dtype=np.uint8)
-        out[: len(carry)] = carry
-        for i, (width, columns) in words.items():
-            at, held = ends[rows[i]] - width, symbols[rows[i]]
-            for j, column in enumerate(columns):
-                out[at + j] = bit_of[held[:, column]]
+        hi = min(lo + _SLICE, stats.total)
+        bits = np.frombuffer(stats.blocks[lo:hi].tobytes().translate(bit_of),
+                             dtype=np.uint8).reshape(hi - lo, stats.k)
+        rows = indices[lo:hi] + n
+        words = np.concatenate([codes[rows], bits], axis=1)[keep[rows]]
+        out = np.concatenate([carry, words])
         if fill == "random":
             draws = np.flatnonzero(out == 2)
             out[draws] = [rng.getrandbits(1) for _ in range(len(draws))]
@@ -755,5 +751,6 @@ def subsume_merge(
     )
     if not redirect:
         return covering
-    assignment = tuple(redirect.get(i, i) for i in covering.assignment)
-    return Covering(assignment, tuple(freqs))
+    target = np.arange(len(mvs))
+    target[list(redirect)] = list(redirect.values())
+    return Covering(target[covering.assignment], tuple(freqs))

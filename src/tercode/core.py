@@ -3,13 +3,16 @@
 A test set is a T x n grid over {0,1,X} where X marks a don't-care
 position.  For coding purposes the grid is read row-major into one long
 symbol string which is then cut into fixed-length input blocks, padding
-the tail block with X.  A block is a plain string of K symbols.
+the tail block with X.  The blocks are one read-only (blocks, K) uint8
+matrix of the symbols' ASCII codes, one row per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import IO, Iterable
+
+import numpy as np
 
 from .errors import EmptyInput, IllegalCharacter, RaggedRows
 
@@ -85,12 +88,13 @@ def flatten(ts: TestSet) -> str:
     return "".join(ts.patterns)
 
 
-def partition(symbols: str, k: int) -> list[str]:
-    """Cut ``symbols`` into blocks of length ``k``, X-padding the tail block."""
+def partition(symbols: str, k: int) -> np.ndarray:
+    """Cut ``symbols`` into blocks of length ``k``, X-padding the tail block:
+    a read-only (blocks, k) uint8 view of the padded string's ASCII codes."""
     if k < 1:
         raise ValueError("block length must be >= 1")
-    padded = symbols + "X" * (-len(symbols) % k)
-    return [padded[i : i + k] for i in range(0, len(padded), k)]
+    padded = (symbols + "X" * (-len(symbols) % k)).encode("ascii")
+    return np.frombuffer(padded, dtype=np.uint8).reshape(-1, k)
 
 
 def original_size_bits(ts: TestSet) -> int:

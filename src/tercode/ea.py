@@ -28,12 +28,12 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
 
 from .baseline9c import nine_mvs
 from .codec import (
     MAX_K_OR_L,
     BlockStats,
+    Blocks,
     as_block_stats,
     compression_rate,
     match_frequencies,
@@ -234,7 +234,7 @@ def infeasible_base(
 
 def evaluate_fitness(
     genes: str,
-    blocks: Sequence[str] | BlockStats,
+    blocks: Blocks,
     original_bits: int,
     subsume: bool = False,
     vectors: dict[str, VectorEntry] | None = None,
@@ -317,7 +317,7 @@ class EvolutionReport:
 
 
 def evolve(
-    blocks: Sequence[str] | BlockStats,
+    blocks: Blocks,
     original_bits: int,
     cfg: EaConfig,
 ) -> EvolutionReport:
@@ -407,7 +407,7 @@ def evolve(
 
 
 def run_many(
-    blocks: Sequence[str] | BlockStats,
+    blocks: Blocks,
     original_bits: int,
     cfg: EaConfig,
 ) -> EvolutionReport:

@@ -12,6 +12,8 @@ import struct
 import zlib
 from functools import lru_cache
 
+import numpy as np
+
 from tercode import (
     Codebook,
     MatchingVector,
@@ -24,7 +26,7 @@ from tercode import (
     partition,
 )
 from tercode.bits import unpack_bits
-from tercode.codec import MAX_DECODE_SYMBOLS
+from tercode.codec import MAX_DECODE_SYMBOLS, BlockStats, match_set
 from tercode.container import MAGIC
 from tercode.errors import (
     AllZeroFrequencies,
@@ -82,6 +84,24 @@ def encode_test_set(ts: TestSet, k: int, mvs, fill="zero", rng=None):
     )
 
 
+def block_strings(blocks) -> list[str]:
+    """The blocks as strings: a block matrix's rows decoded, strings kept."""
+    if isinstance(blocks, np.ndarray):
+        return [row.tobytes().decode("ascii") for row in blocks]
+    return list(blocks)
+
+
+def matches(v: MatchingVector, block: str) -> bool:
+    """True iff no position pairs a 0 with a 1; X and U match anything.
+
+    The one-block case of ``codec.match_set``."""
+    if len(v.symbols) != len(block):
+        raise LengthMismatch(
+            f"vector length {len(v.symbols)} vs block length {len(block)}"
+        )
+    return bool(match_set(BlockStats([block]), v.ones_mask, v.zeros_mask))
+
+
 def char_match(block_symbols: str, mv_symbols: str) -> bool:
     """Matching re-stated on characters, independent of the mask encoding."""
     return all(
@@ -104,7 +124,7 @@ def naive_encode_bits(blocks, assignment, codebook, mvs, fill="zero", rng=None) 
     for the first block it cannot encode: LengthMismatch, then
     NotMatching, then NoCodeword."""
     out = []
-    for block, idx in zip(blocks, assignment):
+    for block, idx in zip(block_strings(blocks), assignment):
         v = mvs[idx]
         if len(v.symbols) != len(block):
             raise LengthMismatch(f"vector {v.symbols} vs block {block}")
@@ -176,7 +196,7 @@ def naive_cover(blocks, mvs):
     order = sorted(range(len(mvs)), key=lambda i: mvs[i].n_unspecified)
     assignment = []
     freqs = [0] * len(mvs)
-    for index, block in enumerate(blocks, 1):
+    for index, block in enumerate(block_strings(blocks), 1):
         for idx in order:
             if char_match(block, mvs[idx].symbols):
                 assignment.append(idx)

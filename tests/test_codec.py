@@ -2,6 +2,7 @@ import itertools
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +17,6 @@ from tercode import (
     cover,
     decode,
     encode_all,
-    encoding_length,
-    matches,
     partition,
     read_container,
     subsume_merge,
@@ -35,7 +34,7 @@ from tercode.codec import (
     mv_masks,
     payload_bits_for,
 )
-from tercode.corpus import generate_corpus
+from tercode.corpus import CorpusSpec, generate_corpus
 from tercode.errors import (
     AllZeroFrequencies,
     DanglingBits,
@@ -51,10 +50,12 @@ from tercode.errors import (
 )
 
 from helpers import (
+    block_strings,
     char_match,
     code_lengths,
     codebook_cost,
     kraft_sum,
+    matches,
     naive_cover,
     naive_decode,
     naive_encode_bits,
@@ -140,7 +141,7 @@ class TestMatchingVector:
 class TestCover:
     def test_prefers_fewer_unspecified(self):
         covering = cover(blocks_from(["1110"]), [mv("UUUU"), mv("1110")])
-        assert covering.assignment == (1,)
+        assert covering.assignment.tolist() == [1]
         assert covering.frequencies == (0, 1)
 
     def test_unmatched_block_reports_first_index(self):
@@ -168,7 +169,7 @@ class TestCover:
 
     def test_ties_break_by_vector_order(self):
         covering = cover(blocks_from(["11XX"]), [mv("11U0"), mv("110U")])
-        assert covering.assignment == (0,)
+        assert covering.assignment.tolist() == [0]
 
     def test_assigned_vector_has_minimal_u_count(self):
         rng = random.Random(5)
@@ -178,7 +179,7 @@ class TestCover:
             ts = random_test_set(rng, max_cols=k * 3)
             blocks = partition(ts.patterns[0], k)
             covering = cover(blocks, mvs)
-            for b, idx in zip(blocks, covering.assignment):
+            for b, idx in zip(block_strings(blocks), covering.assignment):
                 best = min(
                     v.n_unspecified for v in mvs if matches(v, b)
                 )
@@ -204,7 +205,7 @@ class TestCover:
             blocks = blocks_from(symbols)
             covering = cover(blocks, mvs)
             assignment, freqs = naive_cover(blocks, mvs)
-            assert covering.assignment == assignment
+            assert tuple(covering.assignment.tolist()) == assignment
             assert covering.frequencies == freqs
 
     def test_block_stats_reuse(self):
@@ -219,6 +220,28 @@ class TestCover:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             cover(blocks_from(["01"]), [mv("0")])
+
+    def test_n_unique_counts_distinct_rows(self):
+        # 30 x 49 symbols at K=12: repeated template blocks and a tail
+        # block padded with six X
+        ts = generate_corpus(CorpusSpec(patterns=30, width=49, x_density=0.3,
+                                        templates=3, flip_probability=0.05,
+                                        rng_seed=5))
+        blocks = partition(core.flatten(ts), 12)
+        strings = block_strings(blocks)
+        assert strings[-1].endswith("X" * 6)
+        assert len(set(strings)) < len(strings)
+        assert BlockStats(blocks).n_unique == len(set(strings))
+        assert BlockStats(strings).n_unique == len(set(strings))
+        assert BlockStats(np.array(strings)).n_unique == len(set(strings))
+        assert BlockStats(blocks[:0]).n_unique == 0
+
+    def test_covering_equality_compares_values(self):
+        covering = Covering((0, 1, 1), (1, 2))
+        assert not covering.assignment.flags.writeable
+        assert covering == Covering(np.array([0, 1, 1]), (1, 2))
+        assert covering != Covering((1, 1, 0), (1, 2))
+        assert covering != Covering((0, 1, 1), (2, 1))
 
 
 @st.composite
@@ -252,7 +275,7 @@ class TestCoverProperties:
             assert err.value.block_index == expected
         else:
             covering = cover(blocks, mvs)
-            assert covering.assignment == assignment
+            assert tuple(covering.assignment.tolist()) == assignment
             assert covering.frequencies == expected
 
     @pytest.mark.parametrize("k", [1, 12, 65])
@@ -366,14 +389,16 @@ class TestHuffman:
 
 
 class TestEncodingLength:
+    """A block's word is |codeword| + N_U bits."""
+
     def test_examples(self):
-        assert encoding_length(mv("111U"), Codebook({0: "0"}), 0) == 2
-        assert encoding_length(mv("UUUUUU"), Codebook({0: "11111"}), 0) == 11
-        assert encoding_length(mv("1100"), Codebook({0: "1"}), 0) == 1
+        assert len(encode_one("1110", mv("111U"), Codebook({0: "0"}))) == 2
+        assert len(encode_one("01X10X", mv("UUUUUU"), Codebook({0: "11111"}))) == 11
+        assert len(encode_one("1100", mv("1100"), Codebook({0: "1"}))) == 1
 
     def test_no_codeword(self):
         with pytest.raises(NoCodeword):
-            encoding_length(mv("1U"), Codebook({1: "0"}), 0)
+            encode_one("10", mv("1U"), Codebook({1: "0"}))
 
 
 def encode_one(symbols: str, v: MatchingVector, codebook: Codebook, **kwargs) -> str:

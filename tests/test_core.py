@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from tercode import (
@@ -12,7 +13,7 @@ from tercode import (
 )
 from tercode.errors import EmptyInput, IllegalCharacter, RaggedRows
 
-from helpers import random_test_set
+from helpers import block_strings, random_test_set
 
 
 class TestParse:
@@ -70,15 +71,23 @@ class TestFlatten:
 class TestPartition:
     def test_exact_multiple(self):
         blocks = partition("011X", 2)
-        assert blocks == ["01", "1X"]
+        assert blocks.dtype == np.uint8 and blocks.shape == (2, 2)
+        assert block_strings(blocks) == ["01", "1X"]
 
     def test_pads_tail_with_x(self):
         blocks = partition("011", 2)
-        assert blocks == ["01", "1X"]
+        assert blocks.shape == (2, 2)
+        assert block_strings(blocks) == ["01", "1X"]
 
     def test_single_padded_block(self):
         blocks = partition("01", 4)
-        assert blocks == ["01XX"]
+        assert blocks.shape == (1, 4)
+        assert block_strings(blocks) == ["01XX"]
+
+    def test_read_only(self):
+        blocks = partition("011X", 2)
+        with pytest.raises(ValueError):
+            blocks[0, 0] = ord("1")
 
     def test_round_trip_for_all_k(self):
         rng = random.Random(7)
@@ -87,9 +96,8 @@ class TestPartition:
             s = flatten(ts)
             for k in list(range(1, 9)) + [13, 64, 65]:
                 blocks = partition(s, k)
-                assert len(blocks) == -(-len(s) // k)
-                assert all(len(b) == k for b in blocks)
-                joined = "".join(blocks)
+                assert blocks.shape == (-(-len(s) // k), k)
+                joined = "".join(block_strings(blocks))
                 assert joined[: len(s)] == s
                 assert set(joined[len(s) :]) <= {"X"}
 
