@@ -11,7 +11,6 @@ from .baseline9c import nine_codebook, nine_mvs
 from .codec import (
     BlockStats,
     Codebook,
-    Covering,
     EncodedStream,
     MatchingVector,
     build_huffman,
@@ -19,6 +18,7 @@ from .codec import (
     cover,
     decode,
     encode_all,
+    frequencies,
     subsume_merge,
 )
 from .container import read_container, write_container

@@ -33,7 +33,7 @@ def _mv_usage(result: pipeline.CompressResult) -> list[dict]:
             "frequency": freq,
             "codeword_length": len(result.codebook.codeword(index)),
         }
-        for index, freq in enumerate(result.covering.frequencies)
+        for index, freq in enumerate(result.frequencies)
         if freq
     ]
 

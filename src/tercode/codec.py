@@ -19,6 +19,8 @@ one code path serves every block length.  ``match_frequencies`` assigns
 blocks greedily from those raw sets for ``cover`` and the search's
 fitness (the search keeps each vector's raw set across fitness calls, see
 ``ea``); and ``encode_all`` checks a covering against them once per vector.
+A covering is its assignment, an int64 array of each block's vector
+index; ``frequencies`` derives the per-vector counts from it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -98,26 +100,6 @@ class MatchingVector:
         return len(self.symbols)
 
 
-@dataclass(frozen=True, eq=False)
-class Covering:
-    """Per-block vector assignment, a read-only int64 array (a sequence of
-    ints is converted), plus per-vector frequencies of use; equal by value."""
-
-    assignment: np.ndarray
-    frequencies: tuple[int, ...]
-
-    def __post_init__(self):
-        assignment = np.asarray(self.assignment, dtype=np.int64).view()
-        assignment.flags.writeable = False
-        object.__setattr__(self, "assignment", assignment)
-        if sum(self.frequencies) != len(assignment):
-            raise ValueError("frequencies do not sum to the block count")
-
-    def __eq__(self, other):
-        return (isinstance(other, Covering) and self.frequencies == other.frequencies
-                and np.array_equal(self.assignment, other.assignment))
-
-
 @dataclass(frozen=True, eq=True)
 class Codebook:
     """Prefix-free map from vector index to codeword bitstring.
@@ -149,16 +131,15 @@ class EncodedStream:
 
     ``mv_table`` lists only the vectors that hold codewords; ``codebook``
     is indexed by table position.  ``original_length`` is the unpadded
-    symbol count the decoder must trim to.  The container's limits hold
-    here: K and the table size are at most ``MAX_K_OR_L`` (u16 fields),
+    symbol count the decoder must trim to; it sets the block count.  The
+    container's limits hold here: K and ``original_length`` are at least
+    1, K and the table size at most ``MAX_K_OR_L`` (u16 fields),
     ``original_length`` fits a u64, a codeword holds at most 255 bits (a
-    length byte), and ``pattern_width`` is None or a positive divisor of
-    ``original_length``.
+    length byte), and ``pattern_width`` is None or a positive divisor of it.
     """
 
     payload: bytes
     payload_bits: int
-    block_count: int
     k: int
     mv_table: tuple[MatchingVector, ...]
     codebook: Codebook
@@ -168,12 +149,8 @@ class EncodedStream:
     def __post_init__(self):
         if len(self.payload) != (self.payload_bits + 7) // 8:
             raise ValueError("payload byte count disagrees with payload_bits")
-        if self.original_length > self.block_count * self.k:
-            raise ValueError("original_length exceeds the decoded size")
-        # every block must hold an original symbol, or decode would emit
-        # up to block_count * k symbols only to trim them away
-        if self.block_count and (self.block_count - 1) * self.k >= self.original_length:
-            raise ValueError("a block holds no original symbol")
+        if self.k < 1 or self.original_length < 1:
+            raise ValueError("K and original_length must be at least 1")
         if self.k > MAX_K_OR_L or len(self.mv_table) > MAX_K_OR_L:
             raise ValueError(f"K and the table size must be at most {MAX_K_OR_L}")
         if self.original_length > MAX_ORIGINAL_LENGTH:
@@ -191,6 +168,11 @@ class EncodedStream:
             if len(code) > 255:
                 raise ValueError(f"codeword of {len(code)} bits exceeds 255")
 
+    @property
+    def block_count(self) -> int:
+        """ceil(original_length / K): every block holds an original symbol."""
+        return -(-self.original_length // self.k)
+
 
 class BlockStats:
     """Block sets of a block matrix, shared by many coverings.
@@ -204,19 +186,16 @@ class BlockStats:
     symbol there is not ``1`` and ``fits_one[b]`` those whose symbol there
     is not ``0``.  The blocks a vector matches are the AND of
     ``fits_zero`` over its 0 positions and ``fits_one`` over its 1
-    positions.  ``blocks`` is the (blocks, K) uint8 matrix of ASCII codes,
-    kept by reference; a sequence of equal-length strings is converted.
+    positions.  ``blocks`` is ``core.partition``'s (blocks, K) uint8 matrix
+    of ASCII codes, kept by reference; anything else raises ValueError.
     """
 
     __slots__ = ("blocks", "k", "total", "fits_zero", "fits_one")
 
-    def __init__(self, blocks: np.ndarray | Sequence[str]):
-        if not (isinstance(blocks, np.ndarray) and blocks.dtype == np.uint8):
-            k = len(blocks[0]) if len(blocks) else 0
-            if any(len(block) != k for block in blocks):
-                raise LengthMismatch("blocks differ in length")
-            joined = "".join(blocks).encode("ascii")
-            blocks = np.frombuffer(joined, dtype=np.uint8).reshape(len(blocks), k)
+    def __init__(self, blocks: np.ndarray):
+        if not (isinstance(blocks, np.ndarray) and blocks.dtype == np.uint8
+                and blocks.ndim == 2 and blocks.shape[1]):
+            raise ValueError("blocks must be a (blocks, K >= 1) uint8 matrix")
         self.blocks = blocks
         self.total, self.k = blocks.shape
         # mask bit b is column K-1-b
@@ -227,13 +206,9 @@ class BlockStats:
     @property
     def n_unique(self) -> int:
         """Number of distinct blocks (matrix rows), counted on each access."""
-        ordered = self.blocks[np.lexsort(self.blocks.T)] if self.k else self.blocks
+        ordered = self.blocks[np.lexsort(self.blocks.T)]
         changes = (ordered[1:] != ordered[:-1]).any(axis=1)
         return min(self.total, 1) + int(np.count_nonzero(changes))
-
-
-# a block matrix, equal-length block strings, or the stats of either
-Blocks = Union[np.ndarray, Sequence[str], BlockStats]
 
 
 def _block_set(flags: np.ndarray) -> int:
@@ -245,10 +220,6 @@ def _block_flags(block_set: int, total: int) -> np.ndarray:
     """Inverse of ``_block_set``: a bool array of ``total`` flags."""
     raw = np.frombuffer(block_set.to_bytes(-(-total // 8), "little"), dtype=np.uint8)
     return np.unpackbits(raw, count=total, bitorder="little").view(bool)
-
-
-def as_block_stats(blocks: Blocks) -> BlockStats:
-    return blocks if isinstance(blocks, BlockStats) else BlockStats(blocks)
 
 
 def _mask_bits(mask: int):
@@ -263,8 +234,6 @@ def match_set(stats: BlockStats, ones: int, zeros: int) -> int:
     """Block set of every block the vector with masks (ones, zeros) matches:
     the AND of ``fits_zero`` over its 0 positions and ``fits_one`` over its
     1 positions, starting from all blocks."""
-    if not stats.total:
-        return 0  # no blocks, and no block sets to index
     hit = (1 << stats.total) - 1
     fits_zero, fits_one = stats.fits_zero, stats.fits_one
     for b in _mask_bits(zeros):
@@ -301,17 +270,16 @@ def match_frequencies(
     return freqs, hits, unassigned.bit_count(), first
 
 
-def cover(blocks: Blocks, mvs: Sequence[MatchingVector]) -> Covering:
+def cover(stats: BlockStats, mvs: Sequence[MatchingVector]) -> np.ndarray:
     """Greedy covering: vectors sorted by rising U count, first match wins.
 
-    Raises UnmatchedBlock (with the 1-based block index) when some block
-    matches no vector at all.
+    Returns the read-only int64 assignment.  Raises UnmatchedBlock (with
+    the 1-based block index) when some block matches no vector at all.
     """
-    stats = as_block_stats(blocks)
     for v in mvs:
-        if stats.k and len(v) != stats.k:
+        if len(v) != stats.k:
             raise LengthMismatch(f"vector length {len(v)} vs block length {stats.k}")
-    freqs, hits, unmatched, first = match_frequencies(
+    _, hits, unmatched, first = match_frequencies(
         stats,
         [match_set(stats, v.ones_mask, v.zeros_mask) for v in mvs],
         [v.n_unspecified for v in mvs],
@@ -322,7 +290,13 @@ def cover(blocks: Blocks, mvs: Sequence[MatchingVector]) -> Covering:
     for idx, hit in enumerate(hits):
         if hit:
             assign[_block_flags(hit, stats.total)] = idx
-    return Covering(assign, tuple(freqs))
+    assign.flags.writeable = False
+    return assign
+
+
+def frequencies(assignment: np.ndarray, n_vectors: int) -> list[int]:
+    """Blocks per vector index in [0, n_vectors), as Python ints."""
+    return np.bincount(assignment, minlength=n_vectors).tolist()
 
 
 def huffman_code_lengths(frequencies: Sequence[int]) -> dict[int, int]:
@@ -365,8 +339,8 @@ def build_huffman(frequencies: Sequence[int]) -> Codebook:
 
 
 def encode_all(
-    blocks: Blocks,
-    covering: Covering,
+    stats: BlockStats,
+    assignment: np.ndarray,
     codebook: Codebook,
     mvs: Sequence[MatchingVector],
     fill: str = "zero",
@@ -380,11 +354,14 @@ def encode_all(
     An X at a U position takes the fill policy's bit ('0' by default);
     random fill draws one ``rng.getrandbits(1)`` per such X, in payload
     order.  Raises InvalidConfig, before encoding anything, for a fill
-    policy outside ``FILL_CHOICES`` or random fill without an rng.  Each
-    vector with a codeword is then checked once against its blocks, as
-    block sets; for the first block in sequence order that cannot be
-    encoded, the vector's length decides LengthMismatch, then the block's
-    bit in its ``match_set`` NotMatching, else NoCodeword.
+    policy outside ``FILL_CHOICES`` or random fill without an rng, then
+    ValueError unless there are ceil(``original_length`` / K) blocks, one
+    assigned index each, and every index and codebook key lies in
+    [0, len(mvs)).  Each vector with a codeword is then checked once
+    against its blocks, as block sets; for the first block in sequence
+    order that cannot be encoded, the vector's length decides
+    LengthMismatch, then the block's bit in its ``match_set`` NotMatching,
+    else NoCodeword.
 
     The payload is written ``_SLICE`` blocks at a time: one
     ``bytes.translate`` turns the slice's symbols into bits, each block's
@@ -398,29 +375,34 @@ def encode_all(
         raise InvalidConfig(f"unknown fill policy {fill!r}; choose from {FILL_CHOICES}")
     if fill == "random" and rng is None:
         raise InvalidConfig("random fill requires an rng")
-    stats = as_block_stats(blocks)
-    indices = covering.assignment
-    if stats.total != len(indices):
-        raise ValueError(f"covering assigns {len(indices)} of {stats.total} blocks")
-    # a block is good when its vector is in range, K long, holds a codeword
-    # and matches it (the assignment may contradict the frequencies).  Row
-    # i + n of ``codes`` is vector i's codeword, left-aligned in ``top`` bits;
-    # with a block's K bits after it, row i + n of ``keep`` marks the word
+    if original_length is None:
+        original_length = stats.total * stats.k
+    if -(-original_length // stats.k) != stats.total:
+        raise ValueError(f"{stats.total} blocks do not hold {original_length} symbols")
     good, n = 0, len(mvs)
+    if stats.total != len(assignment):
+        raise ValueError(f"assignment covers {len(assignment)} of {stats.total} blocks")
+    if stats.total and not (assignment.min() >= 0 and assignment.max() < n):
+        raise ValueError(f"assignment names a vector outside the {n} given")
+    if any(not 0 <= i < n for i in codebook.entries):
+        raise ValueError(f"codebook names a vector outside the {n} given")
+    # a block is good when its vector is K long, holds a codeword and matches
+    # it.  Row i of ``codes`` is vector i's codeword, left-aligned in ``top``
+    # bits; with a block's K bits after it, row i of ``keep`` marks the word
     top = max(map(len, codebook.entries.values()), default=0)
-    codes = np.zeros((2 * n, top), dtype=np.uint8)
-    keep = np.zeros((2 * n, top + stats.k), dtype=bool)
+    codes = np.zeros((n, top), dtype=np.uint8)
+    keep = np.zeros((n, top + stats.k), dtype=bool)
     for i, code in codebook.entries.items():
-        if -n <= i < n and len(mvs[i]) == stats.k:
-            v, held = mvs[i], indices == i
+        if len(mvs[i]) == stats.k:
+            v, held = mvs[i], assignment == i
             good |= _block_set(held) & match_set(stats, v.ones_mask, v.zeros_mask)
-            codes[i + n, : len(code)] = [int(b) for b in code]
-            keep[i + n, : len(code)] = True
-            keep[i + n, [top + p for p in v.u_positions]] = True
+            codes[i, : len(code)] = [int(b) for b in code]
+            keep[i, : len(code)] = True
+            keep[i, [top + p for p in v.u_positions]] = True
     bad = ((1 << stats.total) - 1) & ~good
     if bad:
         first = (bad & -bad).bit_length() - 1
-        i = int(indices[first])
+        i = int(assignment[first])
         v = mvs[i]
         if len(v) != stats.k:
             raise LengthMismatch(f"vector length {len(v)} vs block length {stats.k}")
@@ -437,7 +419,7 @@ def encode_all(
         hi = min(lo + _SLICE, stats.total)
         bits = np.frombuffer(stats.blocks[lo:hi].tobytes().translate(bit_of),
                              dtype=np.uint8).reshape(hi - lo, stats.k)
-        rows = indices[lo:hi] + n
+        rows = assignment[lo:hi]
         words = np.concatenate([codes[rows], bits], axis=1)[keep[rows]]
         out = np.concatenate([carry, words])
         if fill == "random":
@@ -450,17 +432,15 @@ def encode_all(
         carry = out[full:]
     payload_bits = 8 * sum(map(len, chunks)) + len(carry)
     chunks.append(np.packbits(carry).tobytes())
-    k = stats.k if stats.total else len(mvs[0]) if mvs else 0
     table_indices = sorted(codebook.entries)
     remap = {orig: pos for pos, orig in enumerate(table_indices)}
     return EncodedStream(
         payload=b"".join(chunks),
         payload_bits=payload_bits,
-        block_count=stats.total,
-        k=k,
+        k=stats.k,
         mv_table=tuple(mvs[i] for i in table_indices),
         codebook=Codebook({remap[i]: c for i, c in codebook.entries.items()}),
-        original_length=stats.total * k if original_length is None else original_length,
+        original_length=original_length,
         pattern_width=pattern_width,
     )
 
@@ -537,9 +517,8 @@ def decode(stream: EncodedStream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:
         pos += end
     if pos < n_bits:
         raise DanglingBits(f"{n_bits - pos} undecoded payload bits")
-    if out:
-        # every block holds an original symbol, so only the last is trimmed
-        out[-1] = out[-1][: stream.original_length - (len(out) - 1) * stream.k]
+    # every block holds an original symbol, so only the last is trimmed
+    out[-1] = out[-1][: stream.original_length - (len(out) - 1) * stream.k]
     return "".join(out)
 
 
@@ -732,25 +711,27 @@ def merge_subsumed_frequencies(
 
 
 def subsume_merge(
-    covering: Covering,
+    assignment: np.ndarray,
     mvs: Sequence[MatchingVector],
     k: int,
-) -> Covering:
-    """Optional post-pass over a covering: fold vectors whose blocks are all
-    matched by a wider vector, whenever that lowers the payload size.
-    Folded vectors keep their index at frequency zero.
+) -> np.ndarray:
+    """Optional post-pass over an assignment: fold vectors whose blocks are
+    all matched by a wider vector, whenever that lowers the payload size.
+    Returns the rewritten read-only assignment; folded vectors take no blocks.
     """
     for v in mvs:
         if len(v.symbols) != k:
             raise LengthMismatch(f"vector length {len(v.symbols)} != {k}")
-    freqs, redirect = merge_subsumed_frequencies(
-        covering.frequencies,
+    _, redirect = merge_subsumed_frequencies(
+        frequencies(assignment, len(mvs)),
         [v.ones_mask for v in mvs],
         [v.zeros_mask for v in mvs],
         [v.n_unspecified for v in mvs],
     )
     if not redirect:
-        return covering
-    target = np.arange(len(mvs))
+        return assignment
+    target = np.arange(len(mvs), dtype=np.int64)
     target[list(redirect)] = list(redirect.values())
-    return Covering(target[covering.assignment], tuple(freqs))
+    merged = target[assignment]
+    merged.flags.writeable = False
+    return merged

@@ -144,7 +144,6 @@ def read_container(data: bytes) -> EncodedStream:
         return EncodedStream(
             payload=payload,
             payload_bits=payload_bits,
-            block_count=block_count,
             k=k,
             mv_table=tuple(mv_table),
             codebook=Codebook(entries),

@@ -3,9 +3,9 @@
 An individual is its genome: a string of L*K genes over {0,1,U}, whose
 slice [i*K, (i+1)*K) is vector i.  The operators take the ``EaConfig``,
 which owns K, the all-U reservation and the crossover mode.  Fitness is
-the compression rate reached by covering and Huffman-coding the block
-sequence with those vectors, with K taken from the blocks, so evaluation
-is pure and the only randomness lives in the generation of individuals.
+the compression rate reached by covering and Huffman-coding the blocks of
+one ``codec.BlockStats`` with those vectors, K taken from the stats, so
+evaluation is pure and the only randomness lives in making individuals.
 Selection is elitist: the best S of S parents plus C children survive,
 which makes the best-fitness series nondecreasing.
 
@@ -33,8 +33,6 @@ from .baseline9c import nine_mvs
 from .codec import (
     MAX_K_OR_L,
     BlockStats,
-    Blocks,
-    as_block_stats,
     compression_rate,
     match_frequencies,
     match_set,
@@ -234,12 +232,12 @@ def infeasible_base(
 
 def evaluate_fitness(
     genes: str,
-    blocks: Blocks,
+    stats: BlockStats,
     original_bits: int,
     subsume: bool = False,
     vectors: dict[str, VectorEntry] | None = None,
 ) -> float:
-    """Compression rate of the genome's vector set over ``blocks``.
+    """Compression rate of the genome's vectors over the blocks of ``stats``.
 
     K is the block length, and the genes must split into K-symbol vectors
     (LengthMismatch otherwise).  Infeasible coverings yield
@@ -249,7 +247,6 @@ def evaluate_fitness(
     ``vector_entry`` and is filled as a side effect; pass the same dict
     only with the same blocks.
     """
-    stats = as_block_stats(blocks)
     if vectors is None:
         vectors = {}
     entries = []
@@ -283,16 +280,14 @@ class RunStats:
 class EvolutionReport:
     """Outcome of one or several evolution runs.
 
-    Stores the winning run's best genome and best-fitness history, one
-    ``RunStats`` per run and the lowest fitness seen; every other figure
-    is derived from those.  The winner is the first run with the highest
-    rate.
+    Stores the winning run's best genome and best-fitness history and one
+    ``RunStats`` per run; every other figure is derived from those.  The
+    winner is the first run with the highest rate.
     """
 
     best: str
     history: list[float]
     per_run: list[RunStats]
-    min_fitness_evaluated: float
 
     @property
     def best_rate(self) -> float:
@@ -317,7 +312,7 @@ class EvolutionReport:
 
 
 def evolve(
-    blocks: Blocks,
+    stats: BlockStats,
     original_bits: int,
     cfg: EaConfig,
 ) -> EvolutionReport:
@@ -333,7 +328,6 @@ def evolve(
     outcome).  Raises LengthMismatch unless the blocks are ``cfg.k`` long.
     Returns a one-run report.
     """
-    stats = as_block_stats(blocks)
     if stats.total == 0:
         raise InvalidConfig("cannot evolve against an empty block sequence")
     if stats.k != cfg.k:
@@ -345,18 +339,15 @@ def evolve(
     # more than (S + 2C) * L entries: C children add at most C * L
     vector_limit = (cfg.population_size + cfg.children_per_generation) * cfg.l
     evaluations = 0
-    min_seen = float("inf")
 
     def evaluate(genomes: list[str]) -> None:
-        nonlocal evaluations, min_seen
+        nonlocal evaluations
         for genes in genomes:
             evaluations += 1
-            value = cache.get(genes)
-            if value is None:
-                value = cache[genes] = evaluate_fitness(
+            if genes not in cache:
+                cache[genes] = evaluate_fitness(
                     genes, stats, original_bits, subsume=cfg.subsume, vectors=vectors
                 )
-            min_seen = min(min_seen, value)
 
     population = [random_individual(cfg, rng) for _ in range(cfg.population_size)]
     if cfg.seed_nine_code:
@@ -403,18 +394,17 @@ def evolve(
             stagnant += 1
         history.append(cache[best])
     run = RunStats(cfg.rng_seed, cache[best], generations, evaluations, termination)
-    return EvolutionReport(best, history, [run], min_seen)
+    return EvolutionReport(best, history, [run])
 
 
 def run_many(
-    blocks: Blocks,
+    stats: BlockStats,
     original_bits: int,
     cfg: EaConfig,
 ) -> EvolutionReport:
     """``cfg.runs`` independent evolve() runs with seeds derived from
     ``cfg.rng_seed``; the report joins their ``per_run`` lists and takes
     ``best`` and ``history`` from the first run with the highest rate."""
-    stats = as_block_stats(blocks)
     seed_source = random.Random(cfg.rng_seed)
     seeds = [seed_source.randrange(2**62) for _ in range(cfg.runs)]
     reports = [
@@ -425,5 +415,4 @@ def run_many(
         best=winner.best,
         history=winner.history,
         per_run=[run for r in reports for run in r.per_run],
-        min_fitness_evaluated=min(r.min_fitness_evaluated for r in reports),
     )

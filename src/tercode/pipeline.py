@@ -25,7 +25,7 @@ class CompressResult:
 
     stream: codec.EncodedStream
     mvs: tuple[codec.MatchingVector, ...]
-    covering: codec.Covering
+    frequencies: tuple[int, ...]
     codebook: codec.Codebook
     evolution: ea.EvolutionReport | None
 
@@ -58,7 +58,7 @@ def compress(
             codec.MatchingVector(s) for s in ea.vector_symbols(evolution.best, cfg.k)
         )
         try:
-            covering = codec.cover(stats, mvs)
+            assignment = codec.cover(stats, mvs)
         except UnmatchedBlock:
             base = ea.infeasible_base(stats.total, len(mvs), cfg.k, original_bits)
             unmatched = round(base - evolution.best_rate)
@@ -68,18 +68,19 @@ def compress(
                 "or raise L or the evaluation budget"
             ) from None
         if cfg.subsume:
-            covering = codec.subsume_merge(covering, mvs, cfg.k)
+            assignment = codec.subsume_merge(assignment, mvs, cfg.k)
     else:
         mvs = baseline9c.nine_mvs(cfg.k)
-        covering = codec.cover(stats, mvs)
+        assignment = codec.cover(stats, mvs)
+    freqs = codec.frequencies(assignment, len(mvs))
     if method == "9c":
         codebook = baseline9c.nine_codebook()
     else:
-        codebook = codec.build_huffman(covering.frequencies)
+        codebook = codec.build_huffman(freqs)
     rng = random.Random(f"fill-{cfg.rng_seed}") if fill == "random" else None
     stream = codec.encode_all(
         stats,
-        covering,
+        assignment,
         codebook,
         mvs,
         fill=fill,
@@ -87,4 +88,4 @@ def compress(
         original_length=original_bits,
         pattern_width=ts.width,
     )
-    return CompressResult(stream, mvs, covering, codebook, evolution)
+    return CompressResult(stream, mvs, tuple(freqs), codebook, evolution)

@@ -20,8 +20,10 @@ from tercode import (
     TestSet,
     build_huffman,
     cover,
+    ea,
     encode_all,
     flatten,
+    frequencies,
     original_size_bits,
     partition,
 )
@@ -70,12 +72,12 @@ def random_mv_set(rng: random.Random, k: int, count: int,
 
 def encode_test_set(ts: TestSet, k: int, mvs, fill="zero", rng=None):
     """Full pipeline: partition, cover, Huffman, encode.  Returns the stream."""
-    blocks = partition(flatten(ts), k)
-    covering = cover(blocks, mvs)
-    codebook = build_huffman(covering.frequencies)
+    stats = BlockStats(partition(flatten(ts), k))
+    assignment = cover(stats, mvs)
+    codebook = build_huffman(frequencies(assignment, len(mvs)))
     return encode_all(
-        blocks,
-        covering,
+        stats,
+        assignment,
         codebook,
         mvs,
         fill=fill,
@@ -84,11 +86,22 @@ def encode_test_set(ts: TestSet, k: int, mvs, fill="zero", rng=None):
     )
 
 
+def blocks_from(symbols, k: int = 1) -> BlockStats:
+    """The stats of equal-length block strings, built from the uint8 matrix
+    of their ASCII codes as ``core.partition`` makes it; ``k`` is the block
+    length of an empty list."""
+    k = len(symbols[0]) if symbols else k
+    assert all(len(block) == k for block in symbols)
+    raw = "".join(symbols).encode("ascii")
+    return BlockStats(np.frombuffer(raw, dtype=np.uint8).reshape(len(symbols), k))
+
+
 def block_strings(blocks) -> list[str]:
-    """The blocks as strings: a block matrix's rows decoded, strings kept."""
-    if isinstance(blocks, np.ndarray):
-        return [row.tobytes().decode("ascii") for row in blocks]
-    return list(blocks)
+    """The blocks as strings: the rows of a block matrix or of the matrix a
+    ``BlockStats`` holds, decoded."""
+    if isinstance(blocks, BlockStats):
+        blocks = blocks.blocks
+    return [row.tobytes().decode("ascii") for row in blocks]
 
 
 def matches(v: MatchingVector, block: str) -> bool:
@@ -99,7 +112,22 @@ def matches(v: MatchingVector, block: str) -> bool:
         raise LengthMismatch(
             f"vector length {len(v.symbols)} vs block length {len(block)}"
         )
-    return bool(match_set(BlockStats([block]), v.ones_mask, v.zeros_mask))
+    return bool(match_set(blocks_from([block]), v.ones_mask, v.zeros_mask))
+
+
+def record_fitness(monkeypatch) -> list[float]:
+    """Patch ``ea.evaluate_fitness`` to append each fitness it computes to
+    the returned list.  The search's cache hits repeat computed values, so
+    the list's minimum is the lowest fitness the search saw."""
+    values = []
+    compute = ea.evaluate_fitness
+
+    def recording(*args, **kwargs):
+        values.append(compute(*args, **kwargs))
+        return values[-1]
+
+    monkeypatch.setattr(ea, "evaluate_fitness", recording)
+    return values
 
 
 def char_match(block_symbols: str, mv_symbols: str) -> bool:

@@ -22,6 +22,7 @@ from tercode import (
     encode_all,
     evolve,
     flatten,
+    frequencies,
     nine_codebook,
     nine_mvs,
     original_size_bits,
@@ -43,6 +44,7 @@ from helpers import (
     payload_bitstring,
     random_mv_set,
     random_test_set,
+    record_fitness,
 )
 
 # ~100k-bit clustered corpus: 4 templates, flip 0.05, X density 0.3.
@@ -67,22 +69,23 @@ def _passed(name: str, detail: str = "") -> None:
 def test_worked_example_exact():
     """Frequencies (5,3,2) for (111U, 1110, 0000): Huffman lengths (1,2,2),
     payload 20 bits; the subsumption merge drops 1110 and reaches 18."""
-    blocks = partition(
+    blocks = BlockStats(partition(
         flatten(parse_test_set("1111\n" * 5 + "1110\n" * 3 + "0000\n" * 2)), 4
-    )
+    ))
     mvs = [MatchingVector(s) for s in ("111U", "1110", "0000")]
-    covering = cover(blocks, mvs)
-    assert covering.frequencies == (5, 3, 2)
+    assignment = cover(blocks, mvs)
+    assert frequencies(assignment, 3) == [5, 3, 2]
 
-    codebook = build_huffman(covering.frequencies)
+    codebook = build_huffman(frequencies(assignment, 3))
     assert [len(codebook.codeword(i)) for i in range(3)] == [1, 2, 2]
-    stream = encode_all(blocks, covering, codebook, mvs)
+    stream = encode_all(blocks, assignment, codebook, mvs)
     assert stream.payload_bits == 20
 
-    merged = subsume_merge(covering, mvs, 4)
-    assert merged.frequencies == (8, 0, 2)
-    assert [v.symbols for v, f in zip(mvs, merged.frequencies) if f] == ["111U", "0000"]
-    merged_stream = encode_all(blocks, merged, build_huffman(merged.frequencies), mvs)
+    merged = subsume_merge(assignment, mvs, 4)
+    assert frequencies(merged, 3) == [8, 0, 2]
+    assert [v.symbols for v, f in zip(mvs, frequencies(merged, 3)) if f] == [
+        "111U", "0000"]
+    merged_stream = encode_all(blocks, merged, build_huffman(frequencies(merged, 3)), mvs)
     assert merged_stream.payload_bits == 18
     _passed("worked example", "payload 20 bits, 18 after subsume merge")
 
@@ -171,7 +174,7 @@ def test_round_trip_every_specified_position():
     _passed("round trip", f"{sets} test sets, K in 1/2/5/8/12/13")
 
 
-def test_ea_sanity_sweep():
+def test_ea_sanity_sweep(monkeypatch):
     """50-seed sweep on the clustered ~100k-bit corpus: best-fitness series
     nondecreasing, final >= best initial rate, and the all-U reservation
     keeps every evaluation feasible."""
@@ -179,6 +182,7 @@ def test_ea_sanity_sweep():
     bits = original_size_bits(ts)
     assert bits == 100800
     stats = BlockStats(partition(flatten(ts), 12))
+    computed = record_fitness(monkeypatch)
     for seed in range(50):
         cfg = EaConfig(
             k=12,
@@ -191,13 +195,14 @@ def test_ea_sanity_sweep():
             runs=1,
             reserve_all_u=True,
         )
+        computed.clear()
         report = evolve(stats, bits, cfg)
         assert all(
             earlier <= later
             for earlier, later in zip(report.history, report.history[1:])
         )
         assert report.best_rate >= report.history[0]
-        assert report.min_fitness_evaluated > INFEASIBLE_BASE
+        assert min(computed) > INFEASIBLE_BASE
     _passed("ea sanity", "50 seeds on 100800-bit clustered corpus")
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from tercode import (
+    BlockStats,
     EaConfig,
     TestSet,
     compress,
@@ -142,7 +143,6 @@ class TestCompress9c:
                         assert got == want
 
     def test_covering_prefers_specific_vectors(self):
-        blocks = partition(flatten(TestSet(("111000",))), 6)
-        covering = cover(blocks, nine_mvs(6))
+        blocks = BlockStats(partition(flatten(TestSet(("111000",))), 6))
         # 111000 is matched by v4, v5, v8 and v9; the zero-U vector wins
-        assert covering.assignment.tolist() == [3]
+        assert cover(blocks, nine_mvs(6)).tolist() == [3]

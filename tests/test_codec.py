@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from tercode import (
     Codebook,
-    Covering,
     EncodedStream,
     MatchingVector,
     build_huffman,
@@ -17,6 +16,7 @@ from tercode import (
     cover,
     decode,
     encode_all,
+    frequencies,
     partition,
     read_container,
     subsume_merge,
@@ -51,6 +51,7 @@ from tercode.errors import (
 
 from helpers import (
     block_strings,
+    blocks_from,
     char_match,
     code_lengths,
     codebook_cost,
@@ -76,10 +77,6 @@ def mv(s: str) -> MatchingVector:
 
 def block(s: str) -> str:
     return s
-
-
-def blocks_from(symbols_list) -> list[str]:
-    return list(symbols_list)
 
 
 class TestMatches:
@@ -140,9 +137,9 @@ class TestMatchingVector:
 
 class TestCover:
     def test_prefers_fewer_unspecified(self):
-        covering = cover(blocks_from(["1110"]), [mv("UUUU"), mv("1110")])
-        assert covering.assignment.tolist() == [1]
-        assert covering.frequencies == (0, 1)
+        assignment = cover(blocks_from(["1110"]), [mv("UUUU"), mv("1110")])
+        assert assignment.tolist() == [1]
+        assert frequencies(assignment, 2) == [0, 1]
 
     def test_unmatched_block_reports_first_index(self):
         with pytest.raises(UnmatchedBlock) as err:
@@ -164,12 +161,12 @@ class TestCover:
     def test_worked_frequency_example(self):
         # five blocks only the 111U vector takes, three for 1110, two for 0000
         blocks = blocks_from(["1111"] * 5 + ["1110"] * 3 + ["0000"] * 2)
-        covering = cover(blocks, [mv("111U"), mv("1110"), mv("0000")])
-        assert covering.frequencies == (5, 3, 2)
+        assignment = cover(blocks, [mv("111U"), mv("1110"), mv("0000")])
+        assert frequencies(assignment, 3) == [5, 3, 2]
 
     def test_ties_break_by_vector_order(self):
-        covering = cover(blocks_from(["11XX"]), [mv("11U0"), mv("110U")])
-        assert covering.assignment.tolist() == [0]
+        assignment = cover(blocks_from(["11XX"]), [mv("11U0"), mv("110U")])
+        assert assignment.tolist() == [0]
 
     def test_assigned_vector_has_minimal_u_count(self):
         rng = random.Random(5)
@@ -178,8 +175,8 @@ class TestCover:
             mvs = random_mv_set(rng, k, rng.randrange(1, 7))
             ts = random_test_set(rng, max_cols=k * 3)
             blocks = partition(ts.patterns[0], k)
-            covering = cover(blocks, mvs)
-            for b, idx in zip(block_strings(blocks), covering.assignment):
+            assignment = cover(BlockStats(blocks), mvs)
+            for b, idx in zip(block_strings(blocks), assignment):
                 best = min(
                     v.n_unspecified for v in mvs if matches(v, b)
                 )
@@ -203,19 +200,20 @@ class TestCover:
                 near[pos] = {"0": "1", "1": "0"}.get(near[pos], near[pos])
                 symbols.append("".join(near))
             blocks = blocks_from(symbols)
-            covering = cover(blocks, mvs)
-            assignment, freqs = naive_cover(blocks, mvs)
-            assert tuple(covering.assignment.tolist()) == assignment
-            assert covering.frequencies == freqs
+            assignment = cover(blocks, mvs)
+            want, freqs = naive_cover(blocks, mvs)
+            assert tuple(assignment.tolist()) == want
+            assert tuple(frequencies(assignment, len(mvs))) == freqs
 
     def test_block_stats_reuse(self):
         rng = random.Random(9)
         mvs = random_mv_set(rng, 4, 3)
-        blocks = blocks_from(["10X1", "10X1", "0000", "10X1"])
-        stats = BlockStats(blocks)
+        stats = blocks_from(["10X1", "10X1", "0000", "10X1"])
         assert stats.total == 4
         assert stats.n_unique == 2
-        assert cover(stats, mvs) == cover(blocks, mvs)
+        first = cover(stats, mvs)
+        assert cover(stats, [mv("UUUU")]).tolist() == [0] * 4
+        assert np.array_equal(cover(stats, mvs), first)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -232,16 +230,17 @@ class TestCover:
         assert strings[-1].endswith("X" * 6)
         assert len(set(strings)) < len(strings)
         assert BlockStats(blocks).n_unique == len(set(strings))
-        assert BlockStats(strings).n_unique == len(set(strings))
-        assert BlockStats(np.array(strings)).n_unique == len(set(strings))
+        assert blocks_from(strings).n_unique == len(set(strings))
         assert BlockStats(blocks[:0]).n_unique == 0
 
-    def test_covering_equality_compares_values(self):
-        covering = Covering((0, 1, 1), (1, 2))
-        assert not covering.assignment.flags.writeable
-        assert covering == Covering(np.array([0, 1, 1]), (1, 2))
-        assert covering != Covering((1, 1, 0), (1, 2))
-        assert covering != Covering((0, 1, 1), (2, 1))
+    def test_assignments_are_read_only(self):
+        blocks = blocks_from(["1111"] * 5 + ["1110"] * 3 + ["0000"] * 2)
+        mvs = [mv("111U"), mv("1110"), mv("0000")]
+        assignment = cover(blocks, mvs)
+        merged = subsume_merge(assignment, mvs, 4)
+        assert merged.tolist() == [0] * 8 + [2] * 2
+        for array in (assignment, merged):
+            assert array.dtype == np.int64 and not array.flags.writeable
 
 
 @st.composite
@@ -260,7 +259,7 @@ def vectors_and_blocks(draw):
         if rng.random() < 0.5:
             near[rng.randrange(k)] = rng.choice("01X")
         blocks.append("".join(near))
-    return [mv(v) for v in vectors], blocks_from(blocks)
+    return [mv(v) for v in vectors], blocks_from(blocks, k)
 
 
 class TestCoverProperties:
@@ -274,9 +273,9 @@ class TestCoverProperties:
                 cover(blocks, mvs)
             assert err.value.block_index == expected
         else:
-            covering = cover(blocks, mvs)
-            assert tuple(covering.assignment.tolist()) == assignment
-            assert covering.frequencies == expected
+            got = cover(blocks, mvs)
+            assert tuple(got.tolist()) == assignment
+            assert tuple(frequencies(got, len(mvs))) == expected
 
     @pytest.mark.parametrize("k", [1, 12, 65])
     def test_only_unmatched_block_is_block_1000(self, k):
@@ -402,8 +401,10 @@ class TestEncodingLength:
 
 
 def encode_one(symbols: str, v: MatchingVector, codebook: Codebook, **kwargs) -> str:
-    """Payload bits of a one-block stream whose block is assigned to ``v``."""
-    stream = encode_all([symbols], Covering((0,), (1,)), codebook, [v], **kwargs)
+    """Payload bits of a one-block stream whose block is assigned to ``v``,
+    vector 0; vector 1 is all U and takes no block."""
+    stream = encode_all(blocks_from([symbols]), np.zeros(1, dtype=np.int64), codebook,
+                        [v, mv("U" * len(v))], **kwargs)
     return payload_bitstring(stream)
 
 
@@ -441,21 +442,19 @@ class TestEncodeAll:
     def test_worked_example_payload(self):
         blocks = blocks_from(["1111"] * 5 + ["1110"] * 3 + ["0000"] * 2)
         mvs = [mv("111U"), mv("1110"), mv("0000")]
-        covering = cover(blocks, mvs)
-        codebook = build_huffman(covering.frequencies)
-        stream = encode_all(blocks, covering, codebook, mvs)
+        assignment = cover(blocks, mvs)
+        codebook = build_huffman(frequencies(assignment, 3))
+        stream = encode_all(blocks, assignment, codebook, mvs)
         assert stream.payload_bits == 20
 
     def test_merged_example_payload(self):
         blocks = blocks_from(["1111"] * 5 + ["1110"] * 3 + ["0000"] * 2)
         mvs = [mv("111U"), mv("1110"), mv("0000")]
-        covering = cover(blocks, mvs)
-        merged = subsume_merge(covering, mvs, 4)
-        assert merged.frequencies == (8, 0, 2)
-        assert [v.symbols for v, f in zip(mvs, merged.frequencies) if f] == [
-            "111U", "0000"]
-        codebook = build_huffman(merged.frequencies)
-        stream = encode_all(blocks, merged, codebook, mvs)
+        merged = subsume_merge(cover(blocks, mvs), mvs, 4)
+        freqs = frequencies(merged, 3)
+        assert freqs == [8, 0, 2]
+        assert [v.symbols for v, f in zip(mvs, freqs) if f] == ["111U", "0000"]
+        stream = encode_all(blocks, merged, build_huffman(freqs), mvs)
         assert stream.payload_bits == 18
 
     @pytest.mark.parametrize("symbols", ["0101", "X101"])  # no X at a U; one X
@@ -463,59 +462,78 @@ class TestEncodeAll:
     def test_fill_checked_before_encoding(self, symbols, fill, rng):
         blocks = blocks_from([symbols])
         mvs = [mv("U101")]
-        covering = cover(blocks, mvs)
+        assignment = cover(blocks, mvs)
         with pytest.raises(InvalidConfig):
-            encode_all(blocks, covering, build_huffman(covering.frequencies), mvs,
-                       fill=fill, rng=rng)
+            encode_all(blocks, assignment, build_huffman([1]), mvs, fill=fill, rng=rng)
 
     def test_codeword_over_255_bits_rejected(self):
         # the container stores each codeword length in one byte
         blocks = blocks_from(["01", "10"])
         mvs = [mv("UU")]
-        covering = cover(blocks, mvs)
+        assignment = cover(blocks, mvs)
         with pytest.raises(ValueError, match="256 bits"):
-            encode_all(blocks, covering, Codebook({0: "0" * 256}), mvs)
+            encode_all(blocks, assignment, Codebook({0: "0" * 256}), mvs)
 
     def test_255_bit_codeword_round_trips(self):
         blocks = blocks_from(["01", "10"])
         mvs = [mv("UU")]
-        covering = cover(blocks, mvs)
-        stream = encode_all(blocks, covering, Codebook({0: "0" * 255}), mvs)
+        assignment = cover(blocks, mvs)
+        stream = encode_all(blocks, assignment, Codebook({0: "0" * 255}), mvs)
         assert stream.payload_bits == 2 * 257
         assert decode(read_container(write_container(stream))) == "0110"
 
     def test_not_matching_names_first_block(self):
         # vector 0 fails at block 4, vector 1 already at block 3
         blocks = blocks_from(["00", "11", "01", "10"])
-        covering = Covering((0, 1, 1, 0), (2, 2))
+        assignment = np.array([0, 1, 1, 0])
         with pytest.raises(NotMatching, match="^vector 1U does not match block 01$"):
-            encode_all(blocks, covering, Codebook({0: "0", 1: "1"}), [mv("0U"), mv("1U")])
+            encode_all(blocks, assignment, Codebook({0: "0", 1: "1"}),
+                       [mv("0U"), mv("1U")])
 
     def test_table_vector_of_another_length_rejected(self):
         # an unassigned vector of length 2 would enter a K=4 stream's table
         with pytest.raises(ValueError, match="not 4 symbols"):
-            encode_all(["0000"], Covering((0,), (1,)), Codebook({0: "0", 1: "1"}),
+            encode_all(blocks_from(["0000"]), np.array([0]), Codebook({0: "0", 1: "1"}),
                        [mv("0000"), mv("UU")])
+
+    @pytest.mark.parametrize("assigned, keys", [
+        ([0, 2], (0, 1)),  # an index past the last vector
+        ([0, -1], (0, 1)),  # -1 would alias the last vector
+        ([0, 1], (0, 1, 2)),  # a codebook key past the last vector
+        ([0, 1], (-1, 0, 1)),  # a key of -1 would list vector 1 twice
+    ])
+    def test_index_outside_the_vectors_rejected(self, assigned, keys):
+        codes = ["00", "01", "10"][: len(keys)]
+        with pytest.raises(ValueError, match="outside the 2 given"):
+            encode_all(blocks_from(["00", "11"]), np.array(assigned),
+                       Codebook(dict(zip(keys, codes))), [mv("UU"), mv("UU")])
+
+    @pytest.mark.parametrize("original_length", [0, 4, 9])
+    def test_original_length_must_fit_the_blocks(self, original_length):
+        # 2 blocks of K=4 hold 5 to 8 symbols
+        with pytest.raises(ValueError):
+            encode_all(blocks_from(["0000", "1111"]), np.array([0, 0]),
+                       Codebook({0: ""}), [mv("UUUU")], original_length=original_length)
 
     def test_symbol_other_than_0_1_x_rejected(self):
         with pytest.raises(ValueError, match="other than 0, 1 and X"):
-            encode_all(["0x"], Covering((0,), (1,)), Codebook({0: ""}), [mv("UU")])
+            encode_all(blocks_from(["0x"]), np.array([0]), Codebook({0: ""}), [mv("UU")])
 
     def test_block_stats_input(self):
-        blocks = blocks_from(["1111"] * 5 + ["1110"] * 3 + ["0000"] * 2)
-        mvs = [mv("111U"), mv("1110"), mv("0000")]
-        covering = cover(blocks, mvs)
-        codebook = build_huffman(covering.frequencies)
-        stats = BlockStats(blocks)
-        assert cover(stats, mvs) == covering
-        assert encode_all(stats, covering, codebook, mvs) == encode_all(
-            blocks, covering, codebook, mvs)
+        # blocks enter only as the stats of the 2-D uint8 matrix that
+        # core.partition returns
+        strings = ["10X1", "0000"]
+        matrix = partition("".join(strings), 4)
+        assert BlockStats(matrix).blocks is matrix
+        for other in (strings, np.array(strings), matrix.astype(np.int64),
+                      matrix.ravel(), matrix[:, :0]):
+            with pytest.raises(ValueError):
+                BlockStats(other)
 
     def test_zero_blocks(self):
-        stream = encode_all([], Covering((), ()), Codebook({}), [])
-        assert stream.payload == b""
-        assert stream.payload_bits == 0
-        assert decode(stream) == ""
+        # no block holds a symbol, and a stream holds at least one
+        with pytest.raises(ValueError):
+            encode_all(blocks_from([]), np.zeros(0, dtype=np.int64), Codebook({}), [])
 
     def test_payload_bits_identity(self):
         rng = random.Random(21)
@@ -525,28 +543,28 @@ class TestEncodeAll:
             ts = random_test_set(rng)
             from tercode import flatten, partition as cut
 
-            blocks = cut(flatten(ts), k)
-            covering = cover(blocks, mvs)
-            codebook = build_huffman(covering.frequencies)
-            stream = encode_all(blocks, covering, codebook, mvs)
+            blocks = BlockStats(cut(flatten(ts), k))
+            assignment = cover(blocks, mvs)
+            freqs = frequencies(assignment, len(mvs))
+            codebook = build_huffman(freqs)
+            stream = encode_all(blocks, assignment, codebook, mvs)
             expected = sum(
                 f * (len(codebook.codeword(i)) + mvs[i].n_unspecified)
-                for i, f in enumerate(covering.frequencies)
+                for i, f in enumerate(freqs)
                 if f
             )
             assert stream.payload_bits == expected
             n_us = [v.n_unspecified for v in mvs]
-            assert payload_bits_for(covering.frequencies, n_us) == expected
+            assert payload_bits_for(freqs, n_us) == expected
 
 
 @st.composite
 def encode_cases(draw):
-    """Blocks, vectors, a hand-built covering and a codebook at K 1-13.
+    """Block stats, a hand-built assignment, a codebook and vectors at K 1-13.
 
     The assignment gives each block a random matching vector; faults are
     drawn independently: blocks moved to a non-matching vector or to a
-    vector of the wrong length, frequencies that disagree with the
-    assignment, a missing codeword."""
+    vector of the wrong length, a missing codeword."""
     k = draw(st.sampled_from([1, 2, 5, 13]))
     symbols = st.text(alphabet="01U", min_size=k, max_size=k)
     vectors = draw(st.lists(symbols, min_size=0, max_size=5)) + ["U" * k]
@@ -564,41 +582,38 @@ def encode_cases(draw):
         assignment.append(rng.choice(fits))
     for _ in range(draw(st.integers(0, 3))):
         assignment[rng.randrange(len(blocks))] = rng.randrange(len(mvs))
-    counts = [assignment.count(i) for i in range(len(mvs))]
-    freqs = draw(st.permutations(counts)) if draw(st.booleans()) else counts
-    codebook = build_huffman(counts)
+    codebook = build_huffman([assignment.count(i) for i in range(len(mvs))])
     if draw(st.booleans()):
         entries = dict(codebook.entries)
         del entries[rng.choice(sorted(entries))]
         codebook = Codebook(entries)
     fill = draw(st.sampled_from(["zero", "one", "random"]))
-    return blocks, Covering(tuple(assignment), tuple(freqs)), codebook, mvs, fill
+    return blocks_from(blocks), np.array(assignment), codebook, mvs, fill
 
 
 class TestEncodeProperties:
     @settings(max_examples=400, deadline=None)
-    @given(encode_cases(), st.integers(0, 2**32), st.booleans())
-    def test_agrees_with_naive_encoder(self, case, seed, as_stats):
-        blocks, covering, codebook, mvs, fill = case
-        source = BlockStats(blocks) if as_stats else blocks
+    @given(encode_cases(), st.integers(0, 2**32))
+    def test_agrees_with_naive_encoder(self, case, seed):
+        stats, assignment, codebook, mvs, fill = case
         try:
-            want = naive_encode_bits(blocks, covering.assignment, codebook, mvs,
+            want = naive_encode_bits(stats, assignment, codebook, mvs,
                                      fill, random.Random(seed))
         except TercodeError as exc:
             with pytest.raises(TercodeError) as err:
-                encode_all(source, covering, codebook, mvs, fill, random.Random(seed))
+                encode_all(stats, assignment, codebook, mvs, fill, random.Random(seed))
             assert type(err.value) is type(exc)
             if isinstance(exc, NotMatching):
                 assert str(err.value) == str(exc)
             return
-        stream = encode_all(source, covering, codebook, mvs, fill, random.Random(seed))
+        stream = encode_all(stats, assignment, codebook, mvs, fill, random.Random(seed))
         assert payload_bitstring(stream) == want
-        assert (stream.block_count, stream.k) == (len(blocks), len(blocks[0]))
+        assert (stream.block_count, stream.k) == (stats.total, stats.k)
 
 
 @st.composite
 def slice_cases(draw):
-    """Encodable blocks, their covering and Huffman code at K 1-13.
+    """Encodable block stats, their assignment and Huffman code at K 1-13.
 
     Frequencies are uneven, so the words (codeword + fill bits) come in
     several widths, most of them not multiples of 8."""
@@ -613,8 +628,8 @@ def slice_cases(draw):
         assignment.append(rng.choice(
             [i for i, v in enumerate(vectors) if char_match(blocks[-1], v)]))
     counts = [assignment.count(i) for i in range(len(vectors))]
-    covering = Covering(tuple(assignment), tuple(counts))
-    return blocks, covering, build_huffman(counts), [mv(v) for v in vectors]
+    return (blocks_from(blocks), np.array(assignment), build_huffman(counts),
+            [mv(v) for v in vectors])
 
 
 class TestEncodeSlices:
@@ -622,12 +637,12 @@ class TestEncodeSlices:
     bits after the last full byte of a slice into the next one."""
 
     @staticmethod
-    def assert_agrees(blocks, covering, codebook, mvs, fill, seed):
+    def assert_agrees(stats, assignment, codebook, mvs, fill, seed):
         rng = random.Random(seed)
-        want = naive_encode_bits(blocks, covering.assignment, codebook, mvs, fill, rng)
+        want = naive_encode_bits(stats, assignment, codebook, mvs, fill, rng)
         after = rng.random()
         rng = random.Random(seed)
-        stream = encode_all(blocks, covering, codebook, mvs, fill, rng)
+        stream = encode_all(stats, assignment, codebook, mvs, fill, rng)
         assert stream.payload == pack_bits(want)
         assert stream.payload_bits == len(want)
         if fill == "random":
@@ -644,14 +659,14 @@ class TestEncodeSlices:
         # 70,000 blocks: one full slice of 65,536 and a partial one
         rng = random.Random(11)
         mvs = [mv("0U1UU"), mv("10UU1"), mv("UUUUU")]
-        blocks = [
+        blocks = blocks_from([
             "".join(rng.choice("01X") if ch == "U" else ch
                     for ch in mvs[rng.randrange(3)].symbols)
             for _ in range(70_000)
-        ]
-        covering = cover(blocks, mvs)
-        assert len(blocks) > codec._SLICE
-        self.assert_agrees(blocks, covering, build_huffman(covering.frequencies),
+        ])
+        assignment = cover(blocks, mvs)
+        assert blocks.total > codec._SLICE
+        self.assert_agrees(blocks, assignment, build_huffman(frequencies(assignment, 3)),
                            mvs, "random", 5)
 
 
@@ -659,12 +674,11 @@ class TestDecode:
     def test_table_vector_of_another_length_rejected(self):
         # would decode to "0", one symbol where the header declares four
         with pytest.raises(ValueError, match="not 4 symbols"):
-            EncodedStream(payload=b"", payload_bits=0, block_count=1, k=4,
+            EncodedStream(payload=b"", payload_bits=0, k=4,
                           mv_table=(mv("0"),), codebook=Codebook({0: ""}),
                           original_length=4)
 
-    def _nine_code_stream(self, payload_bits: str, block_count: int,
-                          original_length: int) -> EncodedStream:
+    def _nine_code_stream(self, payload_bits: str) -> EncodedStream:
         from tercode import nine_codebook, nine_mvs
 
         packed = bytearray()
@@ -674,24 +688,23 @@ class TestDecode:
         return EncodedStream(
             payload=bytes(packed),
             payload_bits=len(payload_bits),
-            block_count=block_count,
             k=6,
             mv_table=nine_mvs(6),
             codebook=nine_codebook(),
-            original_length=original_length,
+            original_length=6,
         )
 
     def test_fixed_code_example(self):
-        stream = self._nine_code_stream("11010100", 1, 6)
+        stream = self._nine_code_stream("11010100")
         assert decode(stream) == "111100"
 
     def test_dangling_bits(self):
-        stream = self._nine_code_stream("110101000", 1, 6)
+        stream = self._nine_code_stream("110101000")
         with pytest.raises(DanglingBits):
             decode(stream)
 
     def test_truncated_payload(self):
-        stream = self._nine_code_stream("1101010", 1, 6)
+        stream = self._nine_code_stream("1101010")
         with pytest.raises(TruncatedPayload):
             decode(stream)
 
@@ -699,7 +712,6 @@ class TestDecode:
         stream = EncodedStream(
             payload=bytes([0b11000000]),
             payload_bits=2,
-            block_count=1,
             k=2,
             mv_table=(mv("00"), mv("01")),
             codebook=Codebook({0: "0", 1: "10"}),
@@ -782,9 +794,21 @@ class TestDecodeProperties:
     @staticmethod
     def assert_agrees(bits, block_count, k, mvs, codebook, original_length,
                       max_symbols):
-        stream = EncodedStream(payload=pack_bits(bits), payload_bits=len(bits),
-                               block_count=block_count, k=k, mv_table=mvs,
-                               codebook=codebook, original_length=original_length)
+        def build():
+            return EncodedStream(payload=pack_bits(bits), payload_bits=len(bits),
+                                 k=k, mv_table=mvs, codebook=codebook,
+                                 original_length=original_length)
+
+        if not block_count:
+            # a stream holds at least one symbol, so at least one block
+            with pytest.raises(ValueError):
+                build()
+            return
+        stream = build()
+        assert stream.block_count == block_count
+        if len(codebook.entries) == len(mvs):
+            # the container stores a codeword for every table vector
+            assert read_container(write_container(stream)) == stream
         try:
             want = naive_decode(stream, max_symbols)
         except TercodeError as exc:
@@ -841,19 +865,18 @@ class TestSubsumeMerge:
     def test_no_candidates_is_fixed_point(self):
         blocks = blocks_from(["11", "00"])
         mvs = [mv("11"), mv("00")]
-        covering = cover(blocks, mvs)
-        merged = subsume_merge(covering, mvs, 2)
-        assert merged == covering
-        assert [v.symbols for v, f in zip(mvs, merged.frequencies) if f] == [
-            "11", "00"]
+        assignment = cover(blocks, mvs)
+        merged = subsume_merge(assignment, mvs, 2)
+        assert np.array_equal(merged, assignment)
+        assert frequencies(merged, 2) == [1, 1]
 
     def test_single_vector_unchanged(self):
         blocks = blocks_from(["10", "10"])
         mvs = [mv("1U")]
-        covering = cover(blocks, mvs)
-        merged = subsume_merge(covering, mvs, 2)
-        assert merged == covering
-        assert sum(f > 0 for f in merged.frequencies) == 1
+        assignment = cover(blocks, mvs)
+        merged = subsume_merge(assignment, mvs, 2)
+        assert np.array_equal(merged, assignment)
+        assert frequencies(merged, 1) == [2]
 
     def test_never_increases_payload(self):
         rng = random.Random(40)
@@ -865,20 +888,18 @@ class TestSubsumeMerge:
                 for _ in range(rng.randrange(1, 40))
             ]
             blocks = blocks_from(symbols)
-            covering = cover(blocks, mvs)
+            assignment = cover(blocks, mvs)
             n_us = [v.n_unspecified for v in mvs]
-            before = payload_bits_for(covering.frequencies, n_us)
-            merged = subsume_merge(covering, mvs, k)
-            after = payload_bits_for(merged.frequencies, n_us)
-            assert after <= before
+            freqs = frequencies(assignment, len(mvs))
+            merged = subsume_merge(assignment, mvs, k)
+            after = frequencies(merged, len(mvs))
+            assert payload_bits_for(after, n_us) <= payload_bits_for(freqs, n_us)
             # the rewritten assignment still matches every block
-            for b, idx in zip(blocks, merged.assignment):
+            for b, idx in zip(symbols, merged):
                 assert matches(mvs[idx], b)
-            # frequencies agree with the assignment
-            recount = [0] * len(mvs)
-            for idx in merged.assignment:
-                recount[idx] += 1
-            assert tuple(recount) == merged.frequencies
+            # the counts are the merge's, on the same vectors
+            assert after == merge_subsumed_frequencies(
+                freqs, [v.ones_mask for v in mvs], [v.zeros_mask for v in mvs], n_us)[0]
 
 
 @st.composite

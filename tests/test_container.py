@@ -3,13 +3,13 @@ import random
 import struct
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tercode import (
     Codebook,
-    Covering,
     EncodedStream,
     MatchingVector,
     decode,
@@ -29,6 +29,7 @@ from tercode.errors import (
 )
 
 from helpers import (
+    blocks_from,
     encode_test_set,
     random_mv_set,
     random_test_set,
@@ -158,8 +159,9 @@ class TestLengthAndWidth:
         # 3 does not divide 8, so read_container would refuse the container;
         # -1 and 2**64 do not fit its u64 field
         with pytest.raises(ValueError, match="pattern width"):
-            encode_all(["0000", "1111"], Covering((0, 0), (2,)), Codebook({0: ""}),
-                       [MatchingVector("UUUU")], original_length=8, pattern_width=width)
+            encode_all(blocks_from(["0000", "1111"]), np.zeros(2, dtype=np.int64),
+                       Codebook({0: ""}), [MatchingVector("UUUU")], original_length=8,
+                       pattern_width=width)
 
 
 class TestFieldLimits:
@@ -168,24 +170,24 @@ class TestFieldLimits:
 
     def test_k_above_limit_refused(self):
         with pytest.raises(ValueError, match="at most 65535"):
-            EncodedStream(payload=b"", payload_bits=0, block_count=1, k=70000,
+            EncodedStream(payload=b"", payload_bits=0, k=70000,
                           mv_table=(), codebook=Codebook({}), original_length=70000)
 
     def test_table_above_limit_refused(self):
         with pytest.raises(ValueError, match="at most 65535"):
-            EncodedStream(payload=b"", payload_bits=0, block_count=0, k=1,
+            EncodedStream(payload=b"", payload_bits=0, k=1,
                           mv_table=(MatchingVector("0"),) * 65536,
-                          codebook=Codebook({}), original_length=0)
+                          codebook=Codebook({}), original_length=1)
 
     def test_original_length_above_limit_refused(self):
         with pytest.raises(ValueError, match="at most 18446744073709551615"):
-            EncodedStream(payload=b"", payload_bits=0, block_count=2**64, k=1,
+            EncodedStream(payload=b"", payload_bits=0, k=1,
                           mv_table=(MatchingVector("0"),), codebook=Codebook({0: ""}),
                           original_length=2**64)
 
     def test_k_at_limit_round_trips(self):
         k = 65535
-        stream = EncodedStream(payload=bytes(8192), payload_bits=k, block_count=1,
+        stream = EncodedStream(payload=bytes(8192), payload_bits=k,
                                k=k, mv_table=(MatchingVector("U" * k),),
                                codebook=Codebook({0: ""}), original_length=k)
         assert read_container(write_container(stream)) == stream
@@ -201,29 +203,24 @@ class TestOutputCap:
             decode(stream)
 
     @pytest.mark.parametrize(
-        "k, block_count, original_length, ok",
-        [(1, 2**40, 1, False), (3, 2, 3, False), (3, 2, 4, True), (3, 0, 0, True)],
+        "k, original_length, block_count",
+        [(1, 1, 1), (3, 3, 1), (3, 4, 2), (3, 6, 2), (1, 0, None), (0, 1, None)],
     )
-    def test_in_memory_stream_needs_original_symbol_per_block(
-        self, k, block_count, original_length, ok
-    ):
-        # built without read_container, which ties the counts itself
+    def test_block_count_follows_original_length(self, k, original_length, block_count):
+        # built without read_container: each block holds an original
+        # symbol, so decode emits nothing it then trims away
         def build():
-            return EncodedStream(
-                payload=b"",
-                payload_bits=0,
-                block_count=block_count,
-                k=k,
-                mv_table=(MatchingVector("0" * k),),
-                codebook=Codebook({0: ""}),
-                original_length=original_length,
-            )
+            return EncodedStream(payload=b"", payload_bits=0, k=k,
+                                 mv_table=(MatchingVector("0" * max(k, 1)),),
+                                 codebook=Codebook({0: ""}),
+                                 original_length=original_length)
 
-        if ok:
-            assert decode(build()) == "0" * original_length
-        else:
-            with pytest.raises(ValueError):
+        if block_count is None:
+            with pytest.raises(ValueError, match="at least 1"):
                 build()
+        else:
+            assert build().block_count == block_count
+            assert decode(build()) == "0" * original_length
 
     def test_limit_is_inclusive(self):
         stream = read_container(single_vector_container(3, 2, 5))

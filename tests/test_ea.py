@@ -28,16 +28,15 @@ from tercode.errors import InvalidConfig, LengthMismatch
 
 from helpers import (
     ScriptedRng,
+    block_strings,
+    blocks_from,
     char_match,
     naive_cover,
     naive_merge_subsumed_frequencies,
     naive_payload_bits,
+    record_fitness,
 )
 from test_acceptance import CLUSTERED
-
-
-def blocks_from(symbols_list):
-    return list(symbols_list)
 
 
 class TestConfig:
@@ -270,7 +269,7 @@ class TestFitness:
     def test_infeasible_ranks_below_a_feasible_rate_under_the_base(self):
         # one symbol at K=12: the all-U vector pays 12 bits for 1, -1100%;
         # a feasible payload is at most 12 bits, so the base drops to -1101
-        blocks = partition("0", 12)
+        blocks = BlockStats(partition("0", 12))
         assert evaluate_fitness("U" * 12, blocks, 1) == -1100.0
         assert evaluate_fitness("1" + "U" * 11, blocks, 1) == -1102.0
         assert ea.infeasible_base(1, 1, 12, 1) == -1101.0
@@ -285,16 +284,17 @@ class TestFitness:
         assert merged == pytest.approx(100 * (40 - 18) / 40)
 
     def test_block_stats_equivalent(self):
-        blocks = blocks_from(["1111"] * 4 + ["0000"] * 4)
+        # stats of the strings and of partition's matrix of the same symbols
+        strings = ["1111"] * 4 + ["0000"] * 4
         genes = "1111" + "0000"
-        assert evaluate_fitness(genes, blocks, 32) == evaluate_fitness(
-            genes, BlockStats(blocks), 32
+        assert evaluate_fitness(genes, blocks_from(strings), 32) == evaluate_fitness(
+            genes, BlockStats(partition("".join(strings), 4)), 32
         )
 
     @pytest.mark.parametrize("genes", ["", "000", "00000", "0000" + "11"])
     def test_genes_must_split_into_block_length_vectors(self, genes):
         with pytest.raises(LengthMismatch):
-            evaluate_fitness(genes, ["0000", "1111"], 8)
+            evaluate_fitness(genes, blocks_from(["0000", "1111"]), 8)
 
     def test_vector_symbols(self):
         assert vector_symbols("01U" + "UUU", 3) == ["01U", "UUU"]
@@ -303,7 +303,7 @@ class TestFitness:
 
     def test_vector_entry(self):
         # block i+1 is bit i of a match set
-        stats = BlockStats(["101", "0X0", "XXX", "111"])
+        stats = blocks_from(["101", "0X0", "XXX", "111"])
         assert vector_entry(stats, "10U") == (0b0101, 1, 0b100, 0b010)
         assert vector_entry(stats, "0UU") == (0b0110, 2, 0b000, 0b100)
         assert vector_entry(stats, "UUU") == (0b1111, 3, 0, 0)
@@ -328,10 +328,10 @@ def fitness_cases(draw):
 
 
 def naive_fitness(blocks, genes, k, original_bits, subsume):
-    """Fitness re-derived from the character-level cover and full Huffman
-    codes."""
+    """Fitness of the block strings ``blocks``, re-derived from the
+    character-level cover and full Huffman codes."""
     mvs = [MatchingVector(genes[i : i + k]) for i in range(0, len(genes), k)]
-    assignment, freqs = naive_cover(blocks, mvs)
+    assignment, freqs = naive_cover(blocks_from(blocks), mvs)
     if assignment is None:
         unmatched = sum(
             not any(char_match(b, v.symbols) for v in mvs) for b in blocks
@@ -351,7 +351,7 @@ class TestVectorCache:
     @given(case=fitness_cases(), subsume=st.booleans())
     def test_warm_cache_agrees_with_fresh_and_naive(self, case, subsume):
         k, blocks, genomes = case
-        stats = BlockStats(blocks)
+        stats = blocks_from(blocks)
         bits = len(blocks) * k
         shared = {}
 
@@ -434,13 +434,13 @@ class TestEvolve:
             assert report.best_rate >= report.history[0]
             assert report.best_rate == report.per_run[0].rate
 
-    def test_reservation_prevents_penalty(self):
+    def test_reservation_prevents_penalty(self, monkeypatch):
         blocks = self._blocks()
+        computed = record_fitness(monkeypatch)
         for seed in range(10):
-            report = evolve(
-                blocks, 240, self._cfg(rng_seed=seed, reserve_all_u=True)
-            )
-            assert report.min_fitness_evaluated > INFEASIBLE_BASE
+            computed.clear()
+            evolve(blocks, 240, self._cfg(rng_seed=seed, reserve_all_u=True))
+            assert min(computed) > INFEASIBLE_BASE
 
     def test_stagnation_termination(self):
         blocks = self._blocks()
@@ -479,7 +479,7 @@ class TestEvolve:
     @pytest.mark.parametrize("k", [4, 8])
     def test_block_length_must_be_k(self, k):
         # blocks of 6 symbols; K=4 would score 4-gene slices against them
-        blocks = ["000000", "111111", "0X0X0X"]
+        blocks = blocks_from(["000000", "111111", "0X0X0X"])
         cfg = self._cfg(k=k, max_evaluations=20)
         with pytest.raises(LengthMismatch):
             evolve(blocks, 18, cfg)
@@ -488,7 +488,7 @@ class TestEvolve:
 
     def test_empty_blocks_rejected(self):
         with pytest.raises(InvalidConfig):
-            evolve([], 10, self._cfg())
+            evolve(blocks_from([], 4), 10, self._cfg())
 
     def test_nine_code_seeding(self):
         from tercode import nine_mvs
@@ -520,7 +520,7 @@ class TestEvolve:
         report = evolve(blocks, 240, cfg)
         assert report.best == "".join(v.symbols for v in nine_mvs(4))
         # its fitness equals the Huffman-recoded nine-vector rate
-        ts = TestSet(tuple(blocks))
+        ts = TestSet(tuple(block_strings(blocks)))
         stream = compress(ts, "9c-hc", EaConfig(k=4)).stream
         assert report.best_rate == pytest.approx(
             compression_rate(240, stream.payload_bits)
