@@ -10,7 +10,6 @@ fixed nine-vector baseline or from an evolutionary search.
 from .baseline9c import nine_codebook, nine_mvs
 from .codec import (
     BlockStats,
-    Codebook,
     EncodedStream,
     MatchingVector,
     build_huffman,

@@ -9,7 +9,7 @@ reproduced here as published rather than repaired.
 
 from __future__ import annotations
 
-from .codec import Codebook, MatchingVector
+from .codec import MatchingVector
 from .errors import OddK
 
 _HALF_PAIRS = (
@@ -38,6 +38,6 @@ def nine_mvs(k: int) -> tuple[MatchingVector, ...]:
     )
 
 
-def nine_codebook() -> Codebook:
+def nine_codebook() -> dict[int, str]:
     """The fixed prefix code, indexed in ``nine_mvs`` order."""
-    return Codebook(dict(enumerate(_FIXED_CODEWORDS)))
+    return dict(enumerate(_FIXED_CODEWORDS))

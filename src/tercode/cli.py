@@ -31,7 +31,7 @@ def _mv_usage(result: pipeline.CompressResult) -> list[dict]:
         {
             "mv": result.mvs[index].symbols,
             "frequency": freq,
-            "codeword_length": len(result.codebook.codeword(index)),
+            "codeword_length": len(result.codebook[index]),
         }
         for index, freq in enumerate(result.frequencies)
         if freq

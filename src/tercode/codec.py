@@ -5,11 +5,13 @@ ASCII codes that ``core.partition`` returns; it matches a vector over
 {0,1,U} when no position pairs a specified 0 with a specified 1.  Each
 block is encoded as the codeword of its assigned vector followed by the
 block's bits at the vector's U positions: a word of |codeword| + N_U bits,
-one fixed width per vector.  ``encode_all`` masks each block's row of
-codeword and symbol bits down to its word, a slice of blocks at a time,
-and packs the words with ``np.packbits``; ``decode`` unpacks them once
-and walks them, looking codewords up in a table and memoising the
-decoded words.
+one fixed width per vector.  A codebook is a plain dict from vector index
+to codeword, and the ``EncodedStream`` that ``encode_all`` returns holds
+the coded vectors in index order, one codeword each.  ``encode_all``
+masks each block's row of codeword and symbol bits down to its word, a
+slice of blocks at a time, and packs the words with ``np.packbits``;
+``decode`` unpacks them once and walks them, looking codewords up in a
+table and memoising the decoded words.
 
 Matching has one implementation, on block sets.  ``BlockStats`` turns
 the block matrix into one set per (mask bit, vector symbol), each a
@@ -100,53 +102,31 @@ class MatchingVector:
         return len(self.symbols)
 
 
-@dataclass(frozen=True, eq=True)
-class Codebook:
-    """Prefix-free map from vector index to codeword bitstring.
-
-    Only vectors with nonzero frequency hold entries; a lone entry may
-    be the empty codeword.
-    """
-
-    entries: dict[int, str]
-
-    def __post_init__(self):
-        codes = sorted(self.entries.values())
-        if any(code.strip("01") for code in codes):
-            raise ValueError("a codeword holds a symbol other than 0 and 1")
-        for a, b in zip(codes, codes[1:]):
-            if b.startswith(a):
-                raise ValueError(f"codebook is not prefix-free: {a!r}, {b!r}")
-
-    def codeword(self, index: int) -> str:
-        try:
-            return self.entries[index]
-        except KeyError:
-            raise NoCodeword(f"vector {index} has no codeword") from None
-
-
 @dataclass(frozen=True)
 class EncodedStream:
     """A compressed block sequence plus everything needed to decode it.
 
-    ``mv_table`` lists only the vectors that hold codewords; ``codebook``
-    is indexed by table position.  ``original_length`` is the unpadded
-    symbol count the decoder must trim to; it sets the block count.  The
-    container's limits hold here: K and ``original_length`` are at least
-    1, K and the table size at most ``MAX_K_OR_L`` (u16 fields),
-    ``original_length`` fits a u64, a codeword holds at most 255 bits (a
-    length byte), and ``pattern_width`` is None or a positive divisor of it.
+    ``codewords`` holds one prefix-free codeword of 0s and 1s per
+    ``mv_table`` vector, in table order; both are stored as tuples.
+    ``original_length`` is the unpadded symbol count the decoder must trim
+    to; it sets the block count.  The container's limits hold here: K and
+    ``original_length`` are at least 1, K and the table size at most
+    ``MAX_K_OR_L`` (u16 fields), ``original_length`` fits a u64, a
+    codeword holds at most 255 bits (a length byte), and ``pattern_width``
+    is None or a positive divisor of it, so every stream can be written.
     """
 
     payload: bytes
     payload_bits: int
     k: int
     mv_table: tuple[MatchingVector, ...]
-    codebook: Codebook
+    codewords: tuple[str, ...]
     original_length: int
     pattern_width: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "mv_table", tuple(self.mv_table))
+        object.__setattr__(self, "codewords", tuple(self.codewords))
         if len(self.payload) != (self.payload_bits + 7) // 8:
             raise ValueError("payload byte count disagrees with payload_bits")
         if self.k < 1 or self.original_length < 1:
@@ -162,11 +142,17 @@ class EncodedStream:
             raise ValueError(
                 f"pattern width {width} does not divide {self.original_length} symbols"
             )
-        for index, code in self.codebook.entries.items():
-            if not 0 <= index < len(self.mv_table):
-                raise ValueError(f"codebook entry {index} outside the MV table")
-            if len(code) > 255:
-                raise ValueError(f"codeword of {len(code)} bits exceeds 255")
+        if len(self.codewords) != len(self.mv_table):
+            raise ValueError("the table needs exactly one codeword per vector")
+        codes = sorted(self.codewords)
+        if any(code.strip("01") for code in codes):
+            raise ValueError("a codeword holds a symbol other than 0 and 1")
+        for a, b in zip(codes, codes[1:]):
+            if b.startswith(a):
+                raise ValueError(f"codewords are not prefix-free: {a!r}, {b!r}")
+        longest = max(map(len, codes), default=0)
+        if longest > 255:
+            raise ValueError(f"codeword of {longest} bits exceeds 255")
 
     @property
     def block_count(self) -> int:
@@ -274,7 +260,7 @@ def cover(stats: BlockStats, mvs: Sequence[MatchingVector]) -> np.ndarray:
     """Greedy covering: vectors sorted by rising U count, first match wins.
 
     Returns the read-only int64 assignment.  Raises UnmatchedBlock (with
-    the 1-based block index) when some block matches no vector at all.
+    the first one's 1-based index and the count) when blocks match no vector.
     """
     for v in mvs:
         if len(v) != stats.k:
@@ -285,7 +271,7 @@ def cover(stats: BlockStats, mvs: Sequence[MatchingVector]) -> np.ndarray:
         [v.n_unspecified for v in mvs],
     )
     if unmatched:
-        raise UnmatchedBlock(first)
+        raise UnmatchedBlock(first, unmatched)
     assign = np.zeros(stats.total, dtype=np.int64)
     for idx, hit in enumerate(hits):
         if hit:
@@ -322,8 +308,9 @@ def huffman_code_lengths(frequencies: Sequence[int]) -> dict[int, int]:
     return lengths
 
 
-def build_huffman(frequencies: Sequence[int]) -> Codebook:
-    """Canonical Huffman codebook: codewords assigned in (length, index) order."""
+def build_huffman(frequencies: Sequence[int]) -> dict[int, str]:
+    """Canonical Huffman codebook, from each nonzero-frequency index to its
+    codeword: codewords assigned in (length, index) order."""
     lengths = huffman_code_lengths(frequencies)
     order = sorted(lengths, key=lambda i: (lengths[i], i))
     entries: dict[int, str] = {}
@@ -335,13 +322,13 @@ def build_huffman(frequencies: Sequence[int]) -> Codebook:
         entries[index] = format(code, f"0{length}b") if length else ""
         code += 1
         prev_len = length
-    return Codebook(entries)
+    return entries
 
 
 def encode_all(
     stats: BlockStats,
     assignment: np.ndarray,
-    codebook: Codebook,
+    codebook: dict[int, str],
     mvs: Sequence[MatchingVector],
     fill: str = "zero",
     rng: random.Random | None = None,
@@ -361,7 +348,8 @@ def encode_all(
     against its blocks, as block sets; for the first block in sequence
     order that cannot be encoded, the vector's length decides
     LengthMismatch, then the block's bit in its ``match_set`` NotMatching,
-    else NoCodeword.
+    else NoCodeword.  A codebook that ``EncodedStream`` refuses raises
+    ValueError once the payload is written.
 
     The payload is written ``_SLICE`` blocks at a time: one
     ``bytes.translate`` turns the slice's symbols into bits, each block's
@@ -384,19 +372,19 @@ def encode_all(
         raise ValueError(f"assignment covers {len(assignment)} of {stats.total} blocks")
     if stats.total and not (assignment.min() >= 0 and assignment.max() < n):
         raise ValueError(f"assignment names a vector outside the {n} given")
-    if any(not 0 <= i < n for i in codebook.entries):
+    if any(not 0 <= i < n for i in codebook):
         raise ValueError(f"codebook names a vector outside the {n} given")
     # a block is good when its vector is K long, holds a codeword and matches
     # it.  Row i of ``codes`` is vector i's codeword, left-aligned in ``top``
     # bits; with a block's K bits after it, row i of ``keep`` marks the word
-    top = max(map(len, codebook.entries.values()), default=0)
+    top = max(map(len, codebook.values()), default=0)
     codes = np.zeros((n, top), dtype=np.uint8)
     keep = np.zeros((n, top + stats.k), dtype=bool)
-    for i, code in codebook.entries.items():
+    for i, code in codebook.items():
         if len(mvs[i]) == stats.k:
             v, held = mvs[i], assignment == i
             good |= _block_set(held) & match_set(stats, v.ones_mask, v.zeros_mask)
-            codes[i, : len(code)] = [int(b) for b in code]
+            codes[i, : len(code)] = [b == "1" for b in code]
             keep[i, : len(code)] = True
             keep[i, [top + p for p in v.u_positions]] = True
     bad = ((1 << stats.total) - 1) & ~good
@@ -432,14 +420,12 @@ def encode_all(
         carry = out[full:]
     payload_bits = 8 * sum(map(len, chunks)) + len(carry)
     chunks.append(np.packbits(carry).tobytes())
-    table_indices = sorted(codebook.entries)
-    remap = {orig: pos for pos, orig in enumerate(table_indices)}
     return EncodedStream(
         payload=b"".join(chunks),
         payload_bits=payload_bits,
         k=stats.k,
-        mv_table=tuple(mvs[i] for i in table_indices),
-        codebook=Codebook({remap[i]: c for i, c in codebook.entries.items()}),
+        mv_table=tuple(mvs[i] for i in sorted(codebook)),
+        codewords=tuple(codebook[i] for i in sorted(codebook)),
         original_length=original_length,
         pattern_width=pattern_width,
     )
@@ -470,7 +456,7 @@ def decode(stream: EncodedStream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:
             f"stream declares {stream.original_length} symbols, "
             f"more than the limit of {max_symbols}"
         )
-    table = {code: pos for pos, code in stream.codebook.entries.items()}
+    table = {code: pos for pos, code in enumerate(stream.codewords)}
     lengths = sorted({len(code) for code in table})
     max_len = lengths[-1] if lengths else 0
     peek_len = min(max_len, _PEEK_BITS)

@@ -25,7 +25,7 @@ import struct
 import zlib
 
 from .bits import pack_bits, unpack_bits
-from .codec import Codebook, EncodedStream, MatchingVector
+from .codec import EncodedStream, MatchingVector
 from .errors import BadMagic, ChecksumMismatch, CorruptHeader, UnsupportedVersion
 
 MAGIC = b"TCC1"
@@ -50,8 +50,7 @@ def write_container(stream: EncodedStream) -> bytes:
     )
     for v in stream.mv_table:
         out += pack_bits(v.symbols.translate(_SYMBOL_PAIRS))
-    for pos in range(len(stream.mv_table)):
-        code = stream.codebook.codeword(pos)
+    for code in stream.codewords:
         out.append(len(code))
         out += pack_bits(code)
     out += struct.pack(">Q", stream.payload_bits)
@@ -137,16 +136,12 @@ def read_container(data: bytes) -> EncodedStream:
             if None in symbols:
                 raise CorruptHeader("invalid 2-bit symbol 11 in MV table")
             mv_table.append(MatchingVector("".join(symbols)))
-        entries = {
-            pos: unpack_bits(raw, code_len)
-            for pos, (code_len, raw) in enumerate(code_raw)
-        }
         return EncodedStream(
             payload=payload,
             payload_bits=payload_bits,
             k=k,
             mv_table=tuple(mv_table),
-            codebook=Codebook(entries),
+            codewords=tuple(unpack_bits(raw, n) for n, raw in code_raw),
             original_length=original_length,
             pattern_width=pattern_width,
         )

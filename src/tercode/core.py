@@ -10,7 +10,7 @@ matrix of the symbols' ASCII codes, one row per block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class TestSet:
         return len(self.patterns[0])
 
 
-def parse_test_set(text: str | IO[str] | Iterable[str]) -> TestSet:
+def parse_test_set(text: str | IO[str]) -> TestSet:
     """Parse a test-set file: one pattern per line over {0,1,X,x}.
 
     Lines starting with '#' and blank lines are skipped; 'x' is
@@ -61,14 +61,9 @@ def parse_test_set(text: str | IO[str] | Iterable[str]) -> TestSet:
     EmptyInput on malformed input.
     """
     if hasattr(text, "read"):
-        lines = text.read().splitlines()
-    elif isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in text]
-
+        text = text.read()
     rows = []
-    for raw in lines:
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -32,12 +32,14 @@ class LengthMismatch(CodecError):
 class UnmatchedBlock(CodecError):
     """No matching vector matches an input block; the MV set is infeasible.
 
-    ``block_index`` is the 1-based ordinal of the first unmatched block.
+    ``block_index`` is the 1-based ordinal of the first unmatched block,
+    ``count`` the number of unmatched blocks.
     """
 
-    def __init__(self, block_index: int):
+    def __init__(self, block_index: int, count: int):
         super().__init__(f"no matching vector matches input block {block_index}")
         self.block_index = block_index
+        self.count = count
 
 
 class AllZeroFrequencies(CodecError):

@@ -26,7 +26,7 @@ class CompressResult:
     stream: codec.EncodedStream
     mvs: tuple[codec.MatchingVector, ...]
     frequencies: tuple[int, ...]
-    codebook: codec.Codebook
+    codebook: dict[int, str]
     evolution: ea.EvolutionReport | None
 
     @property
@@ -59,11 +59,9 @@ def compress(
         )
         try:
             assignment = codec.cover(stats, mvs)
-        except UnmatchedBlock:
-            base = ea.infeasible_base(stats.total, len(mvs), cfg.k, original_bits)
-            unmatched = round(base - evolution.best_rate)
+        except UnmatchedBlock as exc:
             raise InvalidConfig(
-                f"the search's best vector set leaves {unmatched} of {stats.total} "
+                f"the search's best vector set leaves {exc.count} of {stats.total} "
                 "blocks unmatched; reserve the all-U vector (--reserve-all-u), "
                 "or raise L or the evaluation budget"
             ) from None

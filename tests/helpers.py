@@ -15,7 +15,6 @@ from functools import lru_cache
 import numpy as np
 
 from tercode import (
-    Codebook,
     MatchingVector,
     TestSet,
     build_huffman,
@@ -158,7 +157,7 @@ def naive_encode_bits(blocks, assignment, codebook, mvs, fill="zero", rng=None) 
             raise LengthMismatch(f"vector {v.symbols} vs block {block}")
         if not char_match(block, v.symbols):
             raise NotMatching(f"vector {v.symbols} does not match block {block}")
-        if idx not in codebook.entries:
+        if idx not in codebook:
             raise NoCodeword(f"vector {idx} has no codeword")
         fills = ""
         for p in v.u_positions:
@@ -166,7 +165,7 @@ def naive_encode_bits(blocks, assignment, codebook, mvs, fill="zero", rng=None) 
             if ch == "X":
                 ch = "01"[rng.getrandbits(1)] if fill == "random" else "01"[fill == "one"]
             fills += ch
-        out.append(codebook.entries[idx] + fills)
+        out.append(codebook[idx] + fills)
     return "".join(out)
 
 
@@ -180,7 +179,7 @@ def naive_decode(stream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:
             f"stream declares {stream.original_length} symbols, "
             f"more than the limit of {max_symbols}"
         )
-    table = {code: pos for pos, code in stream.codebook.entries.items()}
+    table = {code: pos for pos, code in enumerate(stream.codewords)}
     lengths = sorted({len(code) for code in table})
     max_len = lengths[-1] if lengths else 0
     # each vector as a %-template whose slots are its U positions
@@ -263,16 +262,16 @@ def optimal_prefix_cost(nonzero_freqs) -> int:
     )
 
 
-def code_lengths(codebook: Codebook) -> dict[int, int]:
-    return {i: len(c) for i, c in codebook.entries.items()}
+def code_lengths(codebook: dict[int, str]) -> dict[int, int]:
+    return {i: len(c) for i, c in codebook.items()}
 
 
-def kraft_sum(codebook: Codebook) -> float:
-    return sum(2.0 ** -len(c) for c in codebook.entries.values())
+def kraft_sum(codebook: dict[int, str]) -> float:
+    return sum(2.0 ** -len(c) for c in codebook.values())
 
 
-def codebook_cost(codebook: Codebook, freqs) -> int:
-    return sum(freqs[i] * len(code) for i, code in codebook.entries.items())
+def codebook_cost(codebook: dict[int, str], freqs) -> int:
+    return sum(freqs[i] * len(code) for i, code in codebook.items())
 
 
 def payload_bitstring(stream) -> str:

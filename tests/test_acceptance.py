@@ -77,7 +77,7 @@ def test_worked_example_exact():
     assert frequencies(assignment, 3) == [5, 3, 2]
 
     codebook = build_huffman(frequencies(assignment, 3))
-    assert [len(codebook.codeword(i)) for i in range(3)] == [1, 2, 2]
+    assert [len(codebook[i]) for i in range(3)] == [1, 2, 2]
     stream = encode_all(blocks, assignment, codebook, mvs)
     assert stream.payload_bits == 20
 
@@ -98,11 +98,11 @@ def test_nine_code_fidelity():
         "000UUU", "UUU000", "UUUUUU",
     )
     codebook = nine_codebook()
-    assert tuple(codebook.codeword(i) for i in range(9)) == (
+    assert tuple(codebook[i] for i in range(9)) == (
         "0", "10", "11000", "11001", "11010", "11011", "11100", "11101",
         "11111",
     )
-    codes = list(codebook.entries.values())
+    codes = list(codebook.values())
     for a in codes:
         for b in codes:
             if a is not b:

@@ -60,17 +60,17 @@ class TestNineMvs:
 class TestNineCodebook:
     def test_codewords_verbatim(self):
         codebook = nine_codebook()
-        assert tuple(codebook.entries[i] for i in range(9)) == EXPECTED_CODES
+        assert tuple(codebook[i] for i in range(9)) == EXPECTED_CODES
 
     def test_prefix_free(self):
-        codes = list(nine_codebook().entries.values())
+        codes = list(nine_codebook().values())
         for a in codes:
             for b in codes:
                 if a is not b:
                     assert not b.startswith(a)
 
     def test_codeword_11110_left_unassigned(self):
-        assert "11110" not in nine_codebook().entries.values()
+        assert "11110" not in nine_codebook().values()
 
 
 class TestCompress9c:
@@ -91,7 +91,7 @@ class TestCompress9c:
         codebook = nine_codebook()
         expected = [1, 2, 5, 5, 8, 8, 8, 8, 11]
         got = [
-            len(codebook.codeword(i)) + mvs[i].n_unspecified for i in range(9)
+            len(codebook[i]) + mvs[i].n_unspecified for i in range(9)
         ]
         assert got == expected
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tercode import (
-    Codebook,
     EncodedStream,
     MatchingVector,
     build_huffman,
@@ -144,11 +143,11 @@ class TestCover:
     def test_unmatched_block_reports_first_index(self):
         with pytest.raises(UnmatchedBlock) as err:
             cover(blocks_from(["0101"]), [mv("1111"), mv("0000")])
-        assert err.value.block_index == 1
+        assert (err.value.block_index, err.value.count) == (1, 1)
 
         with pytest.raises(UnmatchedBlock) as err:
-            cover(blocks_from(["1111", "0101"]), [mv("1111"), mv("0000")])
-        assert err.value.block_index == 2
+            cover(blocks_from(["1111", "0101", "0000", "1X10"]), [mv("1111"), mv("0000")])
+        assert (err.value.block_index, err.value.count) == (2, 2)
 
         # K=70 masks are wider than 64 bits: the leftmost symbol is mask
         # bit 69, the rightmost bit 0; a conflict at either end counts
@@ -156,7 +155,7 @@ class TestCover:
         for conflict in ("0" + "1" * 69, "1" * 69 + "0"):
             with pytest.raises(UnmatchedBlock) as err:
                 cover(blocks_from([ones, conflict, ones, conflict]), [mv(ones)])
-            assert err.value.block_index == 2
+            assert (err.value.block_index, err.value.count) == (2, 2)
 
     def test_worked_frequency_example(self):
         # five blocks only the 111U vector takes, three for 1110, two for 0000
@@ -288,20 +287,20 @@ class TestCoverProperties:
 class TestHuffman:
     def test_three_symbol_example(self):
         codebook = build_huffman([5, 3, 2])
-        assert codebook.entries == {0: "0", 1: "10", 2: "11"}
+        assert codebook == {0: "0", 1: "10", 2: "11"}
 
     def test_two_symbol_merged_example(self):
         codebook = build_huffman([8, 0, 2])
-        assert sorted(len(c) for c in codebook.entries.values()) == [1, 1]
-        assert set(codebook.entries) == {0, 2}
+        assert sorted(len(c) for c in codebook.values()) == [1, 1]
+        assert set(codebook) == {0, 2}
 
     def test_single_symbol_gets_empty_codeword(self):
-        assert build_huffman([7]).entries == {0: ""}
-        assert build_huffman([0, 7, 0]).entries == {1: ""}
+        assert build_huffman([7]) == {0: ""}
+        assert build_huffman([0, 7, 0]) == {1: ""}
 
     def test_zero_frequencies_omitted(self):
         codebook = build_huffman([0, 5, 0, 3])
-        assert set(codebook.entries) == {1, 3}
+        assert set(codebook) == {1, 3}
 
     def test_all_zero_frequencies(self):
         with pytest.raises(AllZeroFrequencies):
@@ -316,7 +315,7 @@ class TestHuffman:
             if not any(freqs):
                 freqs[0] = 1
             codebook = build_huffman(freqs)
-            codes = list(codebook.entries.values())
+            codes = list(codebook.values())
             for a in codes:
                 for b in codes:
                     if a is not b:
@@ -335,7 +334,7 @@ class TestHuffman:
         codebook = build_huffman([2, 9, 3, 1])
         lengths = code_lengths(codebook)
         ordered = sorted(lengths, key=lambda i: (lengths[i], i))
-        values = [int(codebook.entries[i], 2) for i in ordered]
+        values = [int(codebook[i], 2) for i in ordered]
         assert values == sorted(values)
 
     def test_huffman_cost_examples(self):
@@ -378,29 +377,61 @@ class TestHuffman:
             return
         assert huffman_code_lengths(freqs) == naive_huffman_code_lengths(freqs)
 
-    def test_codebook_rejects_prefix_violation(self):
-        with pytest.raises(ValueError):
-            Codebook({0: "0", 1: "01"})
 
-    def test_codebook_rejects_symbols_other_than_0_and_1(self):
+def two_vector_stream(codewords) -> EncodedStream:
+    """A one-symbol stream whose table holds the vectors 0 and 1."""
+    return EncodedStream(payload=b"", payload_bits=0, k=1, mv_table=(mv("0"), mv("1")),
+                         codewords=codewords, original_length=1)
+
+
+class TestEncodedStream:
+    """The codewords are checked when the stream is built, never later."""
+
+    @pytest.mark.parametrize("codewords", [("0", "01"), ("1", "1"), ("", "0")],
+                             ids=["prefix", "repeat", "empty"])
+    def test_rejects_prefix_violation(self, codewords):
+        with pytest.raises(ValueError, match="not prefix-free"):
+            two_vector_stream(codewords)
+
+    def test_rejects_symbols_other_than_0_and_1(self):
         with pytest.raises(ValueError, match="other than 0 and 1"):
-            Codebook({0: "0", 1: "1X"})
+            two_vector_stream(("0", "1X"))
+
+    @pytest.mark.parametrize("codewords", [("",), ("0", "10", "11"), ()],
+                             ids=["one_short", "one_over", "none"])
+    def test_one_codeword_per_table_vector(self, codewords):
+        # a table vector without a codeword has nothing to write in the
+        # container's codeword table
+        with pytest.raises(ValueError, match="one codeword per vector"):
+            two_vector_stream(codewords)
+
+    def test_codewords_fixed_once_checked(self):
+        # a 300-bit codeword put in after the checks would not fit the
+        # container's length byte
+        codewords = ["0", "1"]
+        stream = two_vector_stream(codewords)
+        codewords[0] = "0" * 300
+        with pytest.raises(TypeError):
+            stream.codewords[0] = "0" * 300
+        assert stream.codewords == ("0", "1")
+        assert read_container(write_container(stream)) == stream
 
 
 class TestEncodingLength:
     """A block's word is |codeword| + N_U bits."""
 
     def test_examples(self):
-        assert len(encode_one("1110", mv("111U"), Codebook({0: "0"}))) == 2
-        assert len(encode_one("01X10X", mv("UUUUUU"), Codebook({0: "11111"}))) == 11
-        assert len(encode_one("1100", mv("1100"), Codebook({0: "1"}))) == 1
+        assert len(encode_one("1110", mv("111U"), {0: "0"})) == 2
+        assert len(encode_one("01X10X", mv("UUUUUU"), {0: "11111"})) == 11
+        assert len(encode_one("1100", mv("1100"), {0: "1"})) == 1
 
     def test_no_codeword(self):
         with pytest.raises(NoCodeword):
-            encode_one("10", mv("1U"), Codebook({1: "0"}))
+            encode_one("10", mv("1U"), {1: "0"})
 
 
-def encode_one(symbols: str, v: MatchingVector, codebook: Codebook, **kwargs) -> str:
+def encode_one(symbols: str, v: MatchingVector, codebook: dict[int, str],
+               **kwargs) -> str:
     """Payload bits of a one-block stream whose block is assigned to ``v``,
     vector 0; vector 1 is all U and takes no block."""
     stream = encode_all(blocks_from([symbols]), np.zeros(1, dtype=np.int64), codebook,
@@ -412,16 +443,16 @@ class TestEncodeBlock:
     """``encode_all`` on one-block inputs."""
 
     def test_fill_bits_follow_codeword(self):
-        codebook = Codebook({0: "11010"})
+        codebook = {0: "11010"}
         assert encode_one("111100", mv("111UUU"), codebook) == "11010100"
         assert encode_one("111011", mv("111UUU"), codebook) == "11010011"
 
     def test_x_fills_as_zero_by_default(self):
-        codebook = Codebook({0: "1"})
+        codebook = {0: "1"}
         assert encode_one("1X10", mv("UU10"), codebook) == "110"
 
     def test_fill_policies(self):
-        codebook = Codebook({0: ""})
+        codebook = {0: ""}
         assert encode_one("XX", mv("UU"), codebook, fill="one") == "11"
         rng = random.Random(0)
         bits = encode_one("XX", mv("UU"), codebook, fill="random", rng=rng)
@@ -431,11 +462,11 @@ class TestEncodeBlock:
 
     def test_not_matching(self):
         with pytest.raises(NotMatching):
-            encode_one("10", mv("01"), Codebook({0: "0"}))
+            encode_one("10", mv("01"), {0: "0"})
 
     def test_no_codeword(self):
         with pytest.raises(NoCodeword):
-            encode_one("10", mv("10"), Codebook({1: "0"}))
+            encode_one("10", mv("10"), {1: "0"})
 
 
 class TestEncodeAll:
@@ -472,13 +503,25 @@ class TestEncodeAll:
         mvs = [mv("UU")]
         assignment = cover(blocks, mvs)
         with pytest.raises(ValueError, match="256 bits"):
-            encode_all(blocks, assignment, Codebook({0: "0" * 256}), mvs)
+            encode_all(blocks, assignment, {0: "0" * 256}, mvs)
+
+    @pytest.mark.parametrize("codebook, error", [
+        ({0: "2"}, "other than 0 and 1"),
+        ({0: "1X"}, "other than 0 and 1"),
+        ({0: "0", 1: "01"}, "not prefix-free"),
+    ], ids=["digit", "x", "prefix"])
+    @pytest.mark.parametrize("fill", FILL_CHOICES)
+    def test_codebook_the_stream_refuses_rejected(self, codebook, error, fill):
+        blocks = blocks_from(["01", "1X"])
+        with pytest.raises(ValueError, match=error):
+            encode_all(blocks, np.zeros(2, dtype=np.int64), codebook,
+                       [mv("UU"), mv("UU")], fill, random.Random(0))
 
     def test_255_bit_codeword_round_trips(self):
         blocks = blocks_from(["01", "10"])
         mvs = [mv("UU")]
         assignment = cover(blocks, mvs)
-        stream = encode_all(blocks, assignment, Codebook({0: "0" * 255}), mvs)
+        stream = encode_all(blocks, assignment, {0: "0" * 255}, mvs)
         assert stream.payload_bits == 2 * 257
         assert decode(read_container(write_container(stream))) == "0110"
 
@@ -487,13 +530,13 @@ class TestEncodeAll:
         blocks = blocks_from(["00", "11", "01", "10"])
         assignment = np.array([0, 1, 1, 0])
         with pytest.raises(NotMatching, match="^vector 1U does not match block 01$"):
-            encode_all(blocks, assignment, Codebook({0: "0", 1: "1"}),
+            encode_all(blocks, assignment, {0: "0", 1: "1"},
                        [mv("0U"), mv("1U")])
 
     def test_table_vector_of_another_length_rejected(self):
         # an unassigned vector of length 2 would enter a K=4 stream's table
         with pytest.raises(ValueError, match="not 4 symbols"):
-            encode_all(blocks_from(["0000"]), np.array([0]), Codebook({0: "0", 1: "1"}),
+            encode_all(blocks_from(["0000"]), np.array([0]), {0: "0", 1: "1"},
                        [mv("0000"), mv("UU")])
 
     @pytest.mark.parametrize("assigned, keys", [
@@ -506,18 +549,18 @@ class TestEncodeAll:
         codes = ["00", "01", "10"][: len(keys)]
         with pytest.raises(ValueError, match="outside the 2 given"):
             encode_all(blocks_from(["00", "11"]), np.array(assigned),
-                       Codebook(dict(zip(keys, codes))), [mv("UU"), mv("UU")])
+                       dict(zip(keys, codes)), [mv("UU"), mv("UU")])
 
     @pytest.mark.parametrize("original_length", [0, 4, 9])
     def test_original_length_must_fit_the_blocks(self, original_length):
         # 2 blocks of K=4 hold 5 to 8 symbols
         with pytest.raises(ValueError):
             encode_all(blocks_from(["0000", "1111"]), np.array([0, 0]),
-                       Codebook({0: ""}), [mv("UUUU")], original_length=original_length)
+                       {0: ""}, [mv("UUUU")], original_length=original_length)
 
     def test_symbol_other_than_0_1_x_rejected(self):
         with pytest.raises(ValueError, match="other than 0, 1 and X"):
-            encode_all(blocks_from(["0x"]), np.array([0]), Codebook({0: ""}), [mv("UU")])
+            encode_all(blocks_from(["0x"]), np.array([0]), {0: ""}, [mv("UU")])
 
     def test_block_stats_input(self):
         # blocks enter only as the stats of the 2-D uint8 matrix that
@@ -533,7 +576,7 @@ class TestEncodeAll:
     def test_zero_blocks(self):
         # no block holds a symbol, and a stream holds at least one
         with pytest.raises(ValueError):
-            encode_all(blocks_from([]), np.zeros(0, dtype=np.int64), Codebook({}), [])
+            encode_all(blocks_from([]), np.zeros(0, dtype=np.int64), {}, [])
 
     def test_payload_bits_identity(self):
         rng = random.Random(21)
@@ -549,7 +592,7 @@ class TestEncodeAll:
             codebook = build_huffman(freqs)
             stream = encode_all(blocks, assignment, codebook, mvs)
             expected = sum(
-                f * (len(codebook.codeword(i)) + mvs[i].n_unspecified)
+                f * (len(codebook[i]) + mvs[i].n_unspecified)
                 for i, f in enumerate(freqs)
                 if f
             )
@@ -584,9 +627,7 @@ def encode_cases(draw):
         assignment[rng.randrange(len(blocks))] = rng.randrange(len(mvs))
     codebook = build_huffman([assignment.count(i) for i in range(len(mvs))])
     if draw(st.booleans()):
-        entries = dict(codebook.entries)
-        del entries[rng.choice(sorted(entries))]
-        codebook = Codebook(entries)
+        del codebook[rng.choice(sorted(codebook))]
     fill = draw(st.sampled_from(["zero", "one", "random"]))
     return blocks_from(blocks), np.array(assignment), codebook, mvs, fill
 
@@ -675,7 +716,7 @@ class TestDecode:
         # would decode to "0", one symbol where the header declares four
         with pytest.raises(ValueError, match="not 4 symbols"):
             EncodedStream(payload=b"", payload_bits=0, k=4,
-                          mv_table=(mv("0"),), codebook=Codebook({0: ""}),
+                          mv_table=(mv("0"),), codewords=("",),
                           original_length=4)
 
     def _nine_code_stream(self, payload_bits: str) -> EncodedStream:
@@ -690,7 +731,7 @@ class TestDecode:
             payload_bits=len(payload_bits),
             k=6,
             mv_table=nine_mvs(6),
-            codebook=nine_codebook(),
+            codewords=tuple(nine_codebook().values()),
             original_length=6,
         )
 
@@ -714,7 +755,7 @@ class TestDecode:
             payload_bits=2,
             k=2,
             mv_table=(mv("00"), mv("01")),
-            codebook=Codebook({0: "0", 1: "10"}),
+            codewords=("0", "10"),
             original_length=2,
         )
         with pytest.raises(UnknownCodeword):
@@ -751,14 +792,14 @@ class TestDecode:
 
 @st.composite
 def decode_cases(draw):
-    """A stream's table, codebook and payload bits, before any damage.
+    """A stream's table, codewords and payload bits, before any damage.
 
-    The codebook is the Huffman code of random frequencies, of Fibonacci
+    The codewords are the Huffman code of random frequencies, of Fibonacci
     frequencies (18-22 vectors, so the longest codewords have 17-21 bits)
-    or of one vector (the lone empty codeword), and may lose one entry, so
-    that the payload holds codewords the decoder does not know.  The
-    payload encodes 0-40 blocks, and ``original_length`` may end anywhere
-    inside the last one."""
+    or of one vector (the lone empty codeword).  The table may lose one
+    vector with its codeword, so that the payload holds a codeword the
+    decoder does not know.  The payload encodes 0-40 blocks, and
+    ``original_length`` may end anywhere inside the last one."""
     k = draw(st.integers(1, 6))
     shape = draw(st.sampled_from(["random", "fibonacci", "lone"]))
     if shape == "lone":
@@ -772,31 +813,32 @@ def decode_cases(draw):
         freqs = draw(st.lists(st.integers(1, 50), min_size=2, max_size=8))
     mvs = tuple(mv(draw(st.text(alphabet="01U", min_size=k, max_size=k)))
                 for _ in freqs)
-    full = build_huffman(freqs).entries
-    entries = dict(full)
+    codebook = build_huffman(freqs)
+    table = list(range(len(mvs)))
     if draw(st.booleans()):
-        del entries[draw(st.sampled_from(sorted(entries)))]
+        table.remove(draw(st.sampled_from(table)))
     rng = draw(st.randoms(use_true_random=False))
     block_count = draw(st.integers(0, 40 if shape != "fibonacci" else 16))
     words = []
     for _ in range(block_count):
         index = rng.randrange(len(mvs))
         fills = "".join(rng.choice("01") for _ in range(mvs[index].n_unspecified))
-        words.append(full[index] + fills)
+        words.append(codebook[index] + fills)
     original_length = (
         draw(st.integers((block_count - 1) * k + 1, block_count * k))
         if block_count else 0
     )
-    return "".join(words), block_count, k, mvs, Codebook(entries), original_length
+    return ("".join(words), block_count, k, tuple(mvs[i] for i in table),
+            tuple(codebook[i] for i in table), original_length)
 
 
 class TestDecodeProperties:
     @staticmethod
-    def assert_agrees(bits, block_count, k, mvs, codebook, original_length,
+    def assert_agrees(bits, block_count, k, mvs, codewords, original_length,
                       max_symbols):
         def build():
             return EncodedStream(payload=pack_bits(bits), payload_bits=len(bits),
-                                 k=k, mv_table=mvs, codebook=codebook,
+                                 k=k, mv_table=mvs, codewords=codewords,
                                  original_length=original_length)
 
         if not block_count:
@@ -806,9 +848,7 @@ class TestDecodeProperties:
             return
         stream = build()
         assert stream.block_count == block_count
-        if len(codebook.entries) == len(mvs):
-            # the container stores a codeword for every table vector
-            assert read_container(write_container(stream)) == stream
+        assert read_container(write_container(stream)) == stream
         try:
             want = naive_decode(stream, max_symbols)
         except TercodeError as exc:
