@@ -161,10 +161,10 @@ def cmd_decompress(args) -> int:
             f"{stream.original_length}"
         )
     bits = codec.decode(stream, args.max_symbols)
-    rows = tuple(bits[i : i + width] for i in range(0, len(bits), width))
     with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(core.write_test_set(core.TestSet(rows)))
-    print(f"wrote {len(rows)} patterns of width {width} to {args.output}")
+        # a row at a time: the file's whole text and its encoding are two more copies
+        handle.writelines(bits[i : i + width] + "\n" for i in range(0, len(bits), width))
+    print(f"wrote {len(bits) // width} patterns of width {width} to {args.output}")
     return 0
 
 

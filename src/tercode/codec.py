@@ -10,8 +10,8 @@ to codeword, and the ``EncodedStream`` that ``encode_all`` returns holds
 the coded vectors in index order, one codeword each.  ``encode_all``
 masks each block's row of codeword and symbol bits down to its word, a
 slice of blocks at a time, and packs the words with ``np.packbits``;
-``decode`` unpacks them once and walks them, looking codewords up in a
-table and memoising the decoded words.
+``decode`` finds the word starts with lockstep walkers whose chains of
+words join, as a prefix code resynchronises, and scatters the fill bits.
 
 Matching has one implementation, on block sets.  ``BlockStats`` turns
 the block matrix into one set per (mask bit, vector symbol), each a
@@ -34,7 +34,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .bits import unpack_bits
 from .errors import (
     AllZeroFrequencies,
     DanglingBits,
@@ -66,8 +65,9 @@ MAX_DECODE_SYMBOLS = 1 << 30
 # blocks per slice that encode_all writes at a time
 _SLICE = 1 << 16
 
-# payload bits decode looks a codeword up by
-_PEEK_BITS = 16
+# payload bits between the starts of two decode walkers, and in one span
+_CHUNK = 1 << 9
+_SPAN = 1 << 19
 
 
 def mv_masks(symbols: str) -> tuple[int, int]:
@@ -107,7 +107,7 @@ class EncodedStream:
     """A compressed block sequence plus everything needed to decode it.
 
     ``codewords`` holds one prefix-free codeword of 0s and 1s per
-    ``mv_table`` vector, in table order; both are stored as tuples.
+    ``mv_table`` vector, in table order; both, and the payload, are frozen.
     ``original_length`` is the unpadded symbol count the decoder must trim
     to; it sets the block count.  The container's limits hold here: K and
     ``original_length`` are at least 1, K and the table size at most
@@ -125,6 +125,7 @@ class EncodedStream:
     pattern_width: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "payload", bytes(self.payload))
         object.__setattr__(self, "mv_table", tuple(self.mv_table))
         object.__setattr__(self, "codewords", tuple(self.codewords))
         if len(self.payload) != (self.payload_bits + 7) // 8:
@@ -343,13 +344,13 @@ def encode_all(
     order.  Raises InvalidConfig, before encoding anything, for a fill
     policy outside ``FILL_CHOICES`` or random fill without an rng, then
     ValueError unless there are ceil(``original_length`` / K) blocks, one
-    assigned index each, and every index and codebook key lies in
-    [0, len(mvs)).  Each vector with a codeword is then checked once
-    against its blocks, as block sets; for the first block in sequence
-    order that cannot be encoded, the vector's length decides
-    LengthMismatch, then the block's bit in its ``match_set`` NotMatching,
-    else NoCodeword.  A codebook that ``EncodedStream`` refuses raises
-    ValueError once the payload is written.
+    assigned index each, every index and codebook key lies in
+    [0, len(mvs)) and no codeword is over 255 bits.  Each vector with a
+    codeword is then checked once against its blocks, as block sets; for
+    the first block in sequence order that cannot be encoded, the vector's
+    length decides LengthMismatch, then the block's bit in its
+    ``match_set`` NotMatching, else NoCodeword.  Other codebooks that
+    ``EncodedStream`` refuses raise ValueError once the payload is written.
 
     The payload is written ``_SLICE`` blocks at a time: one
     ``bytes.translate`` turns the slice's symbols into bits, each block's
@@ -374,10 +375,12 @@ def encode_all(
         raise ValueError(f"assignment names a vector outside the {n} given")
     if any(not 0 <= i < n for i in codebook):
         raise ValueError(f"codebook names a vector outside the {n} given")
+    top = max(map(len, codebook.values()), default=0)
+    if top > 255:
+        raise ValueError(f"codeword of {top} bits exceeds 255")
     # a block is good when its vector is K long, holds a codeword and matches
     # it.  Row i of ``codes`` is vector i's codeword, left-aligned in ``top``
     # bits; with a block's K bits after it, row i of ``keep`` marks the word
-    top = max(map(len, codebook.values()), default=0)
     codes = np.zeros((n, top), dtype=np.uint8)
     keep = np.zeros((n, top + stats.k), dtype=bool)
     for i, code in codebook.items():
@@ -431,80 +434,137 @@ def encode_all(
     )
 
 
+def _word_starts(step, win: np.ndarray, first: int, end: int, chunk: int) -> np.ndarray:
+    """Rising bit offsets of the words before ``end`` on the chain from
+    ``first``, a word start; ``step(win, at)`` is the word width at ``at``.
+
+    Walkers start every ``chunk`` bits from ``first`` and step together; a
+    walker stops on a bit that ``owner`` gives another (their chains join)
+    or at ``end``.  The chain is walker 0's words to its stop, then the
+    owner's of that bit, and so on; bits rise, so doubling hops finds it.
+    """
+    at = np.arange(first, end, chunk)
+    m = len(at)
+    ids = np.arange(m, dtype=np.min_scalar_type(-m - 1))
+    owner = np.full(end + 1, -1, dtype=ids.dtype)
+    owner[end], owner[at] = m, ids  # walkers past ``end`` are clipped to it
+    while at.size:
+        at = at + step(win, at)
+        seen = owner.take(at, mode="clip")
+        owner.put(at, np.where(seen == -1, ids, seen), mode="clip")
+        keep = owner.take(at, mode="clip") == ids  # one of two on a new bit
+        at, ids = at[keep], ids[keep]
+    starts = np.flatnonzero(owner[:end] >= 0)
+    walker = owner[starts]
+    last = np.zeros(m, dtype=np.int64)
+    np.maximum.at(last, walker, starts)
+    stop = last + step(win, last)
+    hop = owner.take(np.append(stop, end), mode="clip").astype(np.int64)
+    on, far = np.arange(m + 1) == 0, hop
+    while far[0] != m:
+        on[far[on]] = True
+        far = far[far]
+    entry = np.append(first, np.full(m, end))
+    entry[hop[:m][on[:m]]] = stop[on[:m]]
+    return starts[starts >= entry[walker]]
+
+
 def decode(stream: EncodedStream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:
     """Reconstruct the fully specified bit string of ``original_length`` bits.
 
-    Unpacks the payload once and walks it: each codeword names a vector,
-    whose U positions are then filled from the next N_U payload bits.
     Raises OutputTooLarge, before decoding anything, when
-    ``original_length`` exceeds ``max_symbols``; UnknownCodeword when the
-    next ``max_len`` bits start with no codeword, TruncatedPayload when
-    the payload ends inside a codeword or its fill bits, and DanglingBits
-    when bits are left after the last block.
+    ``original_length`` exceeds ``max_symbols``; then, at the first block
+    that fails, UnknownCodeword when the next ``max_len`` bits start with
+    no codeword or TruncatedPayload when the payload ends inside its word;
+    and DanglingBits when bits are left after the last block.
 
-    The codeword is looked up by the next ``min(max_len, 16)`` payload
-    bits, the peek, in a table filled as the walk meets each peek; a
-    missing peek probes each codeword length in rising order, and its
-    result is kept only when the codeword lies inside a full-width peek,
-    so codewords longer than 16 bits and the last bits of the payload are
-    always probed.  The table holds at most min(2^16, ``block_count``)
-    entries.  Each decoded block is memoised by its payload word
-    (codeword + fill bits), at most one entry per block.
+    It decodes ``_SPAN`` payload bits at a time.  Windows: ``head`` maps
+    the 32-bit windows' next min(``max_len``, 16) bits to the vector whose
+    codeword they start, -1 (a word wider than the payload), or -2 - t for
+    node t of longer codewords' 16-bit digits; sorted ``deep`` entries
+    (node << 16 | digit, digits spanned, vector or -2 - node), the first
+    below every key, lead on.  Walk and stitch: ``_word_starts``, walkers
+    ``_CHUNK`` bits apart rounded to the word widths' gcd.  Scatter: the
+    span's payload bits, unpacked, fill the U positions.  Only a span's
+    last word can be bad.
     """
     if stream.original_length > max_symbols:
         raise OutputTooLarge(
             f"stream declares {stream.original_length} symbols, "
             f"more than the limit of {max_symbols}"
         )
-    table = {code: pos for pos, code in enumerate(stream.codewords)}
-    lengths = sorted({len(code) for code in table})
-    max_len = lengths[-1] if lengths else 0
-    peek_len = min(max_len, _PEEK_BITS)
-    # each vector as a %-template whose slots are its U positions
-    templates = [
-        (v.symbols.replace("U", "%s"), v.n_unspecified) for v in stream.mv_table
-    ]
-    bits = unpack_bits(stream.payload, stream.payload_bits)
-    n_bits = len(bits)
-    pos = 0
-    # peek -> (codeword length, codeword + fill length, template)
-    peeks: dict[str, tuple[int, int, str]] = {}
-    blocks: dict[str, str] = {}
-    out: list[str] = []
-    for _ in range(stream.block_count):
-        peek = bits[pos : pos + peek_len]
-        hit = peeks.get(peek)
-        if hit is None:
-            # a slice cut short by the payload's end cannot equal a codeword:
-            # a code is prefix-free and shorter lengths were tried first
-            for length in lengths:
-                entry = table.get(bits[pos : pos + length])
-                if entry is not None:
-                    break
-            else:
-                if pos + max_len <= n_bits:
-                    raise UnknownCodeword(
-                        f"no codeword matches payload prefix of {max_len} bits"
-                    )
-                raise TruncatedPayload(f"payload ends inside a codeword at bit {n_bits}")
-            template, n_u = templates[entry]
-            hit = (length, length + n_u, template)
-            # then the probe read only bits of the peek, so the peek decides it
-            if length <= peek_len and len(peek) == peek_len:
-                peeks[peek] = hit
-        length, end, template = hit
-        word = bits[pos : pos + end]
-        if len(word) < end:
-            raise TruncatedPayload(f"payload ends inside fill bits at bit {n_bits}")
-        block = blocks.get(word)
-        if block is None:
-            block = blocks[word] = template % tuple(word[length:])
-        out.append(block)
-        pos += end
-    if pos < n_bits:
-        raise DanglingBits(f"{n_bits - pos} undecoded payload bits")
-    # every block holds an original symbol, so only the last is trimmed
-    out[-1] = out[-1][: stream.original_length - (len(out) - 1) * stream.k]
+    n, k, codes, mvs = stream.payload_bits, stream.k, stream.codewords, stream.mv_table
+    max_len = max(map(len, codes), default=0)
+    peek = min(max_len, 16)
+    nodes, deep = {}, {(-1 << 17, 0, -1)}
+    for i, code in enumerate(codes):
+        node, cut = -1, peek  # peek is 16 when a codeword is longer
+        while len(code) > cut:
+            child = nodes.setdefault(code[:cut], len(nodes))
+            deep.add((node << 16 | int(code[cut - 16 : cut], 2), 1, -2 - child))
+            node, cut = child, cut + 16
+        low = int(code[cut - peek :] or "0", 2) << (cut - len(code))
+        deep.add((node << 16 | low, 1 << (cut - len(code)), i))
+    lo, size, target = map(np.array, zip(*sorted(deep)))
+    head = np.full(1 << peek, -1, dtype=np.int64)
+    for key, span, vec in zip(lo + (1 << 16), size, target):
+        head[max(key, 0) : key + span] = vec
+
+    def bits_at(win, at, count):
+        return (win.take(at >> 3, mode="clip") >> (32 - count - (at & 7))) & ((1 << count) - 1)
+
+    def vectors(win, at):
+        vec = head.take(bits_at(win, at, peek))
+        if not nodes:
+            return vec
+        todo = np.flatnonzero(vec < -1)
+        at, node = at[todo], -2 - vec[todo]
+        while todo.size:
+            at = at + 16
+            key = node << 16 | bits_at(win, at, 16)
+            i = np.searchsorted(lo, key, "right") - 1
+            vec[todo] = found = np.where(key < lo[i] + size[i], target[i], -1)
+            todo, at, node = todo[found < -1], at[found < -1], -2 - found[found < -1]
+        return vec
+
+    parts = np.array([(len(c), v.n_unspecified) for c, v in zip(codes, mvs)] + [(0, 0)])
+    width = np.append(parts[:-1].sum(axis=1), n + 1)
+    if not width[0]:
+        if n:
+            raise DanglingBits(f"{n} undecoded payload bits")
+        return (mvs[0].symbols * stream.block_count)[: stream.original_length]
+    symbols = "".join(v.symbols for v in mvs).encode("ascii") + bytes(k)
+    fixed = np.frombuffer(symbols.replace(b"U", b"0"), dtype=np.uint8).reshape(-1, k)
+    is_u = np.frombuffer(symbols, dtype=np.uint8).reshape(-1, k) == ord("U")
+    gcd = int(np.gcd.reduce(width[:-1])) or 1
+    chunk = max(gcd, _CHUNK - _CHUNK % gcd)
+    data = np.frombuffer(stream.payload, dtype=np.uint8)
+    out, done, pos = [], 0, 0
+    while done < stream.block_count:
+        base = pos & ~7
+        end = max(min(_SPAN, n - base), pos - base + 1)
+        raw = np.zeros(((end + 7) >> 3) + 40, dtype=np.uint32)  # windows reach 255 bits on
+        part = data[base >> 3 : ((base + end) >> 3) + 40]
+        raw[: len(part)] = part
+        win = raw[:-3] << 24 | raw[1:-2] << 16 | raw[2:-1] << 8 | raw[3:]
+        starts = _word_starts(lambda w, a: width.take(vectors(w, a)), win, pos - base,
+                              end, chunk)[: stream.block_count - done]
+        vecs = vectors(win, starts)
+        at, pos = base + int(starts[-1]), base + int(starts[-1] + width[vecs[-1]])
+        if pos > n:
+            if vecs[-1] < 0 and at + max_len <= n:
+                raise UnknownCodeword(f"no codeword matches payload prefix of {max_len} bits")
+            raise TruncatedPayload(f"payload ends inside block {done + len(vecs)} at bit {n}")
+        bits = np.unpackbits(data[base >> 3 : (pos + 7) >> 3])
+        fill = np.repeat(np.tile(np.array([False, True]), len(vecs)),
+                         parts.take(vecs, axis=0).ravel())
+        rows = fixed.take(vecs, axis=0)
+        rows[is_u.take(vecs, axis=0)] = bits[starts[0] : pos - base][fill] + ord("0")
+        out.append(str(rows.ravel()[: stream.original_length - done * k].data, "ascii"))
+        done += len(vecs)
+        del raw, win, starts, vecs, bits, fill, rows  # not held over the join
+    if pos < n:
+        raise DanglingBits(f"{n - pos} undecoded payload bits")
     return "".join(out)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,7 @@ from tercode import (
     subsume_merge,
     write_container,
 )
-from tercode import codec, core, ea
+from tercode import codec, core, ea, nine_mvs
 from tercode.bits import pack_bits
 from tercode.codec import (
     FILL_CHOICES,
@@ -41,6 +42,7 @@ from tercode.errors import (
     LengthMismatch,
     NoCodeword,
     NotMatching,
+    OutputTooLarge,
     TercodeError,
     TruncatedPayload,
     UnknownCodeword,
@@ -417,6 +419,19 @@ class TestEncodedStream:
         assert read_container(write_container(stream)) == stream
 
 
+    def test_payload_fixed_once_checked(self):
+        # the stream keeps a copy: growing the caller's buffer changes nothing
+        payload = bytearray(b"\x80")
+        stream = EncodedStream(payload=payload, payload_bits=1, k=1, mv_table=(mv("U"),),
+                               codewords=("",), original_length=1)
+        written = write_container(stream)
+        payload[0] = 0
+        payload.append(0xFF)
+        assert stream.payload == b"\x80"
+        assert write_container(stream) == written
+        assert decode(stream) == "1"
+
+
 class TestEncodingLength:
     """A block's word is |codeword| + N_U bits."""
 
@@ -516,6 +531,20 @@ class TestEncodeAll:
         with pytest.raises(ValueError, match=error):
             encode_all(blocks, np.zeros(2, dtype=np.int64), codebook,
                        [mv("UU"), mv("UU")], fill, random.Random(0))
+
+    def test_codeword_length_checked_before_encoding(self):
+        # a slice's matrices would take (blocks) x (codeword + K) bytes
+        blocks = blocks_from(["0110"] * 2000)
+        mvs = [mv("UUUU")]
+        assignment = cover(blocks, mvs)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="20000 bits"):
+                encode_all(blocks, assignment, {0: "0" * 20_000}, mvs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
     def test_255_bit_codeword_round_trips(self):
         blocks = blocks_from(["01", "10"])
@@ -832,38 +861,36 @@ def decode_cases(draw):
             tuple(codebook[i] for i in table), original_length)
 
 
+def assert_decodes_as_naive(bits, block_count, k, mvs, codewords, original_length,
+                            max_symbols=MAX_DECODE_SYMBOLS):
+    """``decode`` gives the reference decoder's output or error class."""
+    def build():
+        return EncodedStream(payload=pack_bits(bits), payload_bits=len(bits),
+                             k=k, mv_table=mvs, codewords=codewords,
+                             original_length=original_length)
+
+    if not block_count:
+        # a stream holds at least one symbol, so at least one block
+        with pytest.raises(ValueError):
+            build()
+        return
+    stream = build()
+    assert stream.block_count == block_count
+    assert read_container(write_container(stream)) == stream
+    try:
+        want = naive_decode(stream, max_symbols)
+    except TercodeError as exc:
+        with pytest.raises(TercodeError) as err:
+            decode(stream, max_symbols)
+        assert type(err.value) is type(exc)
+        return
+    assert decode(stream, max_symbols) == want
+
+
 class TestDecodeProperties:
     @staticmethod
-    def assert_agrees(bits, block_count, k, mvs, codewords, original_length,
-                      max_symbols):
-        def build():
-            return EncodedStream(payload=pack_bits(bits), payload_bits=len(bits),
-                                 k=k, mv_table=mvs, codewords=codewords,
-                                 original_length=original_length)
-
-        if not block_count:
-            # a stream holds at least one symbol, so at least one block
-            with pytest.raises(ValueError):
-                build()
-            return
-        stream = build()
-        assert stream.block_count == block_count
-        assert read_container(write_container(stream)) == stream
-        try:
-            want = naive_decode(stream, max_symbols)
-        except TercodeError as exc:
-            with pytest.raises(TercodeError) as err:
-                decode(stream, max_symbols)
-            assert type(err.value) is type(exc)
-            return
-        assert decode(stream, max_symbols) == want
-
-    @settings(max_examples=200, deadline=None)
-    @given(decode_cases(), st.text(alphabet="01", min_size=1, max_size=24),
-           st.sampled_from(["default", "exact", "one short"]))
-    def test_agrees_with_naive_decoder(self, case, appended, cap):
-        """Same output or the same error class as the reference decoder,
-        for the payload itself, every truncation of it, every one-bit flip
+    def assert_variants_agree(case, appended, cap):
+        """The payload itself, every truncation of it, every one-bit flip
         of it and the payload with bits appended."""
         bits, *rest = case
         max_symbols = {"default": MAX_DECODE_SYMBOLS, "exact": rest[-1],
@@ -873,7 +900,122 @@ class TestDecodeProperties:
         variants += [bits[:i] + "10"[int(bits[i])] + bits[i + 1:]
                      for i in range(len(bits))]
         for variant in variants:
-            self.assert_agrees(variant, *rest, max_symbols)
+            assert_decodes_as_naive(variant, *rest, max_symbols)
+
+    @settings(max_examples=200, deadline=None)
+    @given(decode_cases(), st.text(alphabet="01", min_size=1, max_size=24),
+           st.sampled_from(["default", "exact", "one short"]))
+    def test_agrees_with_naive_decoder(self, case, appended, cap):
+        """Same output or the same error class as the reference decoder."""
+        self.assert_variants_agree(case, appended, cap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(decode_cases(), st.text(alphabet="01", min_size=1, max_size=24),
+           st.sampled_from(["default", "exact", "one short"]),
+           st.integers(8, 64), st.integers(8, 512))
+    def test_small_chunks_and_spans_agree_with_naive_decoder(self, case, appended, cap,
+                                                             chunk, span):
+        """With walkers 8-64 bits apart and spans of 8-512 bits, every
+        draw crosses many walkers, joins and span ends."""
+        with mock.patch.object(codec, "_CHUNK", chunk), \
+                mock.patch.object(codec, "_SPAN", span):
+            self.assert_variants_agree(case, appended, cap)
+
+
+def fibonacci(count: int) -> list[int]:
+    """The first ``count`` Fibonacci numbers from 1, 1: as frequencies,
+    their Huffman code's two longest codewords hold ``count`` - 1 bits."""
+    freqs = [1, 1]
+    while len(freqs) < count:
+        freqs.append(freqs[-1] + freqs[-2])
+    return freqs
+
+
+class TestDecodeWalkers:
+    """``decode`` at the edges of walkers, against the reference decoder.
+    Walkers start every ``CHUNK`` bits here."""
+
+    CHUNK = 32
+
+    def check(self, words, k, mvs, codewords, blocks=None, chunk=CHUNK):
+        blocks = len(words) if blocks is None else blocks
+        with mock.patch.object(codec, "_CHUNK", chunk):
+            assert_decodes_as_naive("".join(words), blocks, k, tuple(mvs),
+                                    tuple(codewords), blocks * k)
+
+    def test_zero_width_words(self):
+        # one fully specified vector with the empty codeword reads no bit
+        for blocks in (1, 5, 70_000):
+            self.check([""] * blocks, 3, [mv("101")], [""])
+            self.check(["1"], 3, [mv("101")], [""], blocks=blocks)
+
+    def test_one_width_words(self):
+        # a lone codeword of a vector with U positions: every word is 5 bits,
+        # and the walkers start on word starts
+        rng = random.Random(16)
+        words = ["".join(rng.choice("01") for _ in range(5)) for _ in range(3000)]
+        for chunk in (self.CHUNK, 512):
+            self.check(words, 7, [mv("1UU0UUU")], [""], chunk=chunk)
+
+    def test_one_block(self):
+        mvs, codewords = [mv("UUUU"), mv("0000")], ["0", "1"]
+        self.check(["01101"], 4, mvs, codewords)
+        self.check(["1"], 4, mvs, codewords)
+        self.check(["1", "1"], 4, mvs, codewords, blocks=1)
+        self.check(["0110"], 4, mvs, codewords)
+
+    @pytest.mark.parametrize("offset", range(-21, 4))
+    def test_long_codewords_across_a_chunk_edge(self, offset):
+        # after 1-bit words, the 17-21-bit codewords start from 21 bits
+        # before the edge at bit 3 * CHUNK to 3 bits after it
+        codebook = build_huffman(fibonacci(22))
+        codewords = [codebook[i] for i in range(22)]
+        mvs = [mv("0U" if len(code) > 16 else "01") for code in codewords]
+        short = min(range(22), key=lambda i: len(codewords[i]))
+        words = [codewords[short]] * (3 * self.CHUNK + offset)
+        words += [code + "1" for code in codewords if len(code) > 16]
+        self.check(words + [codewords[short]] * 5, 2, mvs, codewords)
+
+    @pytest.mark.parametrize("edge", [-1, 0])
+    @pytest.mark.parametrize("fault", ["unknown", "codeword", "fill", "dangling"])
+    def test_errors_at_a_chunk_edge(self, fault, edge):
+        # the bad word starts on the last bit of a chunk or the first of the
+        # next; 0 takes one fill bit, and no codeword starts with 111
+        mvs, codewords = [mv("U0"), mv("11"), mv("00")], ["0", "10", "110"]
+        words = ["10"] * (self.CHUNK - 2) + (["110"] if edge else ["10", "10"])
+        assert len("".join(words)) == 2 * self.CHUNK + edge
+        tail = {"unknown": ["111"] + ["10"] * 20, "codeword": ["11"], "fill": ["0"],
+                "dangling": ["10"]}[fault]
+        blocks = len(words) if fault == "dangling" else None
+        self.check(words + tail, 2, mvs, codewords, blocks=blocks)
+
+    def test_output_cap_checked_before_the_walk(self):
+        stream = EncodedStream(payload=b"\xff", payload_bits=8, k=2, mv_table=(mv("00"),),
+                               codewords=("0",), original_length=10)
+        with mock.patch.object(codec, "_word_starts", side_effect=AssertionError):
+            with pytest.raises(OutputTooLarge):
+                decode(stream, max_symbols=9)
+
+    def test_peak_memory_per_symbol(self):
+        # 420,000 blocks of K=12 under the nine 9C vectors, as in the
+        # benchmark's stream corpus; the result alone takes a byte a symbol
+        rng = np.random.default_rng(16)
+        kind = rng.integers(0, 4, 420_000)
+        blocks = (rng.integers(0, 2, (420_000, 12)) + ord("0")).astype(np.uint8)
+        blocks[kind == 0] = ord("0")
+        blocks[kind == 1, 6:] = ord("1")
+        stats, mvs = BlockStats(blocks), nine_mvs(12)
+        assignment = cover(stats, mvs)
+        stream = encode_all(stats, assignment,
+                            build_huffman(frequencies(assignment, len(mvs))), mvs)
+        tracemalloc.start()
+        try:
+            text = decode(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == blocks.tobytes().decode("ascii")
+        assert peak <= 3 * len(text)
 
 
 class TestCompressionRate:
