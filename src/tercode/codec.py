@@ -16,8 +16,9 @@ words join, as a prefix code resynchronises, and scatters the fill bits.
 Matching has one implementation, on block sets.  ``BlockStats`` turns
 the block matrix into one set per (mask bit, vector symbol), each a
 Python int with one bit per block; a vector's matching blocks, its
-``match_set``, are the AND of the sets at its specified positions, so
-one code path serves every block length.  ``match_frequencies`` assigns
+``match_set``, are the AND of the sets at its specified positions, taken
+four positions at a time from a memo on the stats, so one code path
+serves every block length.  ``match_frequencies`` assigns
 blocks greedily from those raw sets for ``cover`` and the search's
 fitness (the search keeps each vector's raw set across fitness calls, see
 ``ea``); and ``encode_all`` checks a covering against them once per vector.
@@ -27,7 +28,9 @@ index; ``frequencies`` derives the per-vector counts from it.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -62,12 +65,24 @@ MAX_ORIGINAL_LENGTH = (1 << 64) - 1
 # declare up to 2^64 of them.
 MAX_DECODE_SYMBOLS = 1 << 30
 
-# blocks per slice that encode_all writes at a time
+# blocks per slice that encode_all writes at a time up to K=12; above
+# that, a slice holds at most 12 * _SLICE symbols
 _SLICE = 1 << 16
 
 # payload bits between the starts of two decode walkers, and in one span
 _CHUNK = 1 << 9
 _SPAN = 1 << 19
+
+
+def rng_words(rng: random.Random, m: int) -> np.ndarray:
+    """The next m 32-bit Mersenne Twister words of ``rng`` as a uint32
+    array, from one ``getrandbits(32 * m)``: CPython packs m whole words,
+    least significant first, and consumes exactly m.  Its ``getrandbits(1)``
+    is a word's top bit, and ``choice`` of 3 items redraws ``word >> 30``
+    while it is 3, so ``words >> 31`` and ``words >> 30`` replay those calls,
+    rng state included.  This relies on CPython internals; tests pin them.
+    """
+    return np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
 
 
 def mv_masks(symbols: str) -> tuple[int, int]:
@@ -175,9 +190,14 @@ class BlockStats:
     ``fits_zero`` over its 0 positions and ``fits_one`` over its 1
     positions.  ``blocks`` is ``core.partition``'s (blocks, K) uint8 matrix
     of ASCII codes, kept by reference; anything else raises ValueError.
+
+    ``groups[g]`` memoises ``match_set``'s AND over mask bits 4g to 4g+3,
+    from the key ``ones_g | zeros_g << 4`` of those bits' masks; it holds
+    at most 3^4 - 1 = 80 keys, each added once, the first time asked for,
+    so at most 2.5 bytes per block symbol in all.
     """
 
-    __slots__ = ("blocks", "k", "total", "fits_zero", "fits_one")
+    __slots__ = ("blocks", "k", "total", "fits_zero", "fits_one", "groups")
 
     def __init__(self, blocks: np.ndarray):
         if not (isinstance(blocks, np.ndarray) and blocks.dtype == np.uint8
@@ -189,6 +209,7 @@ class BlockStats:
         columns = blocks[:, ::-1].T
         self.fits_zero = [_block_set(col != ord("1")) for col in columns]
         self.fits_one = [_block_set(col != ord("0")) for col in columns]
+        self.groups: list[dict[int, int]] = [{} for _ in range(0, self.k, 4)]
 
     @property
     def n_unique(self) -> int:
@@ -209,24 +230,25 @@ def _block_flags(block_set: int, total: int) -> np.ndarray:
     return np.unpackbits(raw, count=total, bitorder="little").view(bool)
 
 
-def _mask_bits(mask: int):
-    """Positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def match_set(stats: BlockStats, ones: int, zeros: int) -> int:
     """Block set of every block the vector with masks (ones, zeros) matches:
     the AND of ``fits_zero`` over its 0 positions and ``fits_one`` over its
-    1 positions, starting from all blocks."""
+    1 positions, starting from all blocks.  It takes one AND per group of 4
+    mask bits that holds a specified symbol, from the group's memo."""
     hit = (1 << stats.total) - 1
-    fits_zero, fits_one = stats.fits_zero, stats.fits_one
-    for b in _mask_bits(zeros):
-        hit &= fits_zero[b]
-    for b in _mask_bits(ones):
-        hit &= fits_one[b]
+    for g, memo in enumerate(stats.groups):
+        if not ones | zeros:
+            break
+        key = ones & 15 | (zeros & 15) << 4
+        if key:
+            part = memo.get(key)
+            if part is None:
+                sets = [stats.fits_one[4 * g + b] for b in range(4) if key >> b & 1]
+                sets += [stats.fits_zero[4 * g + b] for b in range(4) if key >> b + 4 & 1]
+                part = memo[key] = functools.reduce(operator.and_, sets)
+            hit &= part
+        ones >>= 4
+        zeros >>= 4
     return hit
 
 
@@ -340,9 +362,10 @@ def encode_all(
     symbols at the vector's U positions, and pack the concatenation.
 
     An X at a U position takes the fill policy's bit ('0' by default);
-    random fill draws one ``rng.getrandbits(1)`` per such X, in payload
-    order.  Raises InvalidConfig, before encoding anything, for a fill
-    policy outside ``FILL_CHOICES`` or random fill without an rng, then
+    random fill takes one ``rng.getrandbits(1)`` per such X, in payload
+    order, drawn a slice at a time through ``rng_words``.  Raises
+    InvalidConfig, before encoding anything, for a fill policy outside
+    ``FILL_CHOICES`` or random fill without an rng, then
     ValueError unless there are ceil(``original_length`` / K) blocks, one
     assigned index each, every index and codebook key lies in
     [0, len(mvs)) and no codeword is over 255 bits.  Each vector with a
@@ -352,13 +375,14 @@ def encode_all(
     ``match_set`` NotMatching, else NoCodeword.  Other codebooks that
     ``EncodedStream`` refuses raise ValueError once the payload is written.
 
-    The payload is written ``_SLICE`` blocks at a time: one
-    ``bytes.translate`` turns the slice's symbols into bits, each block's
-    row of codeword bits and symbol bits is masked down to its word, and
-    the masked cells, read row by row, are the slice's payload.  Bits past
-    a slice's last full byte carry into the next, so the bytes equal
-    ``bits.pack_bits`` of the whole payload.  A symbol other than 0, 1 and
-    X at a U position raises ValueError.
+    The payload is written ``_SLICE`` blocks at a time, or at K > 12
+    ``_SLICE`` * 12 // K blocks (at least one), so that a slice's
+    matrices do not grow with K: one ``bytes.translate`` turns the slice's
+    symbols into bits, each block's row of codeword bits and symbol bits
+    is masked down to its word, and the masked cells, read row by row, are
+    the slice's payload.  Bits past a slice's last full byte carry into
+    the next, so the bytes equal ``bits.pack_bits`` of the whole payload.
+    A symbol other than 0, 1 and X at a U position raises ValueError.
     """
     if fill not in FILL_CHOICES:
         raise InvalidConfig(f"unknown fill policy {fill!r}; choose from {FILL_CHOICES}")
@@ -406,8 +430,9 @@ def encode_all(
     bit_of[ord("0")], bit_of[ord("1")] = 0, 1
     bit_of[ord("X")] = {"zero": 0, "one": 1, "random": 2}[fill]
     chunks, carry = [], np.zeros(0, dtype=np.uint8)
-    for lo in range(0, stats.total, _SLICE):
-        hi = min(lo + _SLICE, stats.total)
+    step = max(1, _SLICE * 12 // max(stats.k, 12))
+    for lo in range(0, stats.total, step):
+        hi = min(lo + step, stats.total)
         bits = np.frombuffer(stats.blocks[lo:hi].tobytes().translate(bit_of),
                              dtype=np.uint8).reshape(hi - lo, stats.k)
         rows = assignment[lo:hi]
@@ -415,7 +440,7 @@ def encode_all(
         out = np.concatenate([carry, words])
         if fill == "random":
             draws = np.flatnonzero(out == 2)
-            out[draws] = [rng.getrandbits(1) for _ in range(len(draws))]
+            out[draws] = rng_words(rng, len(draws)) >> 31
         if out.max(initial=0) > 1:
             raise ValueError("a block holds a symbol other than 0, 1 and X")
         full = len(out) - len(out) % 8
@@ -599,11 +624,9 @@ def payload_bits_for(
     frequencies: Sequence[int], n_unspecified: Sequence[int]
 ) -> int:
     """Total payload size for a covering: sum of F * (|codeword| + N_U)."""
-    if not any(f > 0 for f in frequencies):
+    if max(frequencies, default=0) <= 0:
         raise AllZeroFrequencies("every frequency is zero")
-    return huffman_cost(frequencies) + sum(
-        f * n for f, n in zip(frequencies, n_unspecified)
-    )
+    return huffman_cost(frequencies) + sum(map(operator.mul, frequencies, n_unspecified))
 
 
 # Scale 2^T of the merge's integer Kraft-dual bound.  Flooring loses less

@@ -29,6 +29,8 @@ import random
 import statistics
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from .baseline9c import nine_mvs
 from .codec import (
     MAX_K_OR_L,
@@ -39,10 +41,12 @@ from .codec import (
     merge_subsumed_frequencies,
     mv_masks,
     payload_bits_for,
+    rng_words,
 )
 from .errors import InvalidConfig, LengthMismatch
 
 GENE_ALPHABET = "01U"
+_GENE_CODES = np.frombuffer(GENE_ALPHABET.encode("ascii"), dtype=np.uint8)
 
 # Fitness of an individual that leaves blocks uncovered, minus their count,
 # unless a feasible rate can reach it (a payload over 11x the original
@@ -169,9 +173,20 @@ def _reserve(genes: str, cfg: EaConfig) -> str:
 
 
 def random_individual(cfg: EaConfig, rng: random.Random) -> str:
-    """Uniform random genes; the reserved tail vector is pinned to all U."""
-    genes = "".join(rng.choice(GENE_ALPHABET) for _ in range(_free_genes(cfg)))
-    return _reserve(genes, cfg)
+    """Uniform random genes; the reserved tail vector is pinned to all U.
+
+    Genes and rng state are those of one ``rng.choice(GENE_ALPHABET)`` per
+    free gene, which keeps the first word whose top two bits are below 3
+    (``codec.rng_words``): a word yields at most one gene, so drawing as
+    many words as genes are missing never draws one too many.
+    """
+    genes, missing = [], _free_genes(cfg)
+    while missing:
+        codes = rng_words(rng, missing) >> 30
+        codes = codes[codes < 3]
+        genes.append(_GENE_CODES[codes].tobytes())
+        missing -= len(codes)
+    return _reserve(b"".join(genes).decode("ascii"), cfg)
 
 
 def crossover(a: str, b: str, rng: random.Random, cfg: EaConfig) -> tuple[str, str]:
@@ -179,7 +194,7 @@ def crossover(a: str, b: str, rng: random.Random, cfg: EaConfig) -> tuple[str, s
     per-gene coin flips when ``cfg.uniform_crossover`` is set."""
     n = len(a)
     if cfg.uniform_crossover:
-        picks = [rng.getrandbits(1) for _ in range(n)]
+        picks = (rng_words(rng, n) >> 31).tolist()  # n getrandbits(1) draws
         g1 = "".join(a[i] if p else b[i] for i, p in enumerate(picks))
         g2 = "".join(b[i] if p else a[i] for i, p in enumerate(picks))
     elif n < 2:

@@ -409,5 +409,10 @@ class ScriptedRng:
     def random(self):
         return self._random.pop(0)
 
-    def getrandbits(self, _n):
-        return self._getrandbits.pop(0)
+    def getrandbits(self, n):
+        """The next scripted bit; ``getrandbits(32 * m)`` packs the next m
+        as the top bits of m words, least significant word first, as the
+        real rng packs the words of m ``getrandbits(1)`` calls."""
+        if n == 1:
+            return self._getrandbits.pop(0)
+        return sum(self._getrandbits.pop(0) << (32 * i + 31) for i in range(n // 32))

@@ -123,6 +123,72 @@ class TestMatches:
             assert matches(v, ib) == char_match(ib, v.symbols)
 
 
+def plain_match_set(stats: BlockStats, ones: int, zeros: int) -> int:
+    """``match_set`` without the group memo: the AND of ``fits_zero`` and
+    ``fits_one`` at each specified position, one bit at a time."""
+    hit = (1 << stats.total) - 1
+    for b in range(stats.k):
+        if zeros >> b & 1:
+            hit &= stats.fits_zero[b]
+        if ones >> b & 1:
+            hit &= stats.fits_one[b]
+    return hit
+
+
+class TestMatchGroups:
+    """``match_set`` memoises each group of 4 mask bits in ``groups``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 3, 4, 5, 12, 13]), st.randoms(use_true_random=False),
+           st.integers(0, 2**32))
+    def test_memo_agrees_with_plain_and(self, k, rng, seed):
+        blocks = ["".join(rng.choice("01X") for _ in range(k))
+                  for _ in range(rng.randint(1, 50))]
+        vectors = ["".join(rng.choice("01U") for _ in range(k))
+                   for _ in range(rng.randint(0, 40))] + ["U" * k]
+        warm = blocks_from(blocks)
+        for v in vectors:
+            ones, zeros = mv_masks(v)
+            cold = blocks_from(blocks)
+            want = plain_match_set(cold, ones, zeros)
+            assert codec.match_set(cold, ones, zeros) == want
+            # warm: filled by the vectors before, then by this one
+            assert codec.match_set(warm, ones, zeros) == want
+            assert codec.match_set(warm, ones, zeros) == want
+        assert len(warm.groups) == -(-k // 4)
+        assert all(len(memo) <= 80 for memo in warm.groups)
+        # covering and encoding read the same sets from a warm memo
+        mvs = [mv(v) for v in vectors]
+        assignment = cover(warm, mvs)
+        assert tuple(assignment) == naive_cover(warm, mvs)[0]
+        assert np.array_equal(assignment, cover(blocks_from(blocks), mvs))
+        codebook = build_huffman(frequencies(assignment, len(mvs)))
+        streams = [encode_all(stats, assignment, codebook, mvs, "random",
+                              random.Random(seed))
+                   for stats in (warm, blocks_from(blocks))]
+        assert streams[0] == streams[1]
+        assert payload_bitstring(streams[0]) == naive_encode_bits(
+            warm, assignment, codebook, mvs, "random", random.Random(seed))
+
+    def test_a_group_holds_at_most_80_keys(self):
+        # every vector at K=5: bits 0-3 form a full group, bit 4 a group of one
+        blocks = ["".join(t) for t in itertools.product("01X", repeat=5)]
+        stats = blocks_from(blocks)
+        for symbols in map("".join, itertools.product("01U", repeat=5)):
+            ones, zeros = mv_masks(symbols)
+            assert codec.match_set(stats, ones, zeros) == plain_match_set(stats, ones, zeros)
+        assert [len(memo) for memo in stats.groups] == [80, 2]
+        # an all-U group is skipped, so the all-U vector matches every block
+        assert codec.match_set(stats, 0, 0) == (1 << len(blocks)) - 1
+
+    def test_memo_shares_a_single_position_set(self):
+        # a group with one specified symbol keeps the per-bit set itself
+        stats = blocks_from(["01X1", "1100", "XX0X"])
+        ones, zeros = mv_masks("UU1U")
+        assert codec.match_set(stats, ones, zeros) == stats.fits_one[1]
+        assert stats.groups[0][ones] is stats.fits_one[1]
+
+
 class TestMatchingVector:
     def test_derived_fields(self):
         v = mv("U01U")
@@ -702,6 +768,37 @@ def slice_cases(draw):
             [mv(v) for v in vectors])
 
 
+# sizes at and around 32-bit word edges, and a few thousand
+SIZES_AT_WORD_EDGES = st.sampled_from(
+    [0, 1, 2, 31, 32, 33, 63, 64, 65, 756, 2048, 4999]) | st.integers(0, 5000)
+
+
+class TestRngWords:
+    """``codec.rng_words`` relies on CPython's ``getrandbits``: one draw of
+    32*m bits packs, least significant first, the m words that m
+    ``getrandbits(32)`` calls return, and ``getrandbits(1)`` is the top bit
+    of one word.  These tests pin that behaviour of the interpreter."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**64), SIZES_AT_WORD_EDGES)
+    def test_words_equal_per_word_calls(self, seed, m):
+        bulk, calls = random.Random(seed), random.Random(seed)
+        words = codec.rng_words(bulk, m)
+        assert words.dtype == np.uint32 and words.shape == (m,)
+        assert words.tolist() == [calls.getrandbits(32) for _ in range(m)]
+        assert bulk.getstate() == calls.getstate()
+        assert bulk.random() == calls.random()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**64), SIZES_AT_WORD_EDGES)
+    def test_top_bits_equal_per_bit_calls(self, seed, m):
+        bulk, calls = random.Random(seed), random.Random(seed)
+        bits = (codec.rng_words(bulk, m) >> 31).tolist()
+        assert bits == [calls.getrandbits(1) for _ in range(m)]
+        assert bulk.getstate() == calls.getstate()
+        assert bulk.random() == calls.random()
+
+
 class TestEncodeSlices:
     """``encode_all`` works a slice of blocks at a time and carries the
     bits after the last full byte of a slice into the next one."""
@@ -738,6 +835,46 @@ class TestEncodeSlices:
         assert blocks.total > codec._SLICE
         self.assert_agrees(blocks, assignment, build_huffman(frequencies(assignment, 3)),
                            mvs, "random", 5)
+
+    @pytest.mark.parametrize("fill", ["zero", "random"])
+    def test_large_k_slices_agree_with_one_slice(self, fill):
+        # at K=1000 a slice holds 786 blocks, so 2,000 blocks take three
+        k, gen = 1000, np.random.default_rng(3)
+        mvs = [mv("0" * 10 + "U" * 990), mv("U" * 995 + "10110"), mv("U" * k)]
+        rows = gen.choice(np.frombuffer(b"01X", dtype=np.uint8), size=(2000, k))
+        rows[::3, :10] = ord("0")
+        rows[1::3, -5:] = np.frombuffer(b"10110", dtype=np.uint8)
+        stats = BlockStats(rows)
+        assignment = cover(stats, mvs)
+        codebook = build_huffman(frequencies(assignment, 3))
+        assert len(set(map(len, codebook.values()))) > 1
+        assert stats.total > 2 * (codec._SLICE * 12 // k)
+        rng = random.Random(8)
+        sliced = encode_all(stats, assignment, codebook, mvs, fill, rng)
+        with mock.patch.object(codec, "_SLICE", 1 << 30):
+            one_rng = random.Random(8)
+            whole = encode_all(stats, assignment, codebook, mvs, fill, one_rng)
+        assert sliced == whole
+        assert rng.getstate() == one_rng.getstate()
+        assert payload_bitstring(sliced) == naive_encode_bits(
+            stats, assignment, codebook, mvs, fill, random.Random(8))
+
+    def test_large_k_encode_memory_follows_the_slice(self):
+        # 8 Mbit at K=1000: 5.6-9.0 MB here, 32-67 MB as one slice
+        rows = np.random.default_rng(4).choice(
+            np.frombuffer(b"01X", dtype=np.uint8), size=(8000, 1000))
+        rows[::2, :10] = ord("0")
+        stats = BlockStats(rows)
+        mvs = [mv("0" * 10 + "U" * 990), mv("U" * 1000)]
+        assignment = cover(stats, mvs)
+        codebook = build_huffman(frequencies(assignment, 2))
+        tracemalloc.start()
+        try:
+            encode_all(stats, assignment, codebook, mvs, "random", random.Random(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestDecode:

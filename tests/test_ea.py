@@ -37,6 +37,7 @@ from helpers import (
     record_fitness,
 )
 from test_acceptance import CLUSTERED
+from test_codec import SIZES_AT_WORD_EDGES
 
 
 class TestConfig:
@@ -140,6 +141,49 @@ class TestRandomIndividual:
         b = random_individual(cfg, random.Random(7))
         assert a == b
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**64), SIZES_AT_WORD_EDGES)
+    def test_genes_equal_per_gene_choice(self, seed, n):
+        # n free genes: one vector of n genes, or one reserved vector
+        cfg = EaConfig(k=max(n, 1), l=1, reserve_all_u=not n)
+        bulk, calls = random.Random(seed), random.Random(seed)
+        want = "".join(calls.choice("01U") for _ in range(n))
+        assert random_individual(cfg, bulk) == want + "U" * (cfg.n_genes - n)
+        assert bulk.getstate() == calls.getstate()
+        assert bulk.random() == calls.random()
+
+    def test_draws_again_while_genes_are_missing(self, monkeypatch):
+        # nine words in ten are rejected (top bits 11), so each round of
+        # words keeps about a tenth of the genes still missing
+        gen = random.Random(2)
+        words = [0xC0000000 | gen.getrandbits(30) if i % 10 else
+                 gen.randrange(3) << 30 | gen.getrandbits(30) for i in range(4000)]
+        rounds = []
+        draw = ea.rng_words
+        monkeypatch.setattr(ea, "rng_words", lambda r, m: rounds.append(m) or draw(r, m))
+        bulk, calls = WordRng(words), WordRng(words)
+        cfg = EaConfig(k=300, l=1, reserve_all_u=False)
+        want = "".join(calls.choice("01U") for _ in range(300))
+        assert random_individual(cfg, bulk) == want
+        assert bulk.words == calls.words  # both stopped on the same word
+        assert len(rounds) > 10 and rounds[0] == 300 and sum(rounds) < len(words)
+
+
+class WordRng(random.Random):
+    """An rng whose words come from a list, drawn as CPython's
+    ``getrandbits`` draws Mersenne Twister words: k <= 32 bits are the top
+    k of one word, 32*m bits pack m words, least significant first."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = list(words)
+
+    def getrandbits(self, k):
+        if k <= 32:
+            return self.words.pop(0) >> (32 - k)
+        drawn, self.words = self.words[: k // 32], self.words[k // 32 :]
+        return sum(word << 32 * i for i, word in enumerate(drawn))
+
 
 def free_cfg(genes: str, k: int, **kwargs) -> EaConfig:
     """The config of a genome of ``genes``, without the all-U reservation
@@ -190,6 +234,19 @@ class TestCrossover:
         c1, c2 = crossover("0000", "1111", ScriptedRng(getrandbits=[1, 0, 0, 1]), cfg)
         assert c1 == "0110"
         assert c2 == "1001"
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**64), st.sampled_from([1, 2, 31, 32, 33, 65, 756]))
+    def test_uniform_mode_takes_one_bit_per_gene(self, seed, n):
+        cfg = free_cfg("0" * n, n, uniform_crossover=True)
+        a = random_individual(cfg, random.Random(seed))
+        b = random_individual(cfg, random.Random(seed + 1))
+        bulk, calls = random.Random(seed), random.Random(seed)
+        picks = [calls.getrandbits(1) for _ in range(n)]
+        c1, c2 = crossover(a, b, bulk, cfg)
+        assert c1 == "".join(x if p else y for x, y, p in zip(a, b, picks))
+        assert c2 == "".join(y if p else x for x, y, p in zip(a, b, picks))
+        assert bulk.getstate() == calls.getstate()
 
 
 class TestMutate:

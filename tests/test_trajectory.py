@@ -12,9 +12,14 @@ The subsume pins run one short search with the subsumption merge in the
 fitness (max 200 evaluations, 1 run), and pin the container that
 ``pipeline.compress`` writes with that config: its final
 ``subsume_merge`` redirect decides which vector codes each block.
+
+The uniform-crossover pin runs two searches at the README budget with
+per-gene coin flips in crossover, and pins the best genome, the history
+and the CLI's ``ea_stats`` of the report.
 """
 
 import hashlib
+import json
 
 from tercode import (
     EaConfig,
@@ -25,6 +30,7 @@ from tercode import (
     run_many,
     write_container,
 )
+from tercode.cli import _ea_stats
 from tercode.codec import BlockStats
 from tercode.corpus import CorpusSpec, generate_corpus
 
@@ -82,3 +88,32 @@ def test_subsume_container_on_corpus_9001():
     data = write_container(result.stream)
     assert len(data) == 9879
     assert hashlib.sha256(data).hexdigest() == SUBSUME_CONTAINER_SHA256
+
+
+UNIFORM_BEST_SHA256 = (
+    "e05c2fbdcb29117142b12319f186de4aa9d1e8b8c7c5ac48eed93134fb11589a"
+)
+UNIFORM_HISTORY_SHA256 = (
+    "87ef927bb9aae95bacccdd0fcd098af61a95427b47b5e1528bfa06d9fd800ea6"
+)
+UNIFORM_EA_STATS_SHA256 = (
+    "f3db37e2f8fd0b563a58e4d60c30bbc2c48c45767d6c62669ca6a4e0f8eb046c"
+)
+
+
+def test_uniform_crossover_trajectory_on_corpus_9001():
+    ts = generate_corpus(CORPUS_9001)
+    cfg = EaConfig(k=12, l=64, rng_seed=7, stagnation_limit=30, max_evaluations=600,
+                   runs=2, uniform_crossover=True)
+    report = run_many(BlockStats(partition(flatten(ts), 12)),
+                      original_size_bits(ts), cfg)
+    assert repr(report.run_rates) == "[33.82142857142857, 33.77876984126984]"
+    assert len(report.history) == 119
+    assert report.history[0] == 19.648809523809526
+    assert hashlib.sha256(report.best.encode()).hexdigest() == UNIFORM_BEST_SHA256
+    assert (hashlib.sha256(repr(report.history).encode()).hexdigest()
+            == UNIFORM_HISTORY_SHA256)
+    stats = json.dumps(_ea_stats(report))
+    assert hashlib.sha256(stats.encode()).hexdigest() == UNIFORM_EA_STATS_SHA256
+    assert report.evaluations == 1200
+    assert report.generations == 236
