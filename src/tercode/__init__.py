@@ -11,7 +11,6 @@ from .baseline9c import nine_codebook, nine_mvs
 from .codec import (
     BlockStats,
     EncodedStream,
-    MatchingVector,
     build_huffman,
     compression_rate,
     cover,

@@ -9,7 +9,6 @@ reproduced here as published rather than repaired.
 
 from __future__ import annotations
 
-from .codec import MatchingVector
 from .errors import OddK
 
 _HALF_PAIRS = (
@@ -28,14 +27,12 @@ _FIXED_CODEWORDS = ("0", "10", "11000", "11001", "11010", "11011", "11100",
                     "11101", "11111")
 
 
-def nine_mvs(k: int) -> tuple[MatchingVector, ...]:
+def nine_mvs(k: int) -> tuple[str, ...]:
     """The nine half-block vectors for an even block length ``k``."""
     if k < 2 or k % 2:
         raise OddK(f"nine-vector scheme needs an even block length, got {k}")
     half = k // 2
-    return tuple(
-        MatchingVector(left * half + right * half) for left, right in _HALF_PAIRS
-    )
+    return tuple(left * half + right * half for left, right in _HALF_PAIRS)
 
 
 def nine_codebook() -> dict[int, str]:

@@ -29,7 +29,7 @@ SEED_ENV_VAR = "TERCODE_SEED"
 def _mv_usage(result: pipeline.CompressResult) -> list[dict]:
     return [
         {
-            "mv": result.mvs[index].symbols,
+            "mv": result.mvs[index],
             "frequency": freq,
             "codeword_length": len(result.codebook[index]),
         }
@@ -309,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run 9c, 9c-hc and ea side by side")
     p.add_argument("--input", required=True)
-    p.add_argument("--method", help=argparse.SUPPRESS, default=None)
     p.add_argument("-K", dest="k", type=int, default=None)
     p.add_argument("-L", dest="l", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)

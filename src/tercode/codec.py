@@ -1,8 +1,11 @@
 """Matching semantics, greedy covering, Huffman coding, encode/decode.
 
 An input block is a row of K symbols over {0,1,X} in the uint8 matrix of
-ASCII codes that ``core.partition`` returns; it matches a vector over
-{0,1,U} when no position pairs a specified 0 with a specified 1.  Each
+ASCII codes that ``core.partition`` returns; it matches a vector, a
+string of K symbols over {0,1,U}, when no position pairs a specified 0
+with a specified 1.  ``mv_masks`` is the one check of a vector's
+symbols, and every consumer that matches vectors takes their masks from
+it; ``EncodedStream`` checks its table the same way.  Each
 block is encoded as the codeword of its assigned vector followed by the
 block's bits at the vector's U positions: a word of |codeword| + N_U bits,
 one fixed width per vector.  A codebook is a plain dict from vector index
@@ -32,7 +35,7 @@ import functools
 import heapq
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -86,43 +89,23 @@ def rng_words(rng: random.Random, m: int) -> np.ndarray:
 
 
 def mv_masks(symbols: str) -> tuple[int, int]:
-    """(ones, zeros) bitmasks of a vector; leftmost symbol is the top bit."""
+    """(ones, zeros) bitmasks of a vector; leftmost symbol is the top bit.
+
+    Raises ValueError, naming the vector, when it is empty or holds a
+    symbol other than 0, 1 and U.
+    """
+    if not symbols or symbols.strip("01U"):
+        raise ValueError(f"matching vector {symbols!r} is not a nonempty string of 0, 1 and U")
     return int(symbols.translate(_MV_ONES), 2), int(symbols.translate(_MV_ZEROS), 2)
-
-
-@dataclass(frozen=True)
-class MatchingVector:
-    """A fixed-length pattern over {0,1,U}; U positions take explicit fill bits."""
-
-    symbols: str
-    n_unspecified: int = field(init=False, compare=False)
-    u_positions: tuple[int, ...] = field(init=False, compare=False)
-    ones_mask: int = field(init=False, compare=False)
-    zeros_mask: int = field(init=False, compare=False)
-
-    def __post_init__(self):
-        if not self.symbols:
-            raise ValueError("matching vector must not be empty")
-        for ch in self.symbols:
-            if ch not in "01U":
-                raise ValueError(f"illegal vector symbol {ch!r}")
-        u_pos = tuple(i for i, ch in enumerate(self.symbols) if ch == "U")
-        ones, zeros = mv_masks(self.symbols)
-        object.__setattr__(self, "n_unspecified", len(u_pos))
-        object.__setattr__(self, "u_positions", u_pos)
-        object.__setattr__(self, "ones_mask", ones)
-        object.__setattr__(self, "zeros_mask", zeros)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
 
 
 @dataclass(frozen=True)
 class EncodedStream:
     """A compressed block sequence plus everything needed to decode it.
 
-    ``codewords`` holds one prefix-free codeword of 0s and 1s per
-    ``mv_table`` vector, in table order; both, and the payload, are frozen.
+    ``mv_table`` holds the coded vectors, each K symbols over {0,1,U}, and
+    ``codewords`` one prefix-free codeword of 0s and 1s per vector, in
+    table order; both, and the payload, are frozen.
     ``original_length`` is the unpadded symbol count the decoder must trim
     to; it sets the block count.  The container's limits hold here: K and
     ``original_length`` are at least 1, K and the table size at most
@@ -134,7 +117,7 @@ class EncodedStream:
     payload: bytes
     payload_bits: int
     k: int
-    mv_table: tuple[MatchingVector, ...]
+    mv_table: tuple[str, ...]
     codewords: tuple[str, ...]
     original_length: int
     pattern_width: int | None = None
@@ -151,8 +134,9 @@ class EncodedStream:
             raise ValueError(f"K and the table size must be at most {MAX_K_OR_L}")
         if self.original_length > MAX_ORIGINAL_LENGTH:
             raise ValueError(f"original_length must be at most {MAX_ORIGINAL_LENGTH}")
-        if any(len(v) != self.k for v in self.mv_table):
-            raise ValueError(f"a table vector is not {self.k} symbols long")
+        for v in self.mv_table:
+            if len(v) != self.k or v.strip("01U"):
+                raise ValueError(f"table vector {v!r} is not {self.k} symbols of 0, 1 and U")
         width = self.pattern_width
         if width is not None and (width < 1 or self.original_length % width):
             raise ValueError(
@@ -279,19 +263,18 @@ def match_frequencies(
     return freqs, hits, unassigned.bit_count(), first
 
 
-def cover(stats: BlockStats, mvs: Sequence[MatchingVector]) -> np.ndarray:
+def cover(stats: BlockStats, mvs: Sequence[str]) -> np.ndarray:
     """Greedy covering: vectors sorted by rising U count, first match wins.
 
     Returns the read-only int64 assignment.  Raises UnmatchedBlock (with
     the first one's 1-based index and the count) when blocks match no vector.
     """
+    masks = [mv_masks(v) for v in mvs]
     for v in mvs:
         if len(v) != stats.k:
             raise LengthMismatch(f"vector length {len(v)} vs block length {stats.k}")
     _, hits, unmatched, first = match_frequencies(
-        stats,
-        [match_set(stats, v.ones_mask, v.zeros_mask) for v in mvs],
-        [v.n_unspecified for v in mvs],
+        stats, [match_set(stats, *m) for m in masks], [v.count("U") for v in mvs]
     )
     if unmatched:
         raise UnmatchedBlock(first, unmatched)
@@ -352,7 +335,7 @@ def encode_all(
     stats: BlockStats,
     assignment: np.ndarray,
     codebook: dict[int, str],
-    mvs: Sequence[MatchingVector],
+    mvs: Sequence[str],
     fill: str = "zero",
     rng: random.Random | None = None,
     original_length: int | None = None,
@@ -408,12 +391,12 @@ def encode_all(
     codes = np.zeros((n, top), dtype=np.uint8)
     keep = np.zeros((n, top + stats.k), dtype=bool)
     for i, code in codebook.items():
-        if len(mvs[i]) == stats.k:
-            v, held = mvs[i], assignment == i
-            good |= _block_set(held) & match_set(stats, v.ones_mask, v.zeros_mask)
+        v, masks = mvs[i], mv_masks(mvs[i])
+        if len(v) == stats.k:
+            good |= _block_set(assignment == i) & match_set(stats, *masks)
             codes[i, : len(code)] = [b == "1" for b in code]
             keep[i, : len(code)] = True
-            keep[i, [top + p for p in v.u_positions]] = True
+            keep[i, top:] = np.frombuffer(v.encode("ascii"), dtype=np.uint8) == ord("U")
     bad = ((1 << stats.total) - 1) & ~good
     if bad:
         first = (bad & -bad).bit_length() - 1
@@ -421,9 +404,9 @@ def encode_all(
         v = mvs[i]
         if len(v) != stats.k:
             raise LengthMismatch(f"vector length {len(v)} vs block length {stats.k}")
-        if not match_set(stats, v.ones_mask, v.zeros_mask) >> first & 1:
+        if not match_set(stats, *mv_masks(v)) >> first & 1:
             block = stats.blocks[first].tobytes().decode("latin-1")
-            raise NotMatching(f"vector {v.symbols} does not match block {block}")
+            raise NotMatching(f"vector {v} does not match block {block}")
         raise NoCodeword(f"vector {i} has no codeword")
     # symbol code -> payload bit; 2 marks an X to draw, 3 a foreign symbol
     bit_of = bytearray(b"\3" * 256)
@@ -552,13 +535,13 @@ def decode(stream: EncodedStream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:
             todo, at, node = todo[found < -1], at[found < -1], -2 - found[found < -1]
         return vec
 
-    parts = np.array([(len(c), v.n_unspecified) for c, v in zip(codes, mvs)] + [(0, 0)])
+    parts = np.array([(len(c), v.count("U")) for c, v in zip(codes, mvs)] + [(0, 0)])
     width = np.append(parts[:-1].sum(axis=1), n + 1)
     if not width[0]:
         if n:
             raise DanglingBits(f"{n} undecoded payload bits")
-        return (mvs[0].symbols * stream.block_count)[: stream.original_length]
-    symbols = "".join(v.symbols for v in mvs).encode("ascii") + bytes(k)
+        return (mvs[0] * stream.block_count)[: stream.original_length]
+    symbols = "".join(mvs).encode("ascii") + bytes(k)
     fixed = np.frombuffer(symbols.replace(b"U", b"0"), dtype=np.uint8).reshape(-1, k)
     is_u = np.frombuffer(symbols, dtype=np.uint8).reshape(-1, k) == ord("U")
     gcd = int(np.gcd.reduce(width[:-1])) or 1
@@ -781,21 +764,22 @@ def merge_subsumed_frequencies(
 
 def subsume_merge(
     assignment: np.ndarray,
-    mvs: Sequence[MatchingVector],
+    mvs: Sequence[str],
     k: int,
 ) -> np.ndarray:
     """Optional post-pass over an assignment: fold vectors whose blocks are
     all matched by a wider vector, whenever that lowers the payload size.
     Returns the rewritten read-only assignment; folded vectors take no blocks.
     """
+    masks = [mv_masks(v) for v in mvs]
     for v in mvs:
-        if len(v.symbols) != k:
-            raise LengthMismatch(f"vector length {len(v.symbols)} != {k}")
+        if len(v) != k:
+            raise LengthMismatch(f"vector length {len(v)} != {k}")
     _, redirect = merge_subsumed_frequencies(
         frequencies(assignment, len(mvs)),
-        [v.ones_mask for v in mvs],
-        [v.zeros_mask for v in mvs],
-        [v.n_unspecified for v in mvs],
+        [ones for ones, _ in masks],
+        [zeros for _, zeros in masks],
+        [v.count("U") for v in mvs],
     )
     if not redirect:
         return assignment

@@ -25,7 +25,7 @@ import struct
 import zlib
 
 from .bits import pack_bits, unpack_bits
-from .codec import EncodedStream, MatchingVector
+from .codec import EncodedStream
 from .errors import BadMagic, ChecksumMismatch, CorruptHeader, UnsupportedVersion
 
 MAGIC = b"TCC1"
@@ -49,7 +49,7 @@ def write_container(stream: EncodedStream) -> bytes:
         stream.original_length,
     )
     for v in stream.mv_table:
-        out += pack_bits(v.symbols.translate(_SYMBOL_PAIRS))
+        out += pack_bits(v.translate(_SYMBOL_PAIRS))
     for code in stream.codewords:
         out.append(len(code))
         out += pack_bits(code)
@@ -135,7 +135,7 @@ def read_container(data: bytes) -> EncodedStream:
             symbols = [_PAIR_SYMBOL.get(pairs[i : i + 2]) for i in range(0, 2 * k, 2)]
             if None in symbols:
                 raise CorruptHeader("invalid 2-bit symbol 11 in MV table")
-            mv_table.append(MatchingVector("".join(symbols)))
+            mv_table.append("".join(symbols))
         return EncodedStream(
             payload=payload,
             payload_bits=payload_bits,

@@ -89,7 +89,7 @@ class EaConfig:
         if self.population_size < 1 or self.children_per_generation < 1:
             raise InvalidConfig("population and children counts must be >= 1")
         probs = (self.p_crossover, self.p_mutation, self.p_inversion)
-        if any(p < 0 or p > 1 for p in probs) or sum(probs) > 1 + 1e-12:
+        if any(not 0 <= p <= 1 for p in probs) or sum(probs) > 1 + 1e-12:
             raise InvalidConfig("operator probabilities must lie in [0,1] and sum to <= 1")
         if self.stagnation_limit < 1:
             raise InvalidConfig("stagnation_limit must be >= 1")
@@ -255,7 +255,8 @@ def evaluate_fitness(
     """Compression rate of the genome's vectors over the blocks of ``stats``.
 
     K is the block length, and the genes must split into K-symbol vectors
-    (LengthMismatch otherwise).  Infeasible coverings yield
+    (LengthMismatch otherwise) over 0, 1 and U (ValueError otherwise, from
+    ``codec.mv_masks``).  Infeasible coverings yield
     ``infeasible_base`` minus the unmatched block count instead of an
     error, so the search can rank near-feasible individuals below every
     feasible one.  ``vectors`` maps vector strings to their
@@ -366,7 +367,7 @@ def evolve(
 
     population = [random_individual(cfg, rng) for _ in range(cfg.population_size)]
     if cfg.seed_nine_code:
-        injected = "".join(v.symbols for v in nine_mvs(cfg.k))[: cfg.n_genes]
+        injected = "".join(nine_mvs(cfg.k))[: cfg.n_genes]
         population[0] = _reserve(injected + population[0][len(injected) :], cfg)
     evaluate(population)
     population.sort(key=cache.__getitem__, reverse=True)

@@ -24,7 +24,7 @@ class CompressResult:
     """The encoded stream plus the choices and measures that produced it."""
 
     stream: codec.EncodedStream
-    mvs: tuple[codec.MatchingVector, ...]
+    mvs: tuple[str, ...]
     frequencies: tuple[int, ...]
     codebook: dict[int, str]
     evolution: ea.EvolutionReport | None
@@ -54,9 +54,7 @@ def compress(
     evolution = None
     if method == "ea":
         evolution = ea.run_many(stats, original_bits, cfg)
-        mvs = tuple(
-            codec.MatchingVector(s) for s in ea.vector_symbols(evolution.best, cfg.k)
-        )
+        mvs = tuple(ea.vector_symbols(evolution.best, cfg.k))
         try:
             assignment = codec.cover(stats, mvs)
         except UnmatchedBlock as exc:

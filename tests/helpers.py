@@ -15,7 +15,6 @@ from functools import lru_cache
 import numpy as np
 
 from tercode import (
-    MatchingVector,
     TestSet,
     build_huffman,
     cover,
@@ -27,7 +26,7 @@ from tercode import (
     partition,
 )
 from tercode.bits import unpack_bits
-from tercode.codec import MAX_DECODE_SYMBOLS, BlockStats, match_set
+from tercode.codec import MAX_DECODE_SYMBOLS, BlockStats, match_set, mv_masks
 from tercode.container import MAGIC
 from tercode.errors import (
     AllZeroFrequencies,
@@ -59,13 +58,10 @@ def random_test_set(rng: random.Random, max_rows=12, max_cols=16,
 
 
 def random_mv_set(rng: random.Random, k: int, count: int,
-                  include_all_u=True) -> list[MatchingVector]:
-    mvs = [
-        MatchingVector("".join(rng.choice("01U") for _ in range(k)))
-        for _ in range(count)
-    ]
+                  include_all_u=True) -> list[str]:
+    mvs = ["".join(rng.choice("01U") for _ in range(k)) for _ in range(count)]
     if include_all_u:
-        mvs.append(MatchingVector("U" * k))
+        mvs.append("U" * k)
     return mvs
 
 
@@ -103,15 +99,13 @@ def block_strings(blocks) -> list[str]:
     return [row.tobytes().decode("ascii") for row in blocks]
 
 
-def matches(v: MatchingVector, block: str) -> bool:
+def matches(v: str, block: str) -> bool:
     """True iff no position pairs a 0 with a 1; X and U match anything.
 
     The one-block case of ``codec.match_set``."""
-    if len(v.symbols) != len(block):
-        raise LengthMismatch(
-            f"vector length {len(v.symbols)} vs block length {len(block)}"
-        )
-    return bool(match_set(blocks_from([block]), v.ones_mask, v.zeros_mask))
+    if len(v) != len(block):
+        raise LengthMismatch(f"vector length {len(v)} vs block length {len(block)}")
+    return bool(match_set(blocks_from([block]), *mv_masks(v)))
 
 
 def record_fitness(monkeypatch) -> list[float]:
@@ -137,11 +131,11 @@ def char_match(block_symbols: str, mv_symbols: str) -> bool:
     )
 
 
-def subsumes(wider: MatchingVector, narrower: MatchingVector) -> bool:
+def subsumes(wider: str, narrower: str) -> bool:
     """Each specified position of ``wider`` is specified identically in
     ``narrower``, so every block the narrower vector matches, the wider
     one matches too."""
-    return all(w in ("U", n) for w, n in zip(wider.symbols, narrower.symbols))
+    return all(w in ("U", n) for w, n in zip(wider, narrower))
 
 
 def naive_encode_bits(blocks, assignment, codebook, mvs, fill="zero", rng=None) -> str:
@@ -153,15 +147,16 @@ def naive_encode_bits(blocks, assignment, codebook, mvs, fill="zero", rng=None) 
     out = []
     for block, idx in zip(block_strings(blocks), assignment):
         v = mvs[idx]
-        if len(v.symbols) != len(block):
-            raise LengthMismatch(f"vector {v.symbols} vs block {block}")
-        if not char_match(block, v.symbols):
-            raise NotMatching(f"vector {v.symbols} does not match block {block}")
+        if len(v) != len(block):
+            raise LengthMismatch(f"vector {v} vs block {block}")
+        if not char_match(block, v):
+            raise NotMatching(f"vector {v} does not match block {block}")
         if idx not in codebook:
             raise NoCodeword(f"vector {idx} has no codeword")
         fills = ""
-        for p in v.u_positions:
-            ch = block[p]
+        for ch, sym in zip(block, v):
+            if sym != "U":
+                continue
             if ch == "X":
                 ch = "01"[rng.getrandbits(1)] if fill == "random" else "01"[fill == "one"]
             fills += ch
@@ -183,9 +178,7 @@ def naive_decode(stream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:
     lengths = sorted({len(code) for code in table})
     max_len = lengths[-1] if lengths else 0
     # each vector as a %-template whose slots are its U positions
-    templates = [
-        (v.symbols.replace("U", "%s"), v.n_unspecified) for v in stream.mv_table
-    ]
+    templates = [(v.replace("U", "%s"), v.count("U")) for v in stream.mv_table]
     bits = unpack_bits(stream.payload, stream.payload_bits)
     n_bits = len(bits)
     pos = 0
@@ -220,12 +213,12 @@ def naive_cover(blocks, mvs):
     Returns (assignment, frequencies) or the 1-based index of the first
     unmatched block as (None, index).
     """
-    order = sorted(range(len(mvs)), key=lambda i: mvs[i].n_unspecified)
+    order = sorted(range(len(mvs)), key=lambda i: mvs[i].count("U"))
     assignment = []
     freqs = [0] * len(mvs)
     for index, block in enumerate(block_strings(blocks), 1):
         for idx in order:
-            if char_match(block, mvs[idx].symbols):
+            if char_match(block, mvs[idx]):
                 assignment.append(idx)
                 freqs[idx] += 1
                 break

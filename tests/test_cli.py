@@ -136,6 +136,16 @@ class TestCompress:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--p-crossover", "--p-mutation"])
+    def test_nan_operator_probability_is_usage_error(self, corpus_file, tmp_path, capsys,
+                                                     flag):
+        output = tmp_path / "x.tcc"
+        code = run_cli(["compress", "--input", str(corpus_file), "--output", str(output),
+                        flag, "nan", *EA_SPEED_FLAGS])
+        assert code == 2
+        assert "operator probabilities" in capsys.readouterr().err
+        assert not output.exists()
+
     @pytest.mark.parametrize("method, flag", [
         ("9c", "-K"), ("9c-hc", "-K"), ("ea", "-K"), ("ea", "-L"),
     ])
@@ -517,6 +527,12 @@ class TestCompare:
         assert "9c-hc" in text
         assert "ea (mean)" in text
         assert "ea (best)" in text
+
+    def test_method_flag_is_a_usage_error(self, corpus_file):
+        # compare always runs all three methods, so it takes no --method
+        with pytest.raises(SystemExit) as err:
+            run_cli(["compare", "--input", str(corpus_file), "--method", "9c"])
+        assert err.value.code == 2
 
 
 class TestEntryPoints:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from tercode import (
     EncodedStream,
-    MatchingVector,
     build_huffman,
     compression_rate,
     cover,
@@ -72,45 +71,40 @@ from helpers import (
 from test_trajectory import CORPUS_9001, SUBSUME_CFG
 
 
-def mv(s: str) -> MatchingVector:
-    return MatchingVector(s)
-
-
 def block(s: str) -> str:
     return s
 
 
 class TestMatches:
     def test_specified_prefix_with_unspecified_tail(self):
-        assert matches(mv("111UUU"), block("111100"))
-        assert matches(mv("111UUU"), block("111011"))
+        assert matches("111UUU", block("111100"))
+        assert matches("111UUU", block("111011"))
 
     def test_all_u_matches_everything(self):
         rng = random.Random(3)
         for _ in range(30):
             symbols = "".join(rng.choice("01X") for _ in range(6))
-            assert matches(mv("UUUUUU"), block(symbols))
+            assert matches("UUUUUU", block(symbols))
 
     def test_conflict_detection(self):
-        assert matches(mv("111000"), block("11100X"))
-        assert not matches(mv("111000"), block("111001"))
+        assert matches("111000", block("11100X"))
+        assert not matches("111000", block("111001"))
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            matches(mv("11"), block("111"))
+            matches("11", block("111"))
 
     def test_monotone_in_u_exhaustive(self):
         # replacing any vector symbol with U can only add matches (K=3,
         # full cross product of vectors and blocks)
         vectors = ["".join(t) for t in itertools.product("01U", repeat=3)]
         ibs = ["".join(t) for t in itertools.product("01X", repeat=3)]
-        for v_sym in vectors:
-            v = mv(v_sym)
+        for v in vectors:
             for ib_sym in ibs:
                 ib = block(ib_sym)
                 before = matches(v, ib)
                 for pos in range(3):
-                    widened = mv(v_sym[:pos] + "U" + v_sym[pos + 1 :])
+                    widened = v[:pos] + "U" + v[pos + 1 :]
                     if before:
                         assert matches(widened, ib)
 
@@ -118,9 +112,9 @@ class TestMatches:
         rng = random.Random(4)
         for _ in range(300):
             k = rng.randrange(1, 10)
-            v = mv("".join(rng.choice("01U") for _ in range(k)))
+            v = "".join(rng.choice("01U") for _ in range(k))
             ib = block("".join(rng.choice("01X") for _ in range(k)))
-            assert matches(v, ib) == char_match(ib, v.symbols)
+            assert matches(v, ib) == char_match(ib, v)
 
 
 def plain_match_set(stats: BlockStats, ones: int, zeros: int) -> int:
@@ -158,17 +152,16 @@ class TestMatchGroups:
         assert len(warm.groups) == -(-k // 4)
         assert all(len(memo) <= 80 for memo in warm.groups)
         # covering and encoding read the same sets from a warm memo
-        mvs = [mv(v) for v in vectors]
-        assignment = cover(warm, mvs)
-        assert tuple(assignment) == naive_cover(warm, mvs)[0]
-        assert np.array_equal(assignment, cover(blocks_from(blocks), mvs))
-        codebook = build_huffman(frequencies(assignment, len(mvs)))
-        streams = [encode_all(stats, assignment, codebook, mvs, "random",
+        assignment = cover(warm, vectors)
+        assert tuple(assignment) == naive_cover(warm, vectors)[0]
+        assert np.array_equal(assignment, cover(blocks_from(blocks), vectors))
+        codebook = build_huffman(frequencies(assignment, len(vectors)))
+        streams = [encode_all(stats, assignment, codebook, vectors, "random",
                               random.Random(seed))
                    for stats in (warm, blocks_from(blocks))]
         assert streams[0] == streams[1]
         assert payload_bitstring(streams[0]) == naive_encode_bits(
-            warm, assignment, codebook, mvs, "random", random.Random(seed))
+            warm, assignment, codebook, vectors, "random", random.Random(seed))
 
     def test_a_group_holds_at_most_80_keys(self):
         # every vector at K=5: bits 0-3 form a full group, bit 4 a group of one
@@ -189,32 +182,46 @@ class TestMatchGroups:
         assert stats.groups[0][ones] is stats.fits_one[1]
 
 
-class TestMatchingVector:
-    def test_derived_fields(self):
-        v = mv("U01U")
-        assert v.n_unspecified == 2
-        assert v.u_positions == (0, 3)
+# every consumer of a vector, given one bad vector at K=3 beside all-U
+BAD_VECTOR_USES = {
+    "mv_masks": lambda stats, v: mv_masks(v),
+    # a genome cannot hold an empty vector: its vector cache gets it instead
+    "evaluate_fitness": lambda stats, v: (ea.evaluate_fitness(v + "UUU", stats, 24) if v
+                                          else ea.vector_entry(stats, v)),
+    "cover": lambda stats, v: cover(stats, [v, "UUU"]),
+    "encode_all": lambda stats, v: encode_all(stats, np.zeros(stats.total, dtype=np.int64),
+                                              {0: "0", 1: "1"}, [v, "UUU"]),
+    "subsume_merge": lambda stats, v: subsume_merge(np.zeros(stats.total, dtype=np.int64),
+                                                    [v, "UUU"], 3),
+    "EncodedStream": lambda stats, v: EncodedStream(payload=b"", payload_bits=0, k=3,
+                                                    mv_table=(v,), codewords=("",),
+                                                    original_length=3),
+}
 
-    def test_rejects_bad_symbols(self):
-        with pytest.raises(ValueError):
-            mv("01X")
-        with pytest.raises(ValueError):
-            mv("")
+
+@pytest.mark.parametrize("use", sorted(BAD_VECTOR_USES))
+@pytest.mark.parametrize("vector", ["+1U", " 1U", "0_1", "0X1", ""])
+def test_bad_vector_rejected(vector, use):
+    # int(..., 2) takes a sign, a space and an underscore, so each needs the check
+    stats = BlockStats(partition("1110" * 6, 3))
+    with pytest.raises(ValueError) as err:
+        BAD_VECTOR_USES[use](stats, vector)
+    assert repr(vector) in str(err.value)
 
 
 class TestCover:
     def test_prefers_fewer_unspecified(self):
-        assignment = cover(blocks_from(["1110"]), [mv("UUUU"), mv("1110")])
+        assignment = cover(blocks_from(["1110"]), ["UUUU", "1110"])
         assert assignment.tolist() == [1]
         assert frequencies(assignment, 2) == [0, 1]
 
     def test_unmatched_block_reports_first_index(self):
         with pytest.raises(UnmatchedBlock) as err:
-            cover(blocks_from(["0101"]), [mv("1111"), mv("0000")])
+            cover(blocks_from(["0101"]), ["1111", "0000"])
         assert (err.value.block_index, err.value.count) == (1, 1)
 
         with pytest.raises(UnmatchedBlock) as err:
-            cover(blocks_from(["1111", "0101", "0000", "1X10"]), [mv("1111"), mv("0000")])
+            cover(blocks_from(["1111", "0101", "0000", "1X10"]), ["1111", "0000"])
         assert (err.value.block_index, err.value.count) == (2, 2)
 
         # K=70 masks are wider than 64 bits: the leftmost symbol is mask
@@ -222,17 +229,17 @@ class TestCover:
         ones = "1" * 70
         for conflict in ("0" + "1" * 69, "1" * 69 + "0"):
             with pytest.raises(UnmatchedBlock) as err:
-                cover(blocks_from([ones, conflict, ones, conflict]), [mv(ones)])
+                cover(blocks_from([ones, conflict, ones, conflict]), [ones])
             assert (err.value.block_index, err.value.count) == (2, 2)
 
     def test_worked_frequency_example(self):
         # five blocks only the 111U vector takes, three for 1110, two for 0000
         blocks = blocks_from(["1111"] * 5 + ["1110"] * 3 + ["0000"] * 2)
-        assignment = cover(blocks, [mv("111U"), mv("1110"), mv("0000")])
+        assignment = cover(blocks, ["111U", "1110", "0000"])
         assert frequencies(assignment, 3) == [5, 3, 2]
 
     def test_ties_break_by_vector_order(self):
-        assignment = cover(blocks_from(["11XX"]), [mv("11U0"), mv("110U")])
+        assignment = cover(blocks_from(["11XX"]), ["11U0", "110U"])
         assert assignment.tolist() == [0]
 
     def test_assigned_vector_has_minimal_u_count(self):
@@ -245,9 +252,9 @@ class TestCover:
             assignment = cover(BlockStats(blocks), mvs)
             for b, idx in zip(block_strings(blocks), assignment):
                 best = min(
-                    v.n_unspecified for v in mvs if matches(v, b)
+                    v.count("U") for v in mvs if matches(v, b)
                 )
-                assert mvs[idx].n_unspecified == best
+                assert mvs[idx].count("U") == best
 
     @pytest.mark.parametrize("k", [1, 2, 12, 63, 64, 65, 70, 128, 129])
     def test_matches_naive_reference(self, k):
@@ -261,7 +268,7 @@ class TestCover:
             # a block matching each vector and a copy with one position
             # flipped, which conflicts at whichever mask bit holds it
             for v in mvs[:-1]:
-                near = [rng.choice("01X") if ch == "U" else ch for ch in v.symbols]
+                near = [rng.choice("01X") if ch == "U" else ch for ch in v]
                 symbols.append("".join(near))
                 pos = rng.randrange(k)
                 near[pos] = {"0": "1", "1": "0"}.get(near[pos], near[pos])
@@ -279,12 +286,12 @@ class TestCover:
         assert stats.total == 4
         assert stats.n_unique == 2
         first = cover(stats, mvs)
-        assert cover(stats, [mv("UUUU")]).tolist() == [0] * 4
+        assert cover(stats, ["UUUU"]).tolist() == [0] * 4
         assert np.array_equal(cover(stats, mvs), first)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            cover(blocks_from(["01"]), [mv("0")])
+            cover(blocks_from(["01"]), ["0"])
 
     def test_n_unique_counts_distinct_rows(self):
         # 30 x 49 symbols at K=12: repeated template blocks and a tail
@@ -302,7 +309,7 @@ class TestCover:
 
     def test_assignments_are_read_only(self):
         blocks = blocks_from(["1111"] * 5 + ["1110"] * 3 + ["0000"] * 2)
-        mvs = [mv("111U"), mv("1110"), mv("0000")]
+        mvs = ["111U", "1110", "0000"]
         assignment = cover(blocks, mvs)
         merged = subsume_merge(assignment, mvs, 4)
         assert merged.tolist() == [0] * 8 + [2] * 2
@@ -326,7 +333,7 @@ def vectors_and_blocks(draw):
         if rng.random() < 0.5:
             near[rng.randrange(k)] = rng.choice("01X")
         blocks.append("".join(near))
-    return [mv(v) for v in vectors], blocks_from(blocks, k)
+    return vectors, blocks_from(blocks, k)
 
 
 class TestCoverProperties:
@@ -348,7 +355,7 @@ class TestCoverProperties:
     def test_only_unmatched_block_is_block_1000(self, k):
         symbols = ["0" * k, "X" * k] * 499 + ["0" * k, "1" * k]
         with pytest.raises(UnmatchedBlock) as err:
-            cover(blocks_from(symbols), [mv("0" * k)])
+            cover(blocks_from(symbols), ["0" * k])
         assert err.value.block_index == 1000
 
 
@@ -448,7 +455,7 @@ class TestHuffman:
 
 def two_vector_stream(codewords) -> EncodedStream:
     """A one-symbol stream whose table holds the vectors 0 and 1."""
-    return EncodedStream(payload=b"", payload_bits=0, k=1, mv_table=(mv("0"), mv("1")),
+    return EncodedStream(payload=b"", payload_bits=0, k=1, mv_table=("0", "1"),
                          codewords=codewords, original_length=1)
 
 
@@ -488,7 +495,7 @@ class TestEncodedStream:
     def test_payload_fixed_once_checked(self):
         # the stream keeps a copy: growing the caller's buffer changes nothing
         payload = bytearray(b"\x80")
-        stream = EncodedStream(payload=payload, payload_bits=1, k=1, mv_table=(mv("U"),),
+        stream = EncodedStream(payload=payload, payload_bits=1, k=1, mv_table=("U",),
                                codewords=("",), original_length=1)
         written = write_container(stream)
         payload[0] = 0
@@ -502,21 +509,21 @@ class TestEncodingLength:
     """A block's word is |codeword| + N_U bits."""
 
     def test_examples(self):
-        assert len(encode_one("1110", mv("111U"), {0: "0"})) == 2
-        assert len(encode_one("01X10X", mv("UUUUUU"), {0: "11111"})) == 11
-        assert len(encode_one("1100", mv("1100"), {0: "1"})) == 1
+        assert len(encode_one("1110", "111U", {0: "0"})) == 2
+        assert len(encode_one("01X10X", "UUUUUU", {0: "11111"})) == 11
+        assert len(encode_one("1100", "1100", {0: "1"})) == 1
 
     def test_no_codeword(self):
         with pytest.raises(NoCodeword):
-            encode_one("10", mv("1U"), {1: "0"})
+            encode_one("10", "1U", {1: "0"})
 
 
-def encode_one(symbols: str, v: MatchingVector, codebook: dict[int, str],
+def encode_one(symbols: str, v: str, codebook: dict[int, str],
                **kwargs) -> str:
     """Payload bits of a one-block stream whose block is assigned to ``v``,
     vector 0; vector 1 is all U and takes no block."""
     stream = encode_all(blocks_from([symbols]), np.zeros(1, dtype=np.int64), codebook,
-                        [v, mv("U" * len(v))], **kwargs)
+                        [v, "U" * len(v)], **kwargs)
     return payload_bitstring(stream)
 
 
@@ -525,35 +532,35 @@ class TestEncodeBlock:
 
     def test_fill_bits_follow_codeword(self):
         codebook = {0: "11010"}
-        assert encode_one("111100", mv("111UUU"), codebook) == "11010100"
-        assert encode_one("111011", mv("111UUU"), codebook) == "11010011"
+        assert encode_one("111100", "111UUU", codebook) == "11010100"
+        assert encode_one("111011", "111UUU", codebook) == "11010011"
 
     def test_x_fills_as_zero_by_default(self):
         codebook = {0: "1"}
-        assert encode_one("1X10", mv("UU10"), codebook) == "110"
+        assert encode_one("1X10", "UU10", codebook) == "110"
 
     def test_fill_policies(self):
         codebook = {0: ""}
-        assert encode_one("XX", mv("UU"), codebook, fill="one") == "11"
+        assert encode_one("XX", "UU", codebook, fill="one") == "11"
         rng = random.Random(0)
-        bits = encode_one("XX", mv("UU"), codebook, fill="random", rng=rng)
+        bits = encode_one("XX", "UU", codebook, fill="random", rng=rng)
         assert set(bits) <= {"0", "1"}
         with pytest.raises(InvalidConfig):
-            encode_one("XX", mv("UU"), codebook, fill="bogus")
+            encode_one("XX", "UU", codebook, fill="bogus")
 
     def test_not_matching(self):
         with pytest.raises(NotMatching):
-            encode_one("10", mv("01"), {0: "0"})
+            encode_one("10", "01", {0: "0"})
 
     def test_no_codeword(self):
         with pytest.raises(NoCodeword):
-            encode_one("10", mv("10"), {1: "0"})
+            encode_one("10", "10", {1: "0"})
 
 
 class TestEncodeAll:
     def test_worked_example_payload(self):
         blocks = blocks_from(["1111"] * 5 + ["1110"] * 3 + ["0000"] * 2)
-        mvs = [mv("111U"), mv("1110"), mv("0000")]
+        mvs = ["111U", "1110", "0000"]
         assignment = cover(blocks, mvs)
         codebook = build_huffman(frequencies(assignment, 3))
         stream = encode_all(blocks, assignment, codebook, mvs)
@@ -561,11 +568,11 @@ class TestEncodeAll:
 
     def test_merged_example_payload(self):
         blocks = blocks_from(["1111"] * 5 + ["1110"] * 3 + ["0000"] * 2)
-        mvs = [mv("111U"), mv("1110"), mv("0000")]
+        mvs = ["111U", "1110", "0000"]
         merged = subsume_merge(cover(blocks, mvs), mvs, 4)
         freqs = frequencies(merged, 3)
         assert freqs == [8, 0, 2]
-        assert [v.symbols for v, f in zip(mvs, freqs) if f] == ["111U", "0000"]
+        assert [v for v, f in zip(mvs, freqs) if f] == ["111U", "0000"]
         stream = encode_all(blocks, merged, build_huffman(freqs), mvs)
         assert stream.payload_bits == 18
 
@@ -573,7 +580,7 @@ class TestEncodeAll:
     @pytest.mark.parametrize("fill, rng", [("bogus", None), ("random", None)])
     def test_fill_checked_before_encoding(self, symbols, fill, rng):
         blocks = blocks_from([symbols])
-        mvs = [mv("U101")]
+        mvs = ["U101"]
         assignment = cover(blocks, mvs)
         with pytest.raises(InvalidConfig):
             encode_all(blocks, assignment, build_huffman([1]), mvs, fill=fill, rng=rng)
@@ -581,7 +588,7 @@ class TestEncodeAll:
     def test_codeword_over_255_bits_rejected(self):
         # the container stores each codeword length in one byte
         blocks = blocks_from(["01", "10"])
-        mvs = [mv("UU")]
+        mvs = ["UU"]
         assignment = cover(blocks, mvs)
         with pytest.raises(ValueError, match="256 bits"):
             encode_all(blocks, assignment, {0: "0" * 256}, mvs)
@@ -596,12 +603,12 @@ class TestEncodeAll:
         blocks = blocks_from(["01", "1X"])
         with pytest.raises(ValueError, match=error):
             encode_all(blocks, np.zeros(2, dtype=np.int64), codebook,
-                       [mv("UU"), mv("UU")], fill, random.Random(0))
+                       ["UU", "UU"], fill, random.Random(0))
 
     def test_codeword_length_checked_before_encoding(self):
         # a slice's matrices would take (blocks) x (codeword + K) bytes
         blocks = blocks_from(["0110"] * 2000)
-        mvs = [mv("UUUU")]
+        mvs = ["UUUU"]
         assignment = cover(blocks, mvs)
         tracemalloc.start()
         try:
@@ -614,7 +621,7 @@ class TestEncodeAll:
 
     def test_255_bit_codeword_round_trips(self):
         blocks = blocks_from(["01", "10"])
-        mvs = [mv("UU")]
+        mvs = ["UU"]
         assignment = cover(blocks, mvs)
         stream = encode_all(blocks, assignment, {0: "0" * 255}, mvs)
         assert stream.payload_bits == 2 * 257
@@ -626,13 +633,13 @@ class TestEncodeAll:
         assignment = np.array([0, 1, 1, 0])
         with pytest.raises(NotMatching, match="^vector 1U does not match block 01$"):
             encode_all(blocks, assignment, {0: "0", 1: "1"},
-                       [mv("0U"), mv("1U")])
+                       ["0U", "1U"])
 
     def test_table_vector_of_another_length_rejected(self):
         # an unassigned vector of length 2 would enter a K=4 stream's table
         with pytest.raises(ValueError, match="not 4 symbols"):
             encode_all(blocks_from(["0000"]), np.array([0]), {0: "0", 1: "1"},
-                       [mv("0000"), mv("UU")])
+                       ["0000", "UU"])
 
     @pytest.mark.parametrize("assigned, keys", [
         ([0, 2], (0, 1)),  # an index past the last vector
@@ -644,18 +651,18 @@ class TestEncodeAll:
         codes = ["00", "01", "10"][: len(keys)]
         with pytest.raises(ValueError, match="outside the 2 given"):
             encode_all(blocks_from(["00", "11"]), np.array(assigned),
-                       dict(zip(keys, codes)), [mv("UU"), mv("UU")])
+                       dict(zip(keys, codes)), ["UU", "UU"])
 
     @pytest.mark.parametrize("original_length", [0, 4, 9])
     def test_original_length_must_fit_the_blocks(self, original_length):
         # 2 blocks of K=4 hold 5 to 8 symbols
         with pytest.raises(ValueError):
             encode_all(blocks_from(["0000", "1111"]), np.array([0, 0]),
-                       {0: ""}, [mv("UUUU")], original_length=original_length)
+                       {0: ""}, ["UUUU"], original_length=original_length)
 
     def test_symbol_other_than_0_1_x_rejected(self):
         with pytest.raises(ValueError, match="other than 0, 1 and X"):
-            encode_all(blocks_from(["0x"]), np.array([0]), {0: ""}, [mv("UU")])
+            encode_all(blocks_from(["0x"]), np.array([0]), {0: ""}, ["UU"])
 
     def test_block_stats_input(self):
         # blocks enter only as the stats of the 2-D uint8 matrix that
@@ -687,12 +694,12 @@ class TestEncodeAll:
             codebook = build_huffman(freqs)
             stream = encode_all(blocks, assignment, codebook, mvs)
             expected = sum(
-                f * (len(codebook[i]) + mvs[i].n_unspecified)
+                f * (len(codebook[i]) + mvs[i].count("U"))
                 for i, f in enumerate(freqs)
                 if f
             )
             assert stream.payload_bits == expected
-            n_us = [v.n_unspecified for v in mvs]
+            n_us = [v.count("U") for v in mvs]
             assert payload_bits_for(freqs, n_us) == expected
 
 
@@ -709,7 +716,6 @@ def encode_cases(draw):
     if draw(st.booleans()):
         vectors.insert(draw(st.integers(0, len(vectors))),
                        draw(st.text(alphabet="01U", min_size=1, max_size=k + 2)))
-    mvs = [mv(v) for v in vectors]
     rng = draw(st.randoms(use_true_random=False))
     blocks, assignment = [], []
     for _ in range(draw(st.integers(1, 40))):
@@ -719,12 +725,12 @@ def encode_cases(draw):
                 if len(v) == k and char_match(blocks[-1], v)]
         assignment.append(rng.choice(fits))
     for _ in range(draw(st.integers(0, 3))):
-        assignment[rng.randrange(len(blocks))] = rng.randrange(len(mvs))
-    codebook = build_huffman([assignment.count(i) for i in range(len(mvs))])
+        assignment[rng.randrange(len(blocks))] = rng.randrange(len(vectors))
+    codebook = build_huffman([assignment.count(i) for i in range(len(vectors))])
     if draw(st.booleans()):
         del codebook[rng.choice(sorted(codebook))]
     fill = draw(st.sampled_from(["zero", "one", "random"]))
-    return blocks_from(blocks), np.array(assignment), codebook, mvs, fill
+    return blocks_from(blocks), np.array(assignment), codebook, vectors, fill
 
 
 class TestEncodeProperties:
@@ -765,7 +771,7 @@ def slice_cases(draw):
             [i for i, v in enumerate(vectors) if char_match(blocks[-1], v)]))
     counts = [assignment.count(i) for i in range(len(vectors))]
     return (blocks_from(blocks), np.array(assignment), build_huffman(counts),
-            [mv(v) for v in vectors])
+            vectors)
 
 
 # sizes at and around 32-bit word edges, and a few thousand
@@ -825,10 +831,10 @@ class TestEncodeSlices:
     def test_more_blocks_than_one_slice(self):
         # 70,000 blocks: one full slice of 65,536 and a partial one
         rng = random.Random(11)
-        mvs = [mv("0U1UU"), mv("10UU1"), mv("UUUUU")]
+        mvs = ["0U1UU", "10UU1", "UUUUU"]
         blocks = blocks_from([
             "".join(rng.choice("01X") if ch == "U" else ch
-                    for ch in mvs[rng.randrange(3)].symbols)
+                    for ch in mvs[rng.randrange(3)])
             for _ in range(70_000)
         ])
         assignment = cover(blocks, mvs)
@@ -840,7 +846,7 @@ class TestEncodeSlices:
     def test_large_k_slices_agree_with_one_slice(self, fill):
         # at K=1000 a slice holds 786 blocks, so 2,000 blocks take three
         k, gen = 1000, np.random.default_rng(3)
-        mvs = [mv("0" * 10 + "U" * 990), mv("U" * 995 + "10110"), mv("U" * k)]
+        mvs = ["0" * 10 + "U" * 990, "U" * 995 + "10110", "U" * k]
         rows = gen.choice(np.frombuffer(b"01X", dtype=np.uint8), size=(2000, k))
         rows[::3, :10] = ord("0")
         rows[1::3, -5:] = np.frombuffer(b"10110", dtype=np.uint8)
@@ -865,7 +871,7 @@ class TestEncodeSlices:
             np.frombuffer(b"01X", dtype=np.uint8), size=(8000, 1000))
         rows[::2, :10] = ord("0")
         stats = BlockStats(rows)
-        mvs = [mv("0" * 10 + "U" * 990), mv("U" * 1000)]
+        mvs = ["0" * 10 + "U" * 990, "U" * 1000]
         assignment = cover(stats, mvs)
         codebook = build_huffman(frequencies(assignment, 2))
         tracemalloc.start()
@@ -882,7 +888,7 @@ class TestDecode:
         # would decode to "0", one symbol where the header declares four
         with pytest.raises(ValueError, match="not 4 symbols"):
             EncodedStream(payload=b"", payload_bits=0, k=4,
-                          mv_table=(mv("0"),), codewords=("",),
+                          mv_table=("0",), codewords=("",),
                           original_length=4)
 
     def _nine_code_stream(self, payload_bits: str) -> EncodedStream:
@@ -920,7 +926,7 @@ class TestDecode:
             payload=bytes([0b11000000]),
             payload_bits=2,
             k=2,
-            mv_table=(mv("00"), mv("01")),
+            mv_table=("00", "01"),
             codewords=("0", "10"),
             original_length=2,
         )
@@ -977,7 +983,7 @@ def decode_cases(draw):
         freqs = draw(st.permutations(freqs))
     else:
         freqs = draw(st.lists(st.integers(1, 50), min_size=2, max_size=8))
-    mvs = tuple(mv(draw(st.text(alphabet="01U", min_size=k, max_size=k)))
+    mvs = tuple(draw(st.text(alphabet="01U", min_size=k, max_size=k))
                 for _ in freqs)
     codebook = build_huffman(freqs)
     table = list(range(len(mvs)))
@@ -988,7 +994,7 @@ def decode_cases(draw):
     words = []
     for _ in range(block_count):
         index = rng.randrange(len(mvs))
-        fills = "".join(rng.choice("01") for _ in range(mvs[index].n_unspecified))
+        fills = "".join(rng.choice("01") for _ in range(mvs[index].count("U")))
         words.append(codebook[index] + fills)
     original_length = (
         draw(st.integers((block_count - 1) * k + 1, block_count * k))
@@ -1083,8 +1089,8 @@ class TestDecodeWalkers:
     def test_zero_width_words(self):
         # one fully specified vector with the empty codeword reads no bit
         for blocks in (1, 5, 70_000):
-            self.check([""] * blocks, 3, [mv("101")], [""])
-            self.check(["1"], 3, [mv("101")], [""], blocks=blocks)
+            self.check([""] * blocks, 3, ["101"], [""])
+            self.check(["1"], 3, ["101"], [""], blocks=blocks)
 
     def test_one_width_words(self):
         # a lone codeword of a vector with U positions: every word is 5 bits,
@@ -1092,10 +1098,10 @@ class TestDecodeWalkers:
         rng = random.Random(16)
         words = ["".join(rng.choice("01") for _ in range(5)) for _ in range(3000)]
         for chunk in (self.CHUNK, 512):
-            self.check(words, 7, [mv("1UU0UUU")], [""], chunk=chunk)
+            self.check(words, 7, ["1UU0UUU"], [""], chunk=chunk)
 
     def test_one_block(self):
-        mvs, codewords = [mv("UUUU"), mv("0000")], ["0", "1"]
+        mvs, codewords = ["UUUU", "0000"], ["0", "1"]
         self.check(["01101"], 4, mvs, codewords)
         self.check(["1"], 4, mvs, codewords)
         self.check(["1", "1"], 4, mvs, codewords, blocks=1)
@@ -1107,7 +1113,7 @@ class TestDecodeWalkers:
         # before the edge at bit 3 * CHUNK to 3 bits after it
         codebook = build_huffman(fibonacci(22))
         codewords = [codebook[i] for i in range(22)]
-        mvs = [mv("0U" if len(code) > 16 else "01") for code in codewords]
+        mvs = ["0U" if len(code) > 16 else "01" for code in codewords]
         short = min(range(22), key=lambda i: len(codewords[i]))
         words = [codewords[short]] * (3 * self.CHUNK + offset)
         words += [code + "1" for code in codewords if len(code) > 16]
@@ -1118,7 +1124,7 @@ class TestDecodeWalkers:
     def test_errors_at_a_chunk_edge(self, fault, edge):
         # the bad word starts on the last bit of a chunk or the first of the
         # next; 0 takes one fill bit, and no codeword starts with 111
-        mvs, codewords = [mv("U0"), mv("11"), mv("00")], ["0", "10", "110"]
+        mvs, codewords = ["U0", "11", "00"], ["0", "10", "110"]
         words = ["10"] * (self.CHUNK - 2) + (["110"] if edge else ["10", "10"])
         assert len("".join(words)) == 2 * self.CHUNK + edge
         tail = {"unknown": ["111"] + ["10"] * 20, "codeword": ["11"], "fill": ["0"],
@@ -1127,7 +1133,7 @@ class TestDecodeWalkers:
         self.check(words + tail, 2, mvs, codewords, blocks=blocks)
 
     def test_output_cap_checked_before_the_walk(self):
-        stream = EncodedStream(payload=b"\xff", payload_bits=8, k=2, mv_table=(mv("00"),),
+        stream = EncodedStream(payload=b"\xff", payload_bits=8, k=2, mv_table=("00",),
                                codewords=("0",), original_length=10)
         with mock.patch.object(codec, "_word_starts", side_effect=AssertionError):
             with pytest.raises(OutputTooLarge):
@@ -1168,10 +1174,10 @@ class TestCompressionRate:
 
 class TestSubsumeMerge:
     def test_subsumes_predicate(self):
-        assert subsumes(mv("111U"), mv("1110"))
-        assert not subsumes(mv("1110"), mv("111U"))
-        assert subsumes(mv("UUUU"), mv("10X1".replace("X", "0")))
-        assert subsumes(mv("1U"), mv("1U"))
+        assert subsumes("111U", "1110")
+        assert not subsumes("1110", "111U")
+        assert subsumes("UUUU", "10X1".replace("X", "0"))
+        assert subsumes("1U", "1U")
         # exhaustive at K=3: subsumption is containment of the matched blocks
         vectors = ["".join(t) for t in itertools.product("01U", repeat=3)]
         blocks = ["".join(t) for t in itertools.product("01X", repeat=3)]
@@ -1179,11 +1185,11 @@ class TestSubsumeMerge:
             for narrower in vectors:
                 contained = all(char_match(b, wider) for b in blocks
                                 if char_match(b, narrower))
-                assert subsumes(mv(wider), mv(narrower)) == contained
+                assert subsumes(wider, narrower) == contained
 
     def test_no_candidates_is_fixed_point(self):
         blocks = blocks_from(["11", "00"])
-        mvs = [mv("11"), mv("00")]
+        mvs = ["11", "00"]
         assignment = cover(blocks, mvs)
         merged = subsume_merge(assignment, mvs, 2)
         assert np.array_equal(merged, assignment)
@@ -1191,7 +1197,7 @@ class TestSubsumeMerge:
 
     def test_single_vector_unchanged(self):
         blocks = blocks_from(["10", "10"])
-        mvs = [mv("1U")]
+        mvs = ["1U"]
         assignment = cover(blocks, mvs)
         merged = subsume_merge(assignment, mvs, 2)
         assert np.array_equal(merged, assignment)
@@ -1208,7 +1214,7 @@ class TestSubsumeMerge:
             ]
             blocks = blocks_from(symbols)
             assignment = cover(blocks, mvs)
-            n_us = [v.n_unspecified for v in mvs]
+            n_us = [v.count("U") for v in mvs]
             freqs = frequencies(assignment, len(mvs))
             merged = subsume_merge(assignment, mvs, k)
             after = frequencies(merged, len(mvs))
@@ -1217,8 +1223,8 @@ class TestSubsumeMerge:
             for b, idx in zip(symbols, merged):
                 assert matches(mvs[idx], b)
             # the counts are the merge's, on the same vectors
-            assert after == merge_subsumed_frequencies(
-                freqs, [v.ones_mask for v in mvs], [v.zeros_mask for v in mvs], n_us)[0]
+            ones, zeros = zip(*map(mv_masks, mvs))
+            assert after == merge_subsumed_frequencies(freqs, ones, zeros, n_us)[0]
 
 
 @st.composite

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from tercode import (
     EncodedStream,
-    MatchingVector,
     decode,
     encode_all,
     read_container,
@@ -159,7 +158,7 @@ class TestLengthAndWidth:
         # -1 and 2**64 do not fit its u64 field
         with pytest.raises(ValueError, match="pattern width"):
             encode_all(blocks_from(["0000", "1111"]), np.zeros(2, dtype=np.int64),
-                       {0: ""}, [MatchingVector("UUUU")], original_length=8,
+                       {0: ""}, ["UUUU"], original_length=8,
                        pattern_width=width)
 
 
@@ -175,19 +174,19 @@ class TestFieldLimits:
     def test_table_above_limit_refused(self):
         with pytest.raises(ValueError, match="at most 65535"):
             EncodedStream(payload=b"", payload_bits=0, k=1,
-                          mv_table=(MatchingVector("0"),) * 65536,
+                          mv_table=("0",) * 65536,
                           codewords=(), original_length=1)
 
     def test_original_length_above_limit_refused(self):
         with pytest.raises(ValueError, match="at most 18446744073709551615"):
             EncodedStream(payload=b"", payload_bits=0, k=1,
-                          mv_table=(MatchingVector("0"),), codewords=("",),
+                          mv_table=("0",), codewords=("",),
                           original_length=2**64)
 
     def test_k_at_limit_round_trips(self):
         k = 65535
         stream = EncodedStream(payload=bytes(8192), payload_bits=k,
-                               k=k, mv_table=(MatchingVector("U" * k),),
+                               k=k, mv_table=("U" * k,),
                                codewords=("",), original_length=k)
         assert read_container(write_container(stream)) == stream
 
@@ -210,7 +209,7 @@ class TestOutputCap:
         # symbol, so decode emits nothing it then trims away
         def build():
             return EncodedStream(payload=b"", payload_bits=0, k=k,
-                                 mv_table=(MatchingVector("0" * max(k, 1)),),
+                                 mv_table=("0" * max(k, 1),),
                                  codewords=("",),
                                  original_length=original_length)
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tercode import (
     EaConfig,
-    MatchingVector,
     compression_rate,
     crossover,
     ea,
@@ -21,7 +20,7 @@ from tercode import (
     random_individual,
     run_many,
 )
-from tercode.codec import BlockStats
+from tercode.codec import BlockStats, mv_masks
 from tercode.corpus import CorpusSpec, generate_corpus
 from tercode.ea import INFEASIBLE_BASE, vector_entry, vector_symbols
 from tercode.errors import InvalidConfig, LengthMismatch
@@ -81,6 +80,8 @@ class TestConfig:
             dict(children_per_generation=0),
             dict(p_crossover=-0.1),
             dict(p_mutation=1.5),
+            dict(p_mutation=float("nan")),
+            dict(p_crossover=float("nan")),
             dict(p_crossover=0.5, p_mutation=0.5, p_inversion=0.5),
             dict(stagnation_limit=0),
             dict(max_evaluations=0),
@@ -387,19 +388,18 @@ def fitness_cases(draw):
 def naive_fitness(blocks, genes, k, original_bits, subsume):
     """Fitness of the block strings ``blocks``, re-derived from the
     character-level cover and full Huffman codes."""
-    mvs = [MatchingVector(genes[i : i + k]) for i in range(0, len(genes), k)]
+    mvs = [genes[i : i + k] for i in range(0, len(genes), k)]
     assignment, freqs = naive_cover(blocks_from(blocks), mvs)
     if assignment is None:
         unmatched = sum(
-            not any(char_match(b, v.symbols) for v in mvs) for b in blocks
+            not any(char_match(b, v) for v in mvs) for b in blocks
         )
         lowest = compression_rate(original_bits, len(blocks) * (k + len(mvs) - 1))
         return min(INFEASIBLE_BASE, lowest - 1) - unmatched
-    n_us = [v.n_unspecified for v in mvs]
+    n_us = [v.count("U") for v in mvs]
     if subsume:
-        freqs, _ = naive_merge_subsumed_frequencies(
-            freqs, [v.ones_mask for v in mvs], [v.zeros_mask for v in mvs], n_us
-        )
+        ones, zeros = zip(*map(mv_masks, mvs))
+        freqs, _ = naive_merge_subsumed_frequencies(freqs, ones, zeros, n_us)
     return compression_rate(original_bits, naive_payload_bits(freqs, n_us))
 
 
@@ -556,7 +556,7 @@ class TestEvolve:
         )
         # with the nine fixed vectors in the initial population, the fixed
         # scheme's rate is a floor for the best fitness
-        nine = "".join(v.symbols for v in nine_mvs(4))
+        nine = "".join(nine_mvs(4))
         assert report.best_rate >= report.history[0]
         assert report.history[0] > INFEASIBLE_BASE
         # deterministic and distinct from the unseeded run
@@ -575,7 +575,7 @@ class TestEvolve:
             reserve_all_u=False, seed_nine_code=True,
         )
         report = evolve(blocks, 240, cfg)
-        assert report.best == "".join(v.symbols for v in nine_mvs(4))
+        assert report.best == "".join(nine_mvs(4))
         # its fitness equals the Huffman-recoded nine-vector rate
         ts = TestSet(tuple(block_strings(blocks)))
         stream = compress(ts, "9c-hc", EaConfig(k=4)).stream

@@ -18,10 +18,10 @@ class TestInfeasibleSearch:
         ts = generate_corpus(CORPUS)
         stats = codec.BlockStats(core.partition(core.flatten(ts), 12))
         best = ea.run_many(stats, core.original_size_bits(ts), INFEASIBLE).best
-        mvs = [codec.MatchingVector(s) for s in ea.vector_symbols(best, 12)]
+        mvs = ea.vector_symbols(best, 12)
         _, _, unmatched, _ = codec.match_frequencies(
-            stats, [codec.match_set(stats, v.ones_mask, v.zeros_mask) for v in mvs],
-            [v.n_unspecified for v in mvs])
+            stats, [codec.match_set(stats, *codec.mv_masks(v)) for v in mvs],
+            [v.count("U") for v in mvs])
         assert unmatched
         with pytest.raises(InvalidConfig,
                            match=f"leaves {unmatched} of 240 blocks unmatched; "
