@@ -1,8 +1,9 @@
 """Command-line front end: compress, decompress, stats, compare, gen-corpus.
 
-Exit codes: 0 success, 2 usage/configuration error, 3 input format
-error, 4 container error.  The TERCODE_SEED environment variable is the
-fallback for --seed.
+Exit codes: 0 success, 2 usage/configuration error, 3 input format or
+file error, 4 container error.  The seed is --seed, else the TERCODE_SEED
+environment variable, else (compress and compare) the config file's
+rng_seed, else 0.
 """
 
 from __future__ import annotations
@@ -15,15 +16,13 @@ import sys
 import time
 
 from . import codec, container, core, corpus, ea, pipeline
-from .errors import (
-    ContainerError,
-    InvalidConfig,
-    OddK,
-    ParseError,
-    TercodeError,
-)
+from .errors import ContainerError, InvalidConfig, OddK, ParseError, TercodeError
 
 SEED_ENV_VAR = "TERCODE_SEED"
+
+# the exit code of the first entry an error is an instance of; any other
+# TercodeError or OSError (a missing file, a directory) exits 3
+_EXIT_CODES = (((InvalidConfig, OddK), 2), (ContainerError, 4))
 
 
 def _mv_usage(result: pipeline.CompressResult) -> list[dict]:
@@ -98,42 +97,46 @@ def _print_table(report: dict, duration: float) -> None:
             print(f"  {row['mv']}  {row['frequency']}  {row['codeword_length']}")
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
+def _resolve_seed(seed: int | None, default: int | None = 0) -> int | None:
+    """``seed`` (the --seed flag), else TERCODE_SEED, else ``default``."""
+    if seed is not None:
+        return seed
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidConfig(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    return 0
+    if env is None:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise InvalidConfig(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
 
 
-def _ea_config(args, seed: int) -> ea.EaConfig:
+def _ea_config(args) -> ea.EaConfig:
     """Explicit flags override the config file; flags left at their None
     default fall back to the file and then to the built-in defaults.  Each
-    EA flag stores into the ``EaConfig`` field it names, and the resolved
-    seed is ``rng_seed``.  The config is built once, so the default
-    evaluation budget follows the final population and children counts."""
+    EA flag stores into the ``EaConfig`` field it names; TERCODE_SEED
+    stands in for an absent --seed.  The config is built once, so the
+    default evaluation budget follows the final population and children
+    counts."""
     flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(ea.EaConfig)}
+    flags["rng_seed"] = _resolve_seed(args.rng_seed, default=None)
     values = {key: val for key, val in flags.items() if val is not None}
-    values["rng_seed"] = seed
     if args.config:
         return ea.EaConfig.from_file(args.config, **values)
     return ea.EaConfig(**values)
 
 
 def _load_test_set(path: str) -> core.TestSet:
-    with open(path, encoding="utf-8") as handle:
-        return core.parse_test_set(handle)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return core.parse_test_set(handle)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def cmd_compress(args) -> int:
     started = time.perf_counter()
-    seed = _resolve_seed(args)
     ts = _load_test_set(args.input)
-    result = pipeline.compress(ts, args.method, _ea_config(args, seed), args.fill)
+    result = pipeline.compress(ts, args.method, _ea_config(args), args.fill)
     data = container.write_container(result.stream)
     with open(args.output, "wb") as handle:
         handle.write(data)
@@ -199,9 +202,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    seed = _resolve_seed(args)
     ts = _load_test_set(args.input)
-    cfg = _ea_config(args, seed)
+    cfg = _ea_config(args)
     reports = [
         _run_report(method, pipeline.compress(ts, method, cfg, args.fill))
         for method in ("9c", "9c-hc", "ea")
@@ -212,7 +214,7 @@ def cmd_compare(args) -> int:
     ea_stats = reports[2]["ea_stats"]
     print(
         f"original bits {reports[0]['original_bits']}   "
-        f"K={cfg.k}  L={cfg.l}  seed={seed}"
+        f"K={cfg.k}  L={cfg.l}  seed={cfg.rng_seed}"
     )
     print(f"{'method':10} {'payload':>10} {'rate':>8}")
     for r in reports[:2]:
@@ -233,7 +235,7 @@ def cmd_gen_corpus(args) -> int:
         templates=args.templates,
         flip_probability=args.flip_prob,
         template_width=args.template_width,
-        rng_seed=_resolve_seed(args),
+        rng_seed=_resolve_seed(args.seed),
     )
     ts = corpus.generate_corpus(spec)
     with open(args.output, "w", encoding="utf-8") as handle:
@@ -246,6 +248,16 @@ def cmd_gen_corpus(args) -> int:
 
 
 def _add_ea_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("-K", dest="k", type=int, default=None,
+                        help="input block length (default 12)")
+    parser.add_argument("-L", dest="l", type=int, default=None,
+                        help="number of vectors for ea (default 64)")
+    parser.add_argument("--seed", dest="rng_seed", metavar="SEED", type=int, default=None,
+                        help=f"rng seed (fallback: ${SEED_ENV_VAR}, then the config "
+                             "file, then 0)")
+    parser.add_argument("--fill", choices=codec.FILL_CHOICES, default="zero",
+                        help="value taken by X at transmitted fill positions")
+    parser.add_argument("--report", choices=("table", "json"), default="table")
     parser.add_argument("--runs", type=int, default=None, help="EA repetitions (default 5)")
     parser.add_argument("--population", dest="population_size", metavar="POPULATION",
                         type=int, default=None, help="population size S")
@@ -281,14 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--method", choices=pipeline.METHODS, default="ea")
-    p.add_argument("-K", dest="k", type=int, default=None,
-                   help="input block length (default 12)")
-    p.add_argument("-L", dest="l", type=int, default=None,
-                   help="number of vectors for ea (default 64)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--fill", choices=codec.FILL_CHOICES, default="zero",
-                   help="value taken by X at transmitted fill positions")
-    p.add_argument("--report", choices=("table", "json"), default="table")
     _add_ea_flags(p)
     p.set_defaults(func=cmd_compress)
 
@@ -309,11 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run 9c, 9c-hc and ea side by side")
     p.add_argument("--input", required=True)
-    p.add_argument("-K", dest="k", type=int, default=None)
-    p.add_argument("-L", dest="l", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--fill", choices=codec.FILL_CHOICES, default="zero")
-    p.add_argument("--report", choices=("table", "json"), default="table")
     _add_ea_flags(p)
     p.set_defaults(func=cmd_compare)
 
@@ -336,18 +335,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidConfig, OddK) as exc:
+    except (TercodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ContainerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except TercodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)), 3)
 
 
 if __name__ == "__main__":

@@ -145,7 +145,5 @@ def read_container(data: bytes) -> EncodedStream:
             original_length=original_length,
             pattern_width=pattern_width,
         )
-    except CorruptHeader:
-        raise
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise CorruptHeader(f"container contents invalid: {exc}") from None

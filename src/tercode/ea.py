@@ -80,23 +80,13 @@ class EaConfig:
             value = getattr(self, name)
             if value is None and name == "max_evaluations":
                 continue
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-        if self.k < 1 or self.l < 1:
-            raise InvalidConfig("k and l must be >= 1")
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
         if self.k > MAX_K_OR_L or self.l > MAX_K_OR_L:
             raise InvalidConfig(f"k and l must be <= {MAX_K_OR_L}")
-        if self.population_size < 1 or self.children_per_generation < 1:
-            raise InvalidConfig("population and children counts must be >= 1")
         probs = (self.p_crossover, self.p_mutation, self.p_inversion)
         if any(not 0 <= p <= 1 for p in probs) or sum(probs) > 1 + 1e-12:
             raise InvalidConfig("operator probabilities must lie in [0,1] and sum to <= 1")
-        if self.stagnation_limit < 1:
-            raise InvalidConfig("stagnation_limit must be >= 1")
-        if self.max_evaluations is not None and self.max_evaluations < 1:
-            raise InvalidConfig("max_evaluations must be >= 1")
-        if self.runs < 1:
-            raise InvalidConfig("runs must be >= 1")
         if self.seed_nine_code and self.k % 2:
             raise InvalidConfig("nine-code seeding needs an even block length")
 
@@ -114,11 +104,12 @@ class EaConfig:
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "EaConfig":
-        """Load key=value lines ('#' comments allowed) into a config;
-        keyword ``overrides`` win over the file's values."""
+        """Load key=value lines (whole-line '#' comments allowed) into a
+        config; keyword ``overrides`` win over the file's values.  A byte
+        that is not UTF-8 reads as U+FFFD, so it is refused outside comments."""
         names = {f.name for f in fields(cls)}
         values = {}
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8", errors="replace") as handle:
             for lineno, raw in enumerate(handle, 1):
                 line = raw.strip()
                 if not line or line.startswith("#"):

@@ -195,6 +195,17 @@ class TestCompress:
         )
         assert code == 3
 
+    def test_undecodable_input_is_format_error(self, tmp_path, capsys):
+        source = tmp_path / "latin.txt"
+        source.write_bytes(b"\xff\xfe01\n")
+        output = tmp_path / "x.tcc"
+        code = run_cli(["compress", "--input", str(source), "--output", str(output),
+                        "--method", "9c", "-K", "2"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(source) in err
+        assert not output.exists()
+
     def test_deterministic_output(self, corpus_file, tmp_path, capsys):
         containers = []
         reports = []
@@ -313,6 +324,27 @@ class TestCompress:
         report = json.loads(capsys.readouterr().out)
         assert report["l"] == 4
         assert len(report["ea_stats"]["run_rates"]) == 1
+
+    def test_config_file_seed(self, corpus_file, tmp_path, capsys, monkeypatch):
+        # the seed is --seed, else TERCODE_SEED, else the file's rng_seed, else 0
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        conf = tmp_path / "ea.conf"
+        conf.write_text("rng_seed = 5\n")
+
+        def run(name, *flags):
+            out = tmp_path / name
+            assert run_cli(["compress", "--input", str(corpus_file), "--output", str(out),
+                            "--method", "ea", "-K", "6", "-L", "4", "--report", "json",
+                            *EA_SPEED_FLAGS, *flags]) == 0
+            return out.read_bytes(), json.loads(capsys.readouterr().out)["ea_stats"]
+
+        from_file = run("file.tcc", "--config", str(conf))
+        assert from_file == run("flag.tcc", "--seed", "5")
+        assert from_file != run("default.tcc")
+        flag_wins = run("flag-file.tcc", "--config", str(conf), "--seed", "3")
+        assert flag_wins == run("flag3.tcc", "--seed", "3")
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "3")
+        assert run("env-file.tcc", "--config", str(conf)) == flag_wins
 
     @pytest.mark.parametrize("value", ["2.5", "true"])
     def test_config_budget_must_be_integer(self, corpus_file, tmp_path, capsys, value):
@@ -441,6 +473,25 @@ class TestDecompress:
             assert run_cli(["decompress", "--input", str(source), "--output",
                             str(restored), "--max-symbols", cap]) == 2
         assert not restored.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["compress", "--input", "{dir}", "--output", "{tmp}/x.tcc"],
+    ["compress", "--input", "{corpus}", "--output", "{dir}", "--method", "9c-hc"],
+    ["decompress", "--input", "{dir}", "--output", "{tmp}/x.txt"],
+    ["stats", "--input", "{dir}"],
+], ids=["compress-input", "compress-output", "decompress-input", "stats-input"])
+def test_directory_is_file_error(command, corpus_file, tmp_path, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    names = {"dir": folder, "tmp": tmp_path, "corpus": corpus_file}
+    capsys.readouterr()
+    assert run_cli([arg.format(**names) for arg in command]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", "folder"]
+    assert not any(folder.iterdir())
 
 
 class TestHeaderChecks:

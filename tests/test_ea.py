@@ -96,6 +96,22 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             EaConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True])
+    @pytest.mark.parametrize("name", ["k", "l", "population_size",
+                                      "children_per_generation", "stagnation_limit",
+                                      "runs", "max_evaluations"])
+    def test_integer_fields_must_be_positive(self, name, value):
+        with pytest.raises(InvalidConfig, match=f"^{name} must be an integer >= 1"):
+            EaConfig(**{name: value})
+
+    def test_from_file_reads_undecodable_bytes_as_replacement(self, tmp_path):
+        path = tmp_path / "ea.conf"
+        path.write_bytes(b"# Gr\xf6\xdfe\nk = 4\n")
+        assert EaConfig.from_file(str(path)).k == 4
+        path.write_bytes(b"k\xff = 4\n")
+        with pytest.raises(InvalidConfig, match="unknown key 'k\ufffd'"):
+            EaConfig.from_file(str(path))
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "ea.conf"
         path.write_text(
