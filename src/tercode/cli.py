@@ -16,13 +16,13 @@ import sys
 import time
 
 from . import codec, container, core, corpus, ea, pipeline
-from .errors import ContainerError, InvalidConfig, OddK, ParseError, TercodeError
+from .errors import ContainerError, InvalidConfig, ParseError, TercodeError
 
 SEED_ENV_VAR = "TERCODE_SEED"
 
 # the exit code of the first entry an error is an instance of; any other
 # TercodeError or OSError (a missing file, a directory) exits 3
-_EXIT_CODES = (((InvalidConfig, OddK), 2), (ContainerError, 4))
+_EXIT_CODES = ((InvalidConfig, 2), (ContainerError, 4))
 
 
 def _mv_usage(result: pipeline.CompressResult) -> list[dict]:

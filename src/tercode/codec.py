@@ -661,24 +661,22 @@ def merge_subsumed_frequencies(
     """Greedy frequency merge: drop vector j into a subsuming vector i when
     the total payload (with fresh Huffman lengths) strictly shrinks.
 
-    Candidate pairs are scanned by rising (j, i); every accepted drop
-    restarts the scan, so the result is a deterministic fixed point.
-    Returns the merged frequencies and the {dropped: absorber} map.
+    The candidates are one list of live pairs (j, i), i subsuming j, in
+    rising order, scanned from the front; an accepted drop removes every
+    pair that names j and restarts the scan, so the result is a
+    deterministic fixed point.  Returns the merged frequencies and the
+    {dropped: absorber} map.
 
     Pricing.  A drop moves F_j onto i, so the fill bits grow by
     extra = F_j * (N_U[i] - N_U[j]) (never negative: i's specified
     positions are among j's) and the drop is taken iff
-    huffman_cost(after) + extra < huffman_cost(before).  Three cases are
-    decided without pricing, all exactly:
+    huffman_cost(after) + extra < huffman_cost(before).  Two cases are
+    decided without pricing, both exactly:
 
     - F_i == 0: the drop only renames a leaf, so the Huffman cost stays
       and the fill bits cannot fall.  Vectors at zero frequency therefore
-      never take part, as droppers or absorbers.
-    - extra >= F_i + F_j: splitting the merged leaf of an optimal code for
-      the state after the drop into two children i and j gives a code for
-      the state before it that costs exactly F_i + F_j more, so
-      huffman_cost(before) <= huffman_cost(after) + F_i + F_j, and the
-      drop cannot make the payload shrink.
+      never take part, as droppers or absorbers: the list holds only
+      vectors live at the start, and a dropped vector leaves it.
     - The Kraft-dual bound of the state after the drop reaches
       huffman_cost(before) - extra, so huffman_cost(after) does too.
 
@@ -709,50 +707,35 @@ def merge_subsumed_frequencies(
     freqs = list(frequencies)
     redirect: dict[int, int] = {}
     live = [j for j, f in enumerate(freqs) if f > 0]
-    absorbers = {
-        j: [
-            i for i in live
-            if i != j and not (ones[i] & ~ones[j]) and not (zeros[i] & ~zeros[j])
-        ]
-        for j in live
-    }
+    pairs = [
+        (j, i) for j in live for i in live
+        if i != j and not (ones[i] & ~ones[j]) and not (zeros[i] & ~zeros[j])
+    ]
     current = huffman_cost(freqs)
     leaves = len(live)
     lam = _dual_multiplier([freqs[j] for j in live]) if leaves > 2 else 0
     terms = [_dual_term(f, lam) if f else 0 for f in freqs]
     bound = sum(terms) - lam
-    improved = True
-    while improved:
-        improved = False
-        for j in live:
-            fj = freqs[j]
-            if not fj:
-                continue
-            for i in absorbers[j]:
-                fi = freqs[i]
-                if not fi:
-                    continue
-                extra = fj * (n_unspecified[i] - n_unspecified[j])
-                if extra >= fi + fj:
-                    continue
-                if leaves > 2:
-                    merged = _dual_term(fi + fj, lam)
-                    after = bound - terms[i] - terms[j] + merged
-                    if after >= (current - extra) << _DUAL_SCALE:
-                        continue
-                freqs[i], freqs[j] = fi + fj, 0
-                cost = huffman_cost(freqs)
-                if cost + extra < current:
-                    current = cost
-                    redirect[j] = i
-                    if leaves > 2:
-                        bound, terms[i] = after, merged
-                    leaves -= 1
-                    improved = True
-                    break
-                freqs[i], freqs[j] = fi, fj
-            if improved:
-                break
+    at = 0
+    while at < len(pairs):
+        j, i = pairs[at]
+        at += 1
+        fi, fj = freqs[i], freqs[j]
+        extra = fj * (n_unspecified[i] - n_unspecified[j])
+        merged = _dual_term(fi + fj, lam)
+        after = bound - terms[i] - terms[j] + merged
+        if leaves > 2 and after >= (current - extra) << _DUAL_SCALE:
+            continue
+        freqs[i], freqs[j] = fi + fj, 0
+        cost = huffman_cost(freqs)
+        if cost + extra < current:
+            current, bound, terms[i] = cost, after, merged
+            redirect[j] = i
+            leaves -= 1
+            pairs = [pair for pair in pairs if j not in pair]
+            at = 0
+        else:
+            freqs[i], freqs[j] = fi, fj
     resolved = {}
     for j in redirect:
         target = redirect[j]

@@ -54,24 +54,8 @@ class NotMatching(CodecError):
     """Attempted to encode a block with a vector that does not match it."""
 
 
-class TruncatedPayload(CodecError):
-    """The payload ended in the middle of a codeword or its fill bits."""
-
-
-class DanglingBits(CodecError):
-    """The payload holds more bits than the declared block count decodes."""
-
-
-class UnknownCodeword(CodecError):
-    """A payload prefix matches no codeword in the codebook."""
-
-
 class ZeroOriginal(CodecError):
     """Compression rate is undefined for an empty original test set."""
-
-
-class OddK(CodecError):
-    """The nine-vector scheme requires an even block length."""
 
 
 class ContainerError(TercodeError):
@@ -98,5 +82,21 @@ class OutputTooLarge(ContainerError):
     """The stream declares more symbols than the decoder may produce."""
 
 
+class TruncatedPayload(ContainerError):
+    """The payload ended in the middle of a codeword or its fill bits."""
+
+
+class DanglingBits(ContainerError):
+    """The payload holds more bits than the declared block count decodes."""
+
+
+class UnknownCodeword(ContainerError):
+    """A payload prefix matches no codeword in the codebook."""
+
+
 class InvalidConfig(TercodeError):
     """An evolutionary-search or CLI configuration value is out of range."""
+
+
+class OddK(InvalidConfig):
+    """The nine-vector scheme requires an even block length."""

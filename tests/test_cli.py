@@ -7,7 +7,15 @@ from pathlib import Path
 import pytest
 
 import tercode
-from tercode import cli, parse_test_set, read_container
+from tercode import (
+    EncodedStream,
+    cli,
+    decode,
+    parse_test_set,
+    read_container,
+    write_container,
+)
+from tercode.errors import DanglingBits, TruncatedPayload, UnknownCodeword
 
 from helpers import single_vector_container
 
@@ -236,6 +244,17 @@ class TestCompress:
         assert outputs[0] == outputs[1]
         assert outputs[0] != outputs[2]
 
+    def test_seed_env_must_be_integer(self, corpus_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+        out = tmp_path / "e.tcc"
+        code = run_cli(
+            ["compress", "--input", str(corpus_file), "--output", str(out),
+             "--method", "ea", "-K", "6", "-L", "4", *EA_SPEED_FLAGS]
+        )
+        assert code == 2
+        assert "TERCODE_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fill_policies(self, tmp_path, capsys):
         # 10XXXX covers via UUU111, so its first three bits travel as
         # fills and the X among them takes the fill value
@@ -406,6 +425,18 @@ class TestDecompress:
         )
         assert code == 3
 
+    def test_missing_width_is_usage_error(self, tmp_path, capsys):
+        # no WDTH record and no --width
+        container = tmp_path / "c.tcc"
+        container.write_bytes(single_vector_container(3, 2, 6))
+        restored = tmp_path / "r.txt"
+        code = run_cli(
+            ["decompress", "--input", str(container), "--output", str(restored)]
+        )
+        assert code == 2
+        assert "pass --width" in capsys.readouterr().err
+        assert not restored.exists()
+
     def test_width_checked_before_decoding(self, tmp_path, monkeypatch):
         # 8 payload bits that no block reads: decoding raises DanglingBits
         dangling = single_vector_container(3, 2, 6, payload_bits=8)
@@ -428,8 +459,41 @@ class TestDecompress:
         assert calls == []
         # a dividing width goes on to decode the corrupt payload
         container.write_bytes(dangling)
-        assert run_cli([*args, "--width", "3"]) == 3
+        assert run_cli([*args, "--width", "3"]) == 4
         assert len(calls) == 1
+        assert not restored.exists()
+
+    @pytest.mark.parametrize(
+        "error, payload_bits, codewords",
+        [
+            (DanglingBits, "01", ("0", "1")),
+            (TruncatedPayload, "1", ("0", "10")),
+            (UnknownCodeword, "11", ("0", "10")),
+        ],
+        ids=["dangling-bits", "truncated-payload", "unknown-codeword"],
+    )
+    def test_undecodable_payload_is_container_error(
+        self, error, payload_bits, codewords, tmp_path
+    ):
+        # one block of K=2 under the vectors 00 and 01
+        stream = EncodedStream(
+            payload=bytes([int(payload_bits.ljust(8, "0"), 2)]),
+            payload_bits=len(payload_bits),
+            k=2,
+            mv_table=("00", "01"),
+            codewords=codewords,
+            original_length=2,
+            pattern_width=2,
+        )
+        with pytest.raises(error):
+            decode(stream)
+        container = tmp_path / "bad.tcc"
+        container.write_bytes(write_container(stream))
+        restored = tmp_path / "r.txt"
+        code = run_cli(
+            ["decompress", "--input", str(container), "--output", str(restored)]
+        )
+        assert code == 4
         assert not restored.exists()
 
     def test_corrupt_container_exit_code(self, corpus_file, tmp_path):
@@ -534,6 +598,24 @@ class TestStats:
         )
         assert info["original_bits"] == 30 * 48
         assert info["pattern_width"] == 48
+
+    def test_table_lists_the_json_fields(self, corpus_file, tmp_path, capsys):
+        out = tmp_path / "c.tcc"
+        run_cli(
+            ["compress", "--input", str(corpus_file), "--output", str(out),
+             "--method", "9c", "-K", "6"]
+        )
+        capsys.readouterr()
+        run_cli(["stats", "--input", str(out), "--report", "json"])
+        info = json.loads(capsys.readouterr().out)
+        assert run_cli(["stats", "--input", str(out)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        # one row per JSON field, in order; the rate with two decimals and a %
+        assert [key for key, _ in rows] == list(info)
+        table = dict(rows)
+        assert table["compression_rate"] == f"{info['compression_rate']:.2f}%"
+        assert all(table[key] == str(value) for key, value in info.items()
+                   if key != "compression_rate")
 
 
 class TestCompare:

@@ -1203,6 +1203,10 @@ class TestSubsumeMerge:
         assert np.array_equal(merged, assignment)
         assert frequencies(merged, 1) == [2]
 
+    def test_vector_of_wrong_length_rejected(self):
+        with pytest.raises(LengthMismatch, match="vector length 1 != 2"):
+            subsume_merge(np.zeros(2, dtype=np.int64), ["1U", "1"], 2)
+
     def test_never_increases_payload(self):
         rng = random.Random(40)
         for _ in range(60):

@@ -113,6 +113,12 @@ class TestErrors:
         with pytest.raises(CorruptHeader):
             read_container(b"")
 
+    @pytest.mark.parametrize("size", [0, 4, 9])
+    def test_width_extension_of_wrong_size(self, size):
+        data = single_vector_container(3, 2, 6) + b"WDTH" + struct.pack(">I", size)
+        with pytest.raises(CorruptHeader, match=f"size {size}, expected 8"):
+            read_container(data + bytes(size))
+
 
 class TestBlockCount:
     def test_consistent_header_decodes(self):

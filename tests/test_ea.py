@@ -515,6 +515,28 @@ class TestEvolve:
             evolve(blocks, 240, self._cfg(rng_seed=seed, reserve_all_u=True))
             assert min(computed) > INFEASIBLE_BASE
 
+    @pytest.mark.parametrize("reserve", [True, False])
+    def test_one_gene_search(self, reserve, monkeypatch):
+        # K=1, L=1: a genome is one gene, so crossover only copies its parents
+        calls = []
+        cross = ea.crossover
+
+        def recording(a, b, rng, cfg):
+            children = cross(a, b, rng, cfg)
+            calls.append(((a, b), children))
+            return children
+
+        monkeypatch.setattr(ea, "crossover", recording)
+        blocks = blocks_from(["0", "X", "0", "1"])
+        report = evolve(blocks, 4, self._cfg(k=1, l=1, reserve_all_u=reserve))
+        assert calls
+        for parents, children in calls:
+            assert children == (("U", "U") if reserve else parents)
+        assert len(report.best) == 1
+        if reserve:
+            assert report.best == "U"
+        assert report.best_rate == evaluate_fitness(report.best, blocks, 4)
+
     def test_stagnation_termination(self):
         blocks = self._blocks()
         report = evolve(

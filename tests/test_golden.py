@@ -7,10 +7,10 @@ with flips and X, so the nine half-block vectors match at both block
 lengths and the K=70 search (seeded with them) covers blocks with more
 than the all-U vector.  The sha256 of each container and of
 each ``--report json`` output is pinned, and so are two ``--report table``
-outputs and the ``compare`` table, so any change to matching,
-covering, coding, the fill rng's draw order or the report layout shows
-up here.  A pin may only change together with a deliberate format or
-behaviour change.
+outputs, the ``compare`` table and both ``stats`` reports of one
+container, so any change to matching, covering, coding, the fill rng's
+draw order or the report layout shows up here.  A pin may only change
+together with a deliberate format or behaviour change.
 """
 
 import hashlib
@@ -149,3 +149,23 @@ def test_compare_table_is_pinned(corpus, capsys):
             *EA_TINY]
     assert cli.main(argv) == 0
     assert _sha(capsys.readouterr().out.encode("utf-8")) == COMPARE_TABLE_SHA256
+
+
+# ``stats`` of the 9c-hc-k12 container: (--report json sha256, table sha256)
+STATS_SHA256 = (
+    "8a2ca57343a66969ddc9fa04578f0c093f9e93267b16dca480b511a1358459a8",
+    "58dc10cec26f9453fbfbb1f5dcd518eb47520ac17a6f33c0a7d9d3b5c10ab3bd",
+)
+
+
+def test_stats_outputs_are_pinned(corpus, tmp_path, capsys):
+    container = tmp_path / "out.tcc"
+    argv = ["compress", "--input", str(corpus), "--output", str(container),
+            *CASES["9c-hc-k12"][0]]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    outputs = []
+    for report in ("json", "table"):
+        assert cli.main(["stats", "--input", str(container), "--report", report]) == 0
+        outputs.append(_sha(capsys.readouterr().out.encode("utf-8")))
+    assert tuple(outputs) == STATS_SHA256
