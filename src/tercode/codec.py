@@ -35,6 +35,7 @@ import functools
 import heapq
 import operator
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -591,16 +592,35 @@ def huffman_cost(frequencies: Sequence[int]) -> int:
     leaf's weight is counted once per merge above it, that is once per bit
     of its codeword: the sum of the merge weights is sum(F * length) of
     the Huffman code, and every optimal code has that cost.  0 when fewer
-    than two frequencies are nonzero (a lone codeword is empty).
+    than two frequencies are nonzero (a lone codeword is empty).  The
+    merged weights come out in nondecreasing order, so over the sorted
+    leaves they form a second sorted queue, and each merge takes the two
+    smallest fronts of the two queues.
     """
-    heap = [f for f in frequencies if f > 0]
-    heapq.heapify(heap)
-    cost = 0
-    for _ in range(len(heap) - 1):
-        merged = heapq.heappop(heap) + heap[0]
-        heapq.heapreplace(heap, merged)
-        cost += merged
-    return cost
+    return _sorted_huffman_cost(sorted(f for f in frequencies if f > 0))
+
+
+def _sorted_huffman_cost(leaves: list[int]) -> int:
+    """``huffman_cost`` of ascending positive weights, left as they were;
+    a sentinel above the total weight ends both queues."""
+    n = len(leaves)
+    if n < 2:
+        return 0
+    top = sum(leaves) + 1
+    leaves.append(top)
+    nodes = [top] * n
+    a = b = 0
+    for k in range(n - 1):
+        if leaves[a] <= nodes[b]:
+            x, a = leaves[a], a + 1
+        else:
+            x, b = nodes[b], b + 1
+        if leaves[a] <= nodes[b]:
+            nodes[k], a = x + leaves[a], a + 1
+        else:
+            nodes[k], b = x + nodes[b], b + 1
+    leaves.pop()
+    return sum(nodes) - top
 
 
 def payload_bits_for(
@@ -665,13 +685,17 @@ def merge_subsumed_frequencies(
     rising order, scanned from the front; an accepted drop removes every
     pair that names j and restarts the scan, so the result is a
     deterministic fixed point.  Returns the merged frequencies and the
-    {dropped: absorber} map.
+    {dropped: final absorber} map.
 
     Pricing.  A drop moves F_j onto i, so the fill bits grow by
     extra = F_j * (N_U[i] - N_U[j]) (never negative: i's specified
     positions are among j's) and the drop is taken iff
-    huffman_cost(after) + extra < huffman_cost(before).  Two cases are
-    decided without pricing, both exactly:
+    huffman_cost(after) + extra < huffman_cost(before).  The merge keeps
+    the live weights in ascending order; a drop is priced on a copy of
+    that list, with F_i and F_j deleted by bisection and F_i + F_j
+    inserted, by the two-queue merge (``_sorted_huffman_cost``), and an
+    accepted drop keeps the copy.  Two cases are decided without pricing,
+    both exactly:
 
     - F_i == 0: the drop only renames a leaf, so the Huffman cost stays
       and the fill bits cannot fall.  Vectors at zero frequency therefore
@@ -707,13 +731,14 @@ def merge_subsumed_frequencies(
     freqs = list(frequencies)
     redirect: dict[int, int] = {}
     live = [j for j, f in enumerate(freqs) if f > 0]
-    pairs = [
-        (j, i) for j in live for i in live
-        if i != j and not (ones[i] & ~ones[j]) and not (zeros[i] & ~zeros[j])
-    ]
-    current = huffman_cost(freqs)
-    leaves = len(live)
-    lam = _dual_multiplier([freqs[j] for j in live]) if leaves > 2 else 0
+    # both masks in one int, zeros above every ones mask: i subsumes j
+    # iff i's combined mask is within j's
+    width = max(ones, default=0).bit_length()
+    masks = [(j, ones[j] | zeros[j] << width) for j in live]
+    pairs = [(j, i) for j, cj in masks for i, ci in masks if ci & cj == ci and i != j]
+    ranked = sorted(freqs[j] for j in live)
+    current = _sorted_huffman_cost(ranked)
+    lam = _dual_multiplier(ranked) if len(ranked) > 2 else 0
     terms = [_dual_term(f, lam) if f else 0 for f in freqs]
     bound = sum(terms) - lam
     at = 0
@@ -724,25 +749,21 @@ def merge_subsumed_frequencies(
         extra = fj * (n_unspecified[i] - n_unspecified[j])
         merged = _dual_term(fi + fj, lam)
         after = bound - terms[i] - terms[j] + merged
-        if leaves > 2 and after >= (current - extra) << _DUAL_SCALE:
+        if len(ranked) > 2 and after >= (current - extra) << _DUAL_SCALE:
             continue
-        freqs[i], freqs[j] = fi + fj, 0
-        cost = huffman_cost(freqs)
+        trial = ranked.copy()
+        del trial[bisect_left(trial, fi)]
+        del trial[bisect_left(trial, fj)]
+        insort(trial, fi + fj)
+        cost = _sorted_huffman_cost(trial)
         if cost + extra < current:
-            current, bound, terms[i] = cost, after, merged
+            current, bound, terms[i], ranked = cost, after, merged, trial
+            freqs[i], freqs[j] = fi + fj, 0
+            redirect = {d: i if t == j else t for d, t in redirect.items()}
             redirect[j] = i
-            leaves -= 1
             pairs = [pair for pair in pairs if j not in pair]
             at = 0
-        else:
-            freqs[i], freqs[j] = fi, fj
-    resolved = {}
-    for j in redirect:
-        target = redirect[j]
-        while target in redirect:
-            target = redirect[target]
-        resolved[j] = target
-    return freqs, resolved
+    return freqs, redirect
 
 
 def subsume_merge(

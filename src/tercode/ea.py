@@ -82,6 +82,12 @@ class EaConfig:
                 continue
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
+        flags = [f.name for f in fields(self) if f.type == "bool"]
+        for name in ("rng_seed", *flags):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) != (name in flags):
+                kind = "true or false" if name in flags else "an integer"
+                raise InvalidConfig(f"{name} must be {kind}, got {value!r}")
         if self.k > MAX_K_OR_L or self.l > MAX_K_OR_L:
             raise InvalidConfig(f"k and l must be <= {MAX_K_OR_L}")
         probs = (self.p_crossover, self.p_mutation, self.p_inversion)

@@ -310,6 +310,19 @@ def naive_huffman_code_lengths(frequencies) -> dict[int, int]:
     return lengths
 
 
+def naive_huffman_cost(frequencies) -> int:
+    """Reference optimal prefix-code cost: the sum of the merge weights of
+    a heap Huffman over the nonzero frequencies (0 for fewer than two)."""
+    heap = [f for f in frequencies if f > 0]
+    heapq.heapify(heap)
+    cost = 0
+    for _ in range(len(heap) - 1):
+        merged = heapq.heappop(heap) + heap[0]
+        heapq.heapreplace(heap, merged)
+        cost += merged
+    return cost
+
+
 def naive_payload_bits(frequencies, n_unspecified) -> int:
     """Payload size priced from a full Huffman code: sum of F * (len + N_U)."""
     lengths = naive_huffman_code_lengths(frequencies)

@@ -379,6 +379,22 @@ class TestCompress:
         assert "max_evaluations" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["rng_seed = 1.5", "reserve_all_u = 5", "subsume = 2"])
+    def test_config_seed_and_flags_must_have_their_type(self, corpus_file, tmp_path,
+                                                        capsys, monkeypatch, line):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        conf = tmp_path / "ea.conf"
+        conf.write_text(line + "\n")
+        out = tmp_path / "conf.tcc"
+        code = run_cli(
+            ["compress", "--input", str(corpus_file), "--output", str(out),
+             "--method", "ea", "-K", "6", "-L", "4", "--runs", "1", "--max-evals", "10",
+             "--config", str(conf)]
+        )
+        assert code == 2
+        assert line.split()[0] in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDecompress:
     def _compress(self, corpus_file, tmp_path, extra=()):

@@ -104,6 +104,21 @@ class TestConfig:
         with pytest.raises(InvalidConfig, match=f"^{name} must be an integer >= 1"):
             EaConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", ["no", 0, 1, 5, None])
+    @pytest.mark.parametrize("name", ["reserve_all_u", "subsume", "uniform_crossover",
+                                      "seed_nine_code"])
+    def test_flags_must_be_bools(self, name, value):
+        with pytest.raises(InvalidConfig, match=f"^{name} must be true or false"):
+            EaConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", ["abc", "7", 1.5, True, None])
+    def test_seed_must_be_an_integer(self, value):
+        with pytest.raises(InvalidConfig, match="^rng_seed must be an integer"):
+            EaConfig(rng_seed=value)
+
+    def test_any_integer_seed_is_kept(self):
+        assert [EaConfig(rng_seed=s).rng_seed for s in (0, -3, 2**70)] == [0, -3, 2**70]
+
     def test_from_file_reads_undecodable_bytes_as_replacement(self, tmp_path):
         path = tmp_path / "ea.conf"
         path.write_bytes(b"# Gr\xf6\xdfe\nk = 4\n")
