@@ -228,16 +228,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen_corpus(args) -> int:
-    spec = corpus.CorpusSpec(
-        patterns=args.patterns,
-        width=args.width,
-        x_density=args.x_density,
-        templates=args.templates,
-        flip_probability=args.flip_prob,
-        template_width=args.template_width,
-        rng_seed=_resolve_seed(args.seed),
-    )
-    ts = corpus.generate_corpus(spec)
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(corpus.CorpusSpec)}
+    values["rng_seed"] = _resolve_seed(args.rng_seed)
+    ts = corpus.generate_corpus(corpus.CorpusSpec(**values))
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(core.write_test_set(ts))
     print(
@@ -322,9 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--x-density", type=float, default=0.0)
     p.add_argument("--templates", type=int, default=4)
-    p.add_argument("--flip-prob", type=float, default=0.0)
+    p.add_argument("--flip-prob", dest="flip_probability", metavar="FLIP_PROB",
+                   type=float, default=0.0)
     p.add_argument("--template-width", type=int, default=12)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", dest="rng_seed", metavar="SEED", type=int, default=None)
     p.set_defaults(func=cmd_gen_corpus)
 
     return parser

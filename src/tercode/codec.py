@@ -365,7 +365,7 @@ def encode_all(
     symbols into bits, each block's row of codeword bits and symbol bits
     is masked down to its word, and the masked cells, read row by row, are
     the slice's payload.  Bits past a slice's last full byte carry into
-    the next, so the bytes equal ``bits.pack_bits`` of the whole payload.
+    the next, so the bytes equal ``container.pack_bits`` of the whole payload.
     A symbol other than 0, 1 and X at a U position raises ValueError.
     """
     if fill not in FILL_CHOICES:

@@ -9,14 +9,14 @@ Layout (all integers big-endian):
 Each MV table entry packs K symbols at 2 bits (00=0, 01=1, 10=U),
 MSB-first and zero-padded to a byte boundary; a 11 pair is corrupt.  Each
 codeword entry is a length byte followed by that many bits, again
-byte-padded.  Both are packed and read back with ``bits.pack_bits`` and
-``bits.unpack_bits``, the payload's rule.  The CRC32 covers every byte
-before it.  K and original_length are at least 1, and block_count is
-ceil(original_length / K).  Extension records after the CRC are
-length-prefixed (4-byte tag, u32 size, body) so unknown tags and older
-readers that stop at the CRC both stay compatible; the only tag written
-today is "WDTH" carrying the pattern width as a u64, which must divide
-original_length.
+byte-padded.  Both are packed with ``pack_bits`` and read back with
+``unpack_bits``, the MSB-first rule that ``np.packbits`` follows for the
+payload.  The CRC32 covers every byte before it.  K and original_length
+are at least 1, and block_count is ceil(original_length / K).  Extension
+records after the CRC are length-prefixed (4-byte tag, u32 size, body) so
+unknown tags and older readers that stop at the CRC both stay compatible;
+the only tag written today is "WDTH" carrying the pattern width as a u64,
+which must divide original_length.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import struct
 import zlib
 
-from .bits import pack_bits, unpack_bits
 from .codec import EncodedStream
 from .errors import BadMagic, ChecksumMismatch, CorruptHeader, UnsupportedVersion
 
@@ -34,6 +33,19 @@ _WIDTH_TAG = b"WDTH"
 
 _SYMBOL_PAIRS = str.maketrans({"0": "00", "1": "01", "U": "10"})
 _PAIR_SYMBOL = {"00": "0", "01": "1", "10": "U"}
+
+
+def pack_bits(bits: str) -> bytes:
+    """Pack a '0'/'1' string MSB-first, zero-padding the last byte."""
+    n_bytes = (len(bits) + 7) // 8
+    if not n_bytes:
+        return b""
+    return int(bits.ljust(8 * n_bytes, "0"), 2).to_bytes(n_bytes, "big")
+
+
+def unpack_bits(data: bytes, n: int) -> str:
+    """The first ``n`` bits of ``data`` as a '0'/'1' string, MSB-first."""
+    return format(int.from_bytes(data, "big"), "b").zfill(8 * len(data))[:n]
 
 
 def write_container(stream: EncodedStream) -> bytes:
@@ -61,26 +73,6 @@ def write_container(stream: EncodedStream) -> bytes:
     return bytes(out)
 
 
-class _Cursor:
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CorruptHeader(
-                f"container truncated at byte {self.pos} (needed {n} more)"
-            )
-        piece = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return piece
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def read_container(data: bytes) -> EncodedStream:
     """Parse container bytes back into an EncodedStream.
 
@@ -89,24 +81,35 @@ def read_container(data: bytes) -> EncodedStream:
     or a width that does not divide it) or ChecksumMismatch as
     appropriate.
     """
-    cur = _Cursor(data)
-    magic = bytes(cur.take(4))
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(data):
+            raise CorruptHeader(f"container truncated at byte {pos} (needed {n} more)")
+        pos += n
+        return data[pos - n : pos]
+
+    def unpack(fmt: str):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    magic = bytes(take(4))
     if magic != MAGIC:
         raise BadMagic(f"expected {MAGIC!r}, found {magic!r}")
-    (version,) = cur.unpack(">B")
+    (version,) = unpack(">B")
     if version != VERSION:
         raise UnsupportedVersion(f"container version {version}")
-    k, l_eff, block_count, original_length = cur.unpack(">HHQQ")
+    k, l_eff, block_count, original_length = unpack(">HHQQ")
     mv_entry_bytes = (2 * k + 7) // 8
-    mv_raw = [cur.take(mv_entry_bytes) for _ in range(l_eff)]
+    mv_raw = [take(mv_entry_bytes) for _ in range(l_eff)]
     code_raw: list[tuple[int, bytes]] = []
     for _ in range(l_eff):
-        (code_len,) = cur.unpack(">B")
-        code_raw.append((code_len, cur.take((code_len + 7) // 8)))
-    (payload_bits,) = cur.unpack(">Q")
-    payload = bytes(cur.take((payload_bits + 7) // 8))
-    crc_offset = cur.pos
-    (crc_stored,) = cur.unpack(">I")
+        (code_len,) = unpack(">B")
+        code_raw.append((code_len, take((code_len + 7) // 8)))
+    (payload_bits,) = unpack(">Q")
+    payload = bytes(take((payload_bits + 7) // 8))
+    crc_offset = pos
+    (crc_stored,) = unpack(">I")
     if zlib.crc32(data[:crc_offset]) != crc_stored:
         raise ChecksumMismatch("container checksum does not match its contents")
     if original_length == 0:
@@ -119,10 +122,10 @@ def read_container(data: bytes) -> EncodedStream:
         )
 
     pattern_width = None
-    while cur.pos < len(data):
-        tag = bytes(cur.take(4))
-        (size,) = cur.unpack(">I")
-        body = cur.take(size)
+    while pos < len(data):
+        tag = bytes(take(4))
+        (size,) = unpack(">I")
+        body = take(size)
         if tag == _WIDTH_TAG:
             if size != 8:
                 raise CorruptHeader(f"width extension has size {size}, expected 8")

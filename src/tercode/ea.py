@@ -82,12 +82,14 @@ class EaConfig:
                 continue
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
-        flags = [f.name for f in fields(self) if f.type == "bool"]
-        for name in ("rng_seed", *flags):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) != (name in flags):
-                kind = "true or false" if name in flags else "an integer"
-                raise InvalidConfig(f"{name} must be {kind}, got {value!r}")
+        kinds = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+                 "bool": (bool, "true or false")}
+        for f in fields(self):
+            if f.type in kinds:
+                want, kind = kinds[f.type]
+                value = getattr(self, f.name)
+                if not isinstance(value, want) or isinstance(value, bool) != (f.type == "bool"):
+                    raise InvalidConfig(f"{f.name} must be {kind}, got {value!r}")
         if self.k > MAX_K_OR_L or self.l > MAX_K_OR_L:
             raise InvalidConfig(f"k and l must be <= {MAX_K_OR_L}")
         probs = (self.p_crossover, self.p_mutation, self.p_inversion)
@@ -367,10 +369,10 @@ def evolve(
         injected = "".join(nine_mvs(cfg.k))[: cfg.n_genes]
         population[0] = _reserve(injected + population[0][len(injected) :], cfg)
     evaluate(population)
+    # the sorts are stable and put incumbents first, so population[0] is the
+    # best genome so far and changes only on a strict gain
     population.sort(key=cache.__getitem__, reverse=True)
-    best = population[0]
-    history = [cache[best]]
-    generations = 0
+    history = [cache[population[0]]]
     stagnant = 0
     termination = "max_evaluations"
     while evaluations < cfg.evaluation_budget:
@@ -399,15 +401,13 @@ def evolve(
         if len(vectors) > vector_limit:
             live = {s for genes in population for s in vector_symbols(genes, cfg.k)}
             vectors = {s: e for s, e in vectors.items() if s in live}
-        generations += 1
-        if cache[population[0]] > cache[best]:
-            best = population[0]
+        if cache[population[0]] > history[-1]:
             stagnant = 0
         else:
             stagnant += 1
-        history.append(cache[best])
-    run = RunStats(cfg.rng_seed, cache[best], generations, evaluations, termination)
-    return EvolutionReport(best, history, [run])
+        history.append(cache[population[0]])
+    run = RunStats(cfg.rng_seed, history[-1], len(history) - 1, evaluations, termination)
+    return EvolutionReport(population[0], history, [run])
 
 
 def run_many(

@@ -55,19 +55,19 @@ def compress(
     if method == "ea":
         evolution = ea.run_many(stats, original_bits, cfg)
         mvs = tuple(ea.vector_symbols(evolution.best, cfg.k))
-        try:
-            assignment = codec.cover(stats, mvs)
-        except UnmatchedBlock as exc:
-            raise InvalidConfig(
-                f"the search's best vector set leaves {exc.count} of {stats.total} "
-                "blocks unmatched; reserve the all-U vector (--reserve-all-u), "
-                "or raise L or the evaluation budget"
-            ) from None
-        if cfg.subsume:
-            assignment = codec.subsume_merge(assignment, mvs, cfg.k)
     else:
         mvs = baseline9c.nine_mvs(cfg.k)
+    try:
         assignment = codec.cover(stats, mvs)
+    except UnmatchedBlock as exc:
+        # only ea gets here: the nine vectors include the all-U vector
+        raise InvalidConfig(
+            f"the search's best vector set leaves {exc.count} of {stats.total} "
+            "blocks unmatched; reserve the all-U vector (--reserve-all-u), "
+            "or raise L or the evaluation budget"
+        ) from None
+    if method == "ea" and cfg.subsume:
+        assignment = codec.subsume_merge(assignment, mvs, cfg.k)
     freqs = codec.frequencies(assignment, len(mvs))
     if method == "9c":
         codebook = baseline9c.nine_codebook()

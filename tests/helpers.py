@@ -25,7 +25,7 @@ from tercode import (
     original_size_bits,
     partition,
 )
-from tercode.bits import unpack_bits
+from tercode.container import unpack_bits
 from tercode.codec import MAX_DECODE_SYMBOLS, BlockStats, match_set, mv_masks
 from tercode.container import MAGIC
 from tercode.errors import (

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -88,6 +90,22 @@ class TestGenCorpus:
         )
         ts = parse_test_set(path.read_text())
         assert len(set(ts.patterns)) == 1
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--patterns", "0", "corpus needs at least one pattern and one column"),
+        ("--templates", "0", "cluster profile needs >= 1 template of width >= 1"),
+        ("--x-density", "1.5", "x_density must lie in [0,1]"),
+        ("--flip-prob", "-0.1", "flip_probability must lie in [0,1]"),
+    ])
+    def test_out_of_range_spec_is_a_config_error(self, tmp_path, capsys, flag, value,
+                                                 message):
+        path = tmp_path / "c.txt"
+        args = {"--patterns": "4", "--width": "8", flag: value}
+        code = run_cli(["gen-corpus", "--output", str(path),
+                        *(item for pair in args.items() for item in pair)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not path.exists()
 
 
 class TestCompress:
@@ -393,6 +411,18 @@ class TestCompress:
         )
         assert code == 2
         assert line.split()[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_probability_must_be_a_number(self, corpus_file, tmp_path, capsys):
+        conf = tmp_path / "ea.conf"
+        conf.write_text("p_inversion = off\nmax_evaluations = 20\nruns = 1\n")
+        out = tmp_path / "conf.tcc"
+        code = run_cli(
+            ["compress", "--input", str(corpus_file), "--output", str(out),
+             "--method", "ea", "-K", "6", "-L", "4", "--config", str(conf)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: p_inversion must be a number, got False\n"
         assert not out.exists()
 
 
@@ -727,3 +757,31 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as err:
             cli.main(["compress", "--no-such-flag"])
         assert err.value.code == 2
+
+
+# sha256 of the JSON of cli_surface(), keys sorted
+CLI_SURFACE_SHA256 = "e3b766713d1e0f0730480458567e1790869c142ae60d552bbc370cb943f2fa21"
+
+
+def cli_surface() -> dict:
+    """What a user sees of each subcommand's options, read from the parser's
+    actions: ``format_help()`` headings differ between Python 3.10 and 3.11,
+    and its wrapping follows COLUMNS."""
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    return {
+        name: [[a.option_strings, a.metavar or a.dest.upper(), a.default,
+                a.type.__name__ if a.type else None,
+                list(a.choices) if a.choices else None, a.required, a.help]
+               for a in parser._actions]
+        for name, parser in commands.items()
+    }
+
+
+def test_cli_surface_is_pinned():
+    # option strings, shown metavar, default, type, choices, required and
+    # help of every option of the five subcommands
+    surface = cli_surface()
+    assert sorted(surface) == ["compare", "compress", "decompress", "gen-corpus", "stats"]
+    text = json.dumps(surface, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CLI_SURFACE_SHA256, text

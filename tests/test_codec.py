@@ -22,7 +22,7 @@ from tercode import (
     write_container,
 )
 from tercode import codec, core, ea, nine_mvs
-from tercode.bits import pack_bits
+from tercode.container import pack_bits
 from tercode.codec import (
     FILL_CHOICES,
     MAX_DECODE_SYMBOLS,
@@ -521,6 +521,18 @@ class TestEncodedStream:
         assert write_container(stream) == written
         assert decode(stream) == "1"
 
+    def test_payload_byte_count_must_match_payload_bits(self):
+        with pytest.raises(ValueError,
+                           match="^payload byte count disagrees with payload_bits$"):
+            EncodedStream(payload=b"\x00", payload_bits=9, k=1, mv_table=("0",),
+                          codewords=("",), original_length=1)
+
+    def test_rejects_codeword_over_255_bits(self):
+        # encode_all refuses such a codebook first; a stream built directly
+        # meets this check
+        with pytest.raises(ValueError, match="^codeword of 256 bits exceeds 255$"):
+            two_vector_stream(("0" * 256, "1"))
+
 
 class TestEncodingLength:
     """A block's word is |codeword| + N_U bits."""
@@ -680,6 +692,12 @@ class TestEncodeAll:
     def test_symbol_other_than_0_1_x_rejected(self):
         with pytest.raises(ValueError, match="other than 0, 1 and X"):
             encode_all(blocks_from(["0x"]), np.array([0]), {0: ""}, ["UU"])
+
+    @pytest.mark.parametrize("assigned", [[0], [0, 0, 0]])
+    def test_assignment_of_another_length_rejected(self, assigned):
+        with pytest.raises(ValueError,
+                           match=f"^assignment covers {len(assigned)} of 2 blocks$"):
+            encode_all(blocks_from(["00", "11"]), np.array(assigned), {0: ""}, ["UU"])
 
     def test_block_stats_input(self):
         # blocks enter only as the stats of the 2-D uint8 matrix that

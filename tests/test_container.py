@@ -119,6 +119,13 @@ class TestErrors:
         with pytest.raises(CorruptHeader, match=f"size {size}, expected 8"):
             read_container(data + bytes(size))
 
+    def test_symbol_pair_11_in_table(self):
+        body = bytearray(single_vector_container(3, 2, 6)[:-4])
+        body[struct.calcsize(">4sBHHQQ")] = 0b00110000  # the second symbol
+        body += struct.pack(">I", zlib.crc32(body))
+        with pytest.raises(CorruptHeader, match="^invalid 2-bit symbol 11 in MV table$"):
+            read_container(bytes(body))
+
 
 class TestBlockCount:
     def test_consistent_header_decodes(self):

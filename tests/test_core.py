@@ -126,6 +126,10 @@ class TestInvariants:
         with pytest.raises(EmptyInput):
             TestSet(())
 
+    def test_testset_rejects_zero_width_rows(self):
+        with pytest.raises(EmptyInput, match="^test set has zero-width patterns$"):
+            TestSet(("",))
+
     def test_testset_error_precedence_and_message(self):
         # the first bad row in order decides
         with pytest.raises(IllegalCharacter, match="'A'"):

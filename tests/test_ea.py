@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +119,27 @@ class TestConfig:
 
     def test_any_integer_seed_is_kept(self):
         assert [EaConfig(rng_seed=s).rng_seed for s in (0, -3, 2**70)] == [0, -3, 2**70]
+
+    @pytest.mark.parametrize("value", ["0.3", None, True, False])
+    @pytest.mark.parametrize("name", ["p_crossover", "p_mutation", "p_inversion"])
+    def test_probabilities_must_be_numbers(self, name, value):
+        with pytest.raises(InvalidConfig, match=f"^{name} must be a number, got {value!r}$"):
+            EaConfig(**{name: value})
+
+    def test_integer_probabilities_are_kept(self):
+        cfg = EaConfig(p_crossover=1, p_mutation=0, p_inversion=0)
+        assert (cfg.p_crossover, cfg.p_mutation, cfg.p_inversion) == (1, 0, 0)
+
+    @pytest.mark.parametrize("line, error", [
+        ("p_inversion = off", "^p_inversion must be a number, got False$"),
+        ("k 4", "^{path}:2: expected key=value$"),
+        ("k = four", "^cannot parse config value 'four'$"),
+    ])
+    def test_from_file_rejects_malformed_lines(self, tmp_path, line, error):
+        path = tmp_path / "ea.conf"
+        path.write_text(f"runs = 1\n{line}\n")
+        with pytest.raises(InvalidConfig, match=error.format(path=re.escape(str(path)))):
+            EaConfig.from_file(str(path))
 
     def test_from_file_reads_undecodable_bytes_as_replacement(self, tmp_path):
         path = tmp_path / "ea.conf"

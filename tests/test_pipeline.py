@@ -55,3 +55,10 @@ class TestInfeasibleSearch:
         result = pipeline.compress(TestSet(("X",)), "ea", cfg)
         assert result.rate == -1100.0 < ea.INFEASIBLE_BASE
         assert result.stream.payload_bits == 12
+
+
+def test_unknown_method_is_a_config_error():
+    # the CLI's choices stop it first; only a library caller gets here
+    with pytest.raises(InvalidConfig,
+                       match=r"^unknown method '9C'; choose from \('ea', '9c', '9c-hc'\)$"):
+        pipeline.compress(TestSet(("01",)), "9C", EaConfig(k=2))
