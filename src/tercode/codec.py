@@ -53,6 +53,7 @@ from .errors import (
     UnknownCodeword,
     UnmatchedBlock,
     ZeroOriginal,
+    check_field_types,
 )
 
 _MV_ONES = str.maketrans("01U", "010")
@@ -108,11 +109,12 @@ class EncodedStream:
     ``codewords`` one prefix-free codeword of 0s and 1s per vector, in
     table order; both, and the payload, are frozen.
     ``original_length`` is the unpadded symbol count the decoder must trim
-    to; it sets the block count.  The container's limits hold here: K and
-    ``original_length`` are at least 1, K and the table size at most
-    ``MAX_K_OR_L`` (u16 fields), ``original_length`` fits a u64, a
-    codeword holds at most 255 bits (a length byte), and ``pattern_width``
-    is None or a positive divisor of it, so every stream can be written.
+    to; it sets the block count.  The container's limits hold here: K,
+    ``original_length`` and ``payload_bits`` are ints, the first two at
+    least 1 and the last at least 0, K and the table size at most
+    ``MAX_K_OR_L`` (u16 fields), ``original_length`` fits a u64, a codeword
+    holds at most 255 bits (a length byte), and ``pattern_width`` is None or
+    a positive int that divides it, so every stream can be written.
     """
 
     payload: bytes
@@ -127,10 +129,11 @@ class EncodedStream:
         object.__setattr__(self, "payload", bytes(self.payload))
         object.__setattr__(self, "mv_table", tuple(self.mv_table))
         object.__setattr__(self, "codewords", tuple(self.codewords))
+        check_field_types(self, ValueError)
         if len(self.payload) != (self.payload_bits + 7) // 8:
             raise ValueError("payload byte count disagrees with payload_bits")
-        if self.k < 1 or self.original_length < 1:
-            raise ValueError("K and original_length must be at least 1")
+        if self.k < 1 or self.original_length < 1 or self.payload_bits < 0:
+            raise ValueError("K and original_length must be at least 1, payload_bits >= 0")
         if self.k > MAX_K_OR_L or len(self.mv_table) > MAX_K_OR_L:
             raise ValueError(f"K and the table size must be at most {MAX_K_OR_L}")
         if self.original_length > MAX_ORIGINAL_LENGTH:
@@ -222,8 +225,6 @@ def match_set(stats: BlockStats, ones: int, zeros: int) -> int:
     mask bits that holds a specified symbol, from the group's memo."""
     hit = (1 << stats.total) - 1
     for g, memo in enumerate(stats.groups):
-        if not ones | zeros:
-            break
         key = ones & 15 | (zeros & 15) << 4
         if key:
             part = memo.get(key)
@@ -253,13 +254,9 @@ def match_frequencies(
     unassigned = (1 << stats.total) - 1
     # rising U count; the sort is stable, so ties keep the input order
     for idx in sorted(range(len(sets)), key=n_unspecified.__getitem__):
-        if not unassigned:
-            break
-        hit = unassigned & sets[idx]
-        if hit:
-            freqs[idx] = hit.bit_count()
-            hits[idx] = hit
-            unassigned ^= hit
+        hits[idx] = hit = unassigned & sets[idx]
+        freqs[idx] = hit.bit_count()
+        unassigned ^= hit
     first = (unassigned & -unassigned).bit_length()
     return freqs, hits, unassigned.bit_count(), first
 
@@ -785,8 +782,6 @@ def subsume_merge(
         [zeros for _, zeros in masks],
         [v.count("U") for v in mvs],
     )
-    if not redirect:
-        return assignment
     target = np.arange(len(mvs), dtype=np.int64)
     target[list(redirect)] = list(redirect.values())
     merged = target[assignment]

@@ -9,14 +9,14 @@ Layout (all integers big-endian):
 Each MV table entry packs K symbols at 2 bits (00=0, 01=1, 10=U),
 MSB-first and zero-padded to a byte boundary; a 11 pair is corrupt.  Each
 codeword entry is a length byte followed by that many bits, again
-byte-padded.  Both are packed with ``pack_bits`` and read back with
-``unpack_bits``, the MSB-first rule that ``np.packbits`` follows for the
-payload.  The CRC32 covers every byte before it.  K and original_length
-are at least 1, and block_count is ceil(original_length / K).  Extension
-records after the CRC are length-prefixed (4-byte tag, u32 size, body) so
-unknown tags and older readers that stop at the CRC both stay compatible;
-the only tag written today is "WDTH" carrying the pattern width as a u64,
-which must divide original_length.
+byte-padded.  ``pack_bits`` writes both, MSB-first as ``np.packbits``
+packs the payload; the reader maps each MV table byte to its four symbols
+through one table.  The CRC32 covers every byte before it.  K and
+original_length are at least 1, and block_count is ceil(original_length /
+K).  Extension records after the CRC are length-prefixed (4-byte tag, u32
+size, body) so unknown tags and older readers that stop at the CRC both
+stay compatible; the only tag written today is "WDTH" carrying the
+pattern width as a u64, which must divide original_length.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ VERSION = 1
 _WIDTH_TAG = b"WDTH"
 
 _SYMBOL_PAIRS = str.maketrans({"0": "00", "1": "01", "U": "10"})
-_PAIR_SYMBOL = {"00": "0", "01": "1", "10": "U"}
+# a byte's four 2-bit symbols, MSB-first; "?" marks the corrupt pair 11
+_BYTE_SYMBOLS = ["".join("01U?"[b >> s & 3] for s in (6, 4, 2, 0)) for b in range(256)]
 
 
 def pack_bits(bits: str) -> bytes:
@@ -101,11 +102,11 @@ def read_container(data: bytes) -> EncodedStream:
         raise UnsupportedVersion(f"container version {version}")
     k, l_eff, block_count, original_length = unpack(">HHQQ")
     mv_entry_bytes = (2 * k + 7) // 8
-    mv_raw = [take(mv_entry_bytes) for _ in range(l_eff)]
-    code_raw: list[tuple[int, bytes]] = []
+    mv_symbols = "".join(map(_BYTE_SYMBOLS.__getitem__, take(l_eff * mv_entry_bytes)))
+    codewords = []
     for _ in range(l_eff):
         (code_len,) = unpack(">B")
-        code_raw.append((code_len, take((code_len + 7) // 8)))
+        codewords.append(unpack_bits(take((code_len + 7) // 8), code_len))
     (payload_bits,) = unpack(">Q")
     payload = bytes(take((payload_bits + 7) // 8))
     crc_offset = pos
@@ -131,20 +132,17 @@ def read_container(data: bytes) -> EncodedStream:
                 raise CorruptHeader(f"width extension has size {size}, expected 8")
             (pattern_width,) = struct.unpack(">Q", body)
 
+    # each entry is its first K symbols; the padding pairs after them are ignored
+    mv_table = [mv_symbols[i : i + k] for i in range(0, len(mv_symbols), 4 * mv_entry_bytes)]
+    if any("?" in v for v in mv_table):
+        raise CorruptHeader("invalid 2-bit symbol 11 in MV table")
     try:
-        mv_table = []
-        for raw in mv_raw:
-            pairs = unpack_bits(raw, 2 * k)
-            symbols = [_PAIR_SYMBOL.get(pairs[i : i + 2]) for i in range(0, 2 * k, 2)]
-            if None in symbols:
-                raise CorruptHeader("invalid 2-bit symbol 11 in MV table")
-            mv_table.append("".join(symbols))
         return EncodedStream(
             payload=payload,
             payload_bits=payload_bits,
             k=k,
-            mv_table=tuple(mv_table),
-            codewords=tuple(unpack_bits(raw, n) for n, raw in code_raw),
+            mv_table=mv_table,
+            codewords=codewords,
             original_length=original_length,
             pattern_width=pattern_width,
         )

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .core import TestSet
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_field_types
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,7 @@ class CorpusSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.patterns < 1 or self.width < 1:
             raise InvalidConfig("corpus needs at least one pattern and one column")
         if self.templates < 1 or self.template_width < 1:

@@ -43,7 +43,7 @@ from .codec import (
     payload_bits_for,
     rng_words,
 )
-from .errors import InvalidConfig, LengthMismatch
+from .errors import InvalidConfig, LengthMismatch, check_field_types
 
 GENE_ALPHABET = "01U"
 _GENE_CODES = np.frombuffer(GENE_ALPHABET.encode("ascii"), dtype=np.uint8)
@@ -82,14 +82,7 @@ class EaConfig:
                 continue
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
-        kinds = {"int": (int, "an integer"), "float": ((int, float), "a number"),
-                 "bool": (bool, "true or false")}
-        for f in fields(self):
-            if f.type in kinds:
-                want, kind = kinds[f.type]
-                value = getattr(self, f.name)
-                if not isinstance(value, want) or isinstance(value, bool) != (f.type == "bool"):
-                    raise InvalidConfig(f"{f.name} must be {kind}, got {value!r}")
+        check_field_types(self)
         if self.k > MAX_K_OR_L or self.l > MAX_K_OR_L:
             raise InvalidConfig(f"k and l must be <= {MAX_K_OR_L}")
         probs = (self.p_crossover, self.p_mutation, self.p_inversion)

@@ -1,4 +1,6 @@
-"""Exception hierarchy for the tercode package."""
+"""Exception hierarchy for the tercode package, and the dataclass field type check."""
+
+import dataclasses
 
 
 class TercodeError(Exception):
@@ -96,6 +98,19 @@ class UnknownCodeword(ContainerError):
 
 class InvalidConfig(TercodeError):
     """An evolutionary-search or CLI configuration value is out of range."""
+
+
+def check_field_types(obj, error: type[Exception] = InvalidConfig) -> None:
+    """Raise ``error`` for the first field of dataclass ``obj`` not of its declared
+    type; a bool is no int or float, and an ``int | None`` field takes None."""
+    kinds = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+             "bool": (bool, "true or false")}
+    for f in dataclasses.fields(obj):
+        value, kind = getattr(obj, f.name), f.type.removesuffix(" | None")
+        if kind in kinds and (value is not None or kind == f.type):
+            want, name = kinds[kind]
+            if not isinstance(value, want) or isinstance(value, bool) != (kind == "bool"):
+                raise error(f"{f.name} must be {name}, got {value!r}")
 
 
 class OddK(InvalidConfig):

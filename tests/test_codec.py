@@ -527,6 +527,22 @@ class TestEncodedStream:
             EncodedStream(payload=b"\x00", payload_bits=9, k=1, mv_table=("0",),
                           codewords=("",), original_length=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("k", 1.0), ("k", True), ("original_length", 2.0), ("pattern_width", 2.0),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        # write_container cannot pack any of these into the header's integers
+        kwargs = dict(payload=b"", payload_bits=0, k=1, mv_table=("0",),
+                      codewords=("",), original_length=2)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            EncodedStream(**{**kwargs, field: value})
+
+    def test_payload_bits_must_not_be_negative(self):
+        # decode would report -3 undecoded payload bits
+        with pytest.raises(ValueError, match="payload_bits >= 0$"):
+            EncodedStream(payload=b"", payload_bits=-3, k=1, mv_table=("0",),
+                          codewords=("",), original_length=1)
+
     def test_rejects_codeword_over_255_bits(self):
         # encode_all refuses such a codebook first; a stream built directly
         # meets this check
@@ -1237,6 +1253,14 @@ class TestSubsumeMerge:
         merged = subsume_merge(assignment, mvs, 2)
         assert np.array_equal(merged, assignment)
         assert frequencies(merged, 1) == [2]
+
+    def test_no_accepted_drop_returns_a_read_only_copy(self):
+        # ["00", "UU"] with frequencies [2, 1]: folding "00" into "UU" costs bits
+        assignment = np.array([0, 0, 1])
+        merged = subsume_merge(assignment, ["00", "UU"], 2)
+        assert merged is not assignment
+        assert not merged.flags.writeable
+        assert np.array_equal(merged, assignment)
 
     def test_vector_of_wrong_length_rejected(self):
         with pytest.raises(LengthMismatch, match="vector length 1 != 2"):

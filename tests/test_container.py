@@ -16,7 +16,7 @@ from tercode import (
     write_container,
 )
 from tercode.codec import MAX_DECODE_SYMBOLS
-from tercode.container import MAGIC
+from tercode.container import MAGIC, pack_bits
 from tercode.errors import (
     BadMagic,
     ChecksumMismatch,
@@ -125,6 +125,55 @@ class TestErrors:
         body += struct.pack(">I", zlib.crc32(body))
         with pytest.raises(CorruptHeader, match="^invalid 2-bit symbol 11 in MV table$"):
             read_container(bytes(body))
+
+
+def table_container(k: int, table: bytes, codewords=("",)) -> bytes:
+    """A container of one block of K symbols whose MV table is ``table``,
+    with one codeword per vector and no payload; the CRC is valid."""
+    body = struct.pack(">4sBHHQQ", MAGIC, 1, k, len(codewords), 1, k) + table
+    for code in codewords:
+        body += bytes([len(code)]) + pack_bits(code)
+    body += struct.pack(">Q", 0)
+    return body + struct.pack(">I", zlib.crc32(body))
+
+
+class TestVectorTable:
+    """The MV table bytes the reader accepts: each entry is K symbols at 2
+    bits (00=0, 01=1, 10=U), MSB-first, then pairs up to a byte boundary."""
+
+    HEADER = struct.calcsize(">4sBHHQQ")
+
+    @pytest.mark.parametrize("k, table, vector", [
+        (1, bytes([0b10_01_11_01]), "U"),
+        (3, bytes([0b00_01_10_11]), "01U"),
+        (5, bytes([0b01_01_01_01, 0b10_11_11_11]), "1111U"),
+    ])
+    def test_padding_pairs_are_ignored(self, k, table, vector):
+        assert read_container(table_container(k, table)).mv_table == (vector,)
+
+    def test_pair_11_in_the_last_vector(self):
+        table = bytes([0b00_01_10_00, 0b00_00_00_11])
+        with pytest.raises(CorruptHeader, match="^invalid 2-bit symbol 11 in MV table$"):
+            read_container(table_container(4, table, codewords=("0", "1")))
+
+    @pytest.mark.parametrize("k, vectors, table", [
+        (1, ("1", "U"), b"\x40\x80"),
+        (4, ("01U0", "U10U"), b"\x18\x92"),
+        (8, ("01U001U0", "UUUU1111"), b"\x18\x18\xaa\x55"),
+    ])
+    def test_round_trip_with_three_or_no_padding_pairs(self, k, vectors, table):
+        stream = EncodedStream(payload=b"", payload_bits=0, k=k, mv_table=vectors,
+                               codewords=("0", "1"), original_length=k)
+        data = write_container(stream)
+        assert data[self.HEADER : self.HEADER + len(table)] == table
+        assert data == table_container(k, table, codewords=("0", "1"))
+        assert read_container(data) == stream
+
+    @pytest.mark.parametrize("kept", [0, 1, 3])
+    def test_cut_inside_the_table(self, kept):
+        data = table_container(8, b"\x18\x18\xaa\x55", codewords=("0", "1"))
+        with pytest.raises(CorruptHeader, match="^container truncated at byte"):
+            read_container(data[: self.HEADER + kept])
 
 
 class TestBlockCount:
