@@ -36,6 +36,7 @@ import heapq
 import operator
 import random
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -641,18 +642,31 @@ def _dual_multiplier(weights: Sequence[int]) -> int:
 
     The bound is concave in lambda with slope sum(2^-l_k) - 1, where l_k is
     the length that minimises leaf k's term; l_k rises from l to l + 1 as
-    lambda passes w_k * 2^(l+1).  The sweep passes those breakpoints in
-    rising order, from every length at 1, and stops where the slope is no
-    longer positive.  Any lambda gives an exact bound, so the float slope
-    only decides how tight it is.
+    lambda passes w_k * 2^(l+1).  The peak is the first of these
+    breakpoints, from every length at 1, after which the slope is <= 0.
+    A weight of bit length b has exactly one of them, w * 2^(E-b+1), in
+    each octave [2^E, 2^(E+1)) with E > b, so across octave E the Kraft
+    sum falls by the sum over b < E of c_b * 2^-(E-b+1), c_b the weights of
+    bit length b: half the fall across octave E - 1 plus c_(E-1) / 4.  The
+    walk takes whole octaves until one ends at a sum <= 1, then passes
+    that octave's breakpoints in rising order.  The sums are dyadic: in
+    octave E each is a multiple of 2^-(E-b_min+1) below 2^(E'-E+1), with
+    E' < b_max + log2(n) the last octave, so it is exact in a double for
+    any table of under 2^25 blocks.  Beyond that, rounding moves lambda,
+    and any lambda still gives an exact bound.
     """
-    heap = [(w << 2, 1) for w in weights]
-    heapq.heapify(heap)
-    kraft = len(heap) / 2
-    while kraft > 1:
-        lam, length = heap[0]
-        kraft -= 0.5 ** (length + 1)
-        heapq.heapreplace(heap, (lam << 1, length + 1))
+    bits = [w.bit_length() for w in weights]
+    count = Counter(bits)
+    kraft, fall, octave = len(bits) / 2, 0.0, min(bits)
+    while kraft - fall > 1:
+        kraft -= fall
+        fall = fall / 2 + count[octave] / 4
+        octave += 1
+    for lam, shift in sorted((w << (octave - b + 1), octave - b + 1)
+                             for w, b in zip(weights, bits) if b < octave):
+        kraft -= 0.5 ** shift
+        if kraft <= 1:
+            break
     return lam << _DUAL_SCALE
 
 
@@ -665,7 +679,7 @@ def _dual_term(weight: int, lam: int) -> int:
     floor(lam / (weight * 2^(T+1) + 1)) < 2^l, and never falls after it.
     """
     scaled = weight << _DUAL_SCALE
-    length = max(1, (lam // ((scaled << 1) + 1)).bit_length())
+    length = (lam // ((scaled << 1) + 1)).bit_length() or 1
     return scaled * length + (lam >> length)
 
 
@@ -679,10 +693,11 @@ def merge_subsumed_frequencies(
     the total payload (with fresh Huffman lengths) strictly shrinks.
 
     The candidates are one list of live pairs (j, i), i subsuming j, in
-    rising order, scanned from the front; an accepted drop removes every
-    pair that names j and restarts the scan, so the result is a
-    deterministic fixed point.  Returns the merged frequencies and the
-    {dropped: final absorber} map.
+    rising order, scanned from the front; an accepted drop restarts the
+    scan, so the result is a deterministic fixed point.  A dropped vector
+    is at zero frequency, which is how the scan skips its pairs.  Returns
+    the merged frequencies and the {dropped: final absorber} map: a chain
+    of drops (j into i, later i into t) is resolved to t once, at the end.
 
     Pricing.  A drop moves F_j onto i, so the fill bits grow by
     extra = F_j * (N_U[i] - N_U[j]) (never negative: i's specified
@@ -697,7 +712,7 @@ def merge_subsumed_frequencies(
     - F_i == 0: the drop only renames a leaf, so the Huffman cost stays
       and the fill bits cannot fall.  Vectors at zero frequency therefore
       never take part, as droppers or absorbers: the list holds only
-      vectors live at the start, and a dropped vector leaves it.
+      vectors live at the start, and the scan skips a dropped one.
     - The Kraft-dual bound of the state after the drop reaches
       huffman_cost(before) - extra, so huffman_cost(after) does too.
 
@@ -738,28 +753,31 @@ def merge_subsumed_frequencies(
     lam = _dual_multiplier(ranked) if len(ranked) > 2 else 0
     terms = [_dual_term(f, lam) if f else 0 for f in freqs]
     bound = sum(terms) - lam
-    at = 0
-    while at < len(pairs):
-        j, i = pairs[at]
-        at += 1
-        fi, fj = freqs[i], freqs[j]
-        extra = fj * (n_unspecified[i] - n_unspecified[j])
-        merged = _dual_term(fi + fj, lam)
-        after = bound - terms[i] - terms[j] + merged
-        if len(ranked) > 2 and after >= (current - extra) << _DUAL_SCALE:
-            continue
-        trial = ranked.copy()
-        del trial[bisect_left(trial, fi)]
-        del trial[bisect_left(trial, fj)]
-        insort(trial, fi + fj)
-        cost = _sorted_huffman_cost(trial)
-        if cost + extra < current:
-            current, bound, terms[i], ranked = cost, after, merged, trial
-            freqs[i], freqs[j] = fi + fj, 0
-            redirect = {d: i if t == j else t for d, t in redirect.items()}
-            redirect[j] = i
-            pairs = [pair for pair in pairs if j not in pair]
-            at = 0
+    while True:  # one scan from the front per accepted drop
+        for j, i in pairs:
+            fi, fj = freqs[i], freqs[j]
+            if not fi or not fj:
+                continue
+            extra = fj * (n_unspecified[i] - n_unspecified[j])
+            merged = _dual_term(fi + fj, lam)
+            after = bound - terms[i] - terms[j] + merged
+            if len(ranked) > 2 and after >= (current - extra) << _DUAL_SCALE:
+                continue
+            trial = ranked.copy()
+            del trial[bisect_left(trial, fi)]
+            del trial[bisect_left(trial, fj)]
+            insort(trial, fi + fj)
+            cost = _sorted_huffman_cost(trial)
+            if cost + extra < current:
+                current, bound, terms[i], ranked = cost, after, merged, trial
+                freqs[i], freqs[j] = fi + fj, 0
+                redirect[j] = i
+                break
+        else:
+            break
+    # i was live when j dropped into it, so i's own drop, if any, came later
+    for j, i in reversed(redirect.items()):
+        redirect[j] = redirect.get(i, i)
     return freqs, redirect
 
 

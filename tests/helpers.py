@@ -26,7 +26,13 @@ from tercode import (
     partition,
 )
 from tercode.container import unpack_bits
-from tercode.codec import MAX_DECODE_SYMBOLS, BlockStats, match_set, mv_masks
+from tercode.codec import (
+    _DUAL_SCALE,
+    MAX_DECODE_SYMBOLS,
+    BlockStats,
+    match_set,
+    mv_masks,
+)
 from tercode.container import MAGIC
 from tercode.errors import (
     AllZeroFrequencies,
@@ -371,6 +377,21 @@ def naive_merge_subsumed_frequencies(frequencies, ones, zeros, n_unspecified):
             target = redirect[target]
         resolved[j] = target
     return freqs, resolved
+
+
+def naive_dual_multiplier(weights) -> int:
+    """Reference for ``codec._dual_multiplier``: every breakpoint
+    w * 2^(l+1), where a leaf's best length goes from l to l + 1, taken one
+    at a time off a heap, from every length at 1, until the Kraft sum
+    reaches 1; returns that breakpoint scaled by 2^T."""
+    heap = [(w << 2, 1) for w in weights]
+    heapq.heapify(heap)
+    kraft = len(heap) / 2
+    while kraft > 1:
+        lam, length = heap[0]
+        kraft -= 0.5 ** (length + 1)
+        heapq.heapreplace(heap, (lam << 1, length + 1))
+    return lam << _DUAL_SCALE
 
 
 def single_vector_container(

@@ -59,6 +59,7 @@ from helpers import (
     matches,
     naive_cover,
     naive_decode,
+    naive_dual_multiplier,
     naive_encode_bits,
     naive_huffman_code_lengths,
     naive_huffman_cost,
@@ -1335,6 +1336,14 @@ class TestMergeProperties:
         assert merge_subsumed_frequencies([4, 5, 1, 1], ones, zeros, n_us) == (
             [0, 11, 0, 0], {2: 1, 0: 1, 3: 1})
 
+    def test_drop_chain_resolves_to_the_last_absorber(self):
+        # 10 (F=3) drops into its twin at index 2, which then drops into 1U
+        vectors = ("10", "01", "10", "1U")
+        ones, zeros = zip(*(mv_masks(v) for v in vectors))
+        case = [3, 8, 8, 6], ones, zeros, [0, 0, 0, 1]
+        assert merge_subsumed_frequencies(*case) == ([0, 8, 0, 17], {0: 3, 2: 3})
+        assert naive_merge_subsumed_frequencies(*case) == ([0, 8, 0, 17], {0: 3, 2: 3})
+
 
 @st.composite
 def wide_merge_cases(draw):
@@ -1360,6 +1369,17 @@ def wide_merge_cases(draw):
     return freqs, list(ones), list(zeros), [v.count("U") for v in vectors]
 
 
+@st.composite
+def dual_weights(draw):
+    """3-300 unsorted weights in 1..10^9 with repeats, powers of two and
+    (w, 2w) pairs, so that breakpoints meet at octave edges."""
+    seeds = draw(st.lists(st.integers(1, 5 * 10**8), min_size=1, max_size=10))
+    weight = st.one_of(st.integers(1, 10**9), st.sampled_from(seeds),
+                       st.sampled_from(seeds).map(lambda w: 2 * w),
+                       st.integers(0, 29).map(lambda e: 1 << e))
+    return draw(st.lists(weight, min_size=3, max_size=300))
+
+
 class TestWideMerge:
     @settings(max_examples=300, deadline=None)
     @given(weights=st.lists(st.integers(1, 5000), min_size=2, max_size=64),
@@ -1376,6 +1396,11 @@ class TestWideMerge:
         if len(weights) > 2:
             peak = codec._dual_multiplier(weights)
             assert sum(codec._dual_term(w, peak) for w in weights) - peak <= limit
+
+    @settings(max_examples=300, deadline=None)
+    @given(dual_weights())
+    def test_octave_walk_agrees_with_heap_sweep(self, weights):
+        assert codec._dual_multiplier(weights) == naive_dual_multiplier(weights)
 
     @settings(max_examples=60, deadline=None)
     @given(wide_merge_cases())
