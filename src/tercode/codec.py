@@ -11,8 +11,8 @@ block's bits at the vector's U positions: a word of |codeword| + N_U bits,
 one fixed width per vector.  A codebook is a plain dict from vector index
 to codeword, and the ``EncodedStream`` that ``encode_all`` returns holds
 the coded vectors in index order, one codeword each.  ``encode_all``
-masks each block's row of codeword and symbol bits down to its word, a
-slice of blocks at a time, and packs the words with ``np.packbits``;
+ORs each block's bits into its vector's template row, a slice of blocks
+at a time, and packs the cells below 4, its word, with ``np.packbits``;
 ``decode`` finds the word starts with lockstep walkers whose chains of
 words join, as a prefix code resynchronises, and scatters the fill bits.
 
@@ -178,7 +178,8 @@ class BlockStats:
     is not ``0``.  The blocks a vector matches are the AND of
     ``fits_zero`` over its 0 positions and ``fits_one`` over its 1
     positions.  ``blocks`` is ``core.partition``'s (blocks, K) uint8 matrix
-    of ASCII codes, kept by reference; anything else raises ValueError.
+    of ASCII codes, kept by reference; anything else raises ValueError.  The
+    sets are read from a contiguous copy of its columns, which is not kept.
 
     ``groups[g]`` memoises ``match_set``'s AND over mask bits 4g to 4g+3,
     from the key ``ones_g | zeros_g << 4`` of those bits' masks; it holds
@@ -195,7 +196,7 @@ class BlockStats:
         self.blocks = blocks
         self.total, self.k = blocks.shape
         # mask bit b is column K-1-b
-        columns = blocks[:, ::-1].T
+        columns = np.ascontiguousarray(blocks[:, ::-1].T)
         self.fits_zero = [_block_set(col != ord("1")) for col in columns]
         self.fits_one = [_block_set(col != ord("0")) for col in columns]
         self.groups: list[dict[int, int]] = [{} for _ in range(0, self.k, 4)]
@@ -360,10 +361,11 @@ def encode_all(
     The payload is written ``_SLICE`` blocks at a time, or at K > 12
     ``_SLICE`` * 12 // K blocks (at least one), so that a slice's
     matrices do not grow with K: one ``bytes.translate`` turns the slice's
-    symbols into bits, each block's row of codeword bits and symbol bits
-    is masked down to its word, and the masked cells, read row by row, are
-    the slice's payload.  Bits past a slice's last full byte carry into
-    the next, so the bytes equal ``container.pack_bits`` of the whole payload.
+    symbols into bits, each block's bits are ORed into a copy of its
+    vector's template row (codeword bits, then 0 at each U and 4 at each
+    specified position), and the cells below 4, read row by row, are the
+    slice's payload.  Bits past a slice's last full byte carry into the
+    next, so the bytes equal ``container.pack_bits`` of the whole payload.
     A symbol other than 0, 1 and X at a U position raises ValueError.
     """
     if fill not in FILL_CHOICES:
@@ -385,17 +387,15 @@ def encode_all(
     if top > 255:
         raise ValueError(f"codeword of {top} bits exceeds 255")
     # a block is good when its vector is K long, holds a codeword and matches
-    # it.  Row i of ``codes`` is vector i's codeword, left-aligned in ``top``
-    # bits; with a block's K bits after it, row i of ``keep`` marks the word
-    codes = np.zeros((n, top), dtype=np.uint8)
-    keep = np.zeros((n, top + stats.k), dtype=bool)
+    # it.  Row i of ``cells`` is vector i's word template: its codeword in the
+    # first |codeword| of ``top`` cells, then K cells, 0 at each U; all else 4
+    cells = np.full((n, top + stats.k), 4, dtype=np.uint8)
     for i, code in codebook.items():
         v, masks = mvs[i], mv_masks(mvs[i])
         if len(v) == stats.k:
             good |= _block_set(assignment == i) & match_set(stats, *masks)
-            codes[i, : len(code)] = [b == "1" for b in code]
-            keep[i, : len(code)] = True
-            keep[i, top:] = np.frombuffer(v.encode("ascii"), dtype=np.uint8) == ord("U")
+            cells[i, : len(code)] = [b == "1" for b in code]
+            cells[i, top:] = 4 * (np.frombuffer(v.encode("ascii"), dtype=np.uint8) != ord("U"))
     bad = ((1 << stats.total) - 1) & ~good
     if bad:
         first = (bad & -bad).bit_length() - 1
@@ -417,9 +417,9 @@ def encode_all(
         hi = min(lo + step, stats.total)
         bits = np.frombuffer(stats.blocks[lo:hi].tobytes().translate(bit_of),
                              dtype=np.uint8).reshape(hi - lo, stats.k)
-        rows = assignment[lo:hi]
-        words = np.concatenate([codes[rows], bits], axis=1)[keep[rows]]
-        out = np.concatenate([carry, words])
+        rows = cells[assignment[lo:hi]]
+        rows[:, top:] |= bits
+        out = np.concatenate([carry, rows[rows < 4]])
         if fill == "random":
             draws = np.flatnonzero(out == 2)
             out[draws] = rng_words(rng, len(draws)) >> 31

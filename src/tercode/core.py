@@ -18,7 +18,6 @@ from .errors import EmptyInput, IllegalCharacter, RaggedRows
 
 TEST_ALPHABET = "01X"
 
-_NORMALIZE = str.maketrans("x", "X")
 # what is left of a row after deleting every legal symbol
 _DELETE_ALPHABET = str.maketrans("", "", TEST_ALPHABET)
 
@@ -35,6 +34,12 @@ class TestSet:
         width = len(self.patterns[0])
         if width < 1:
             raise EmptyInput("test set has zero-width patterns")
+        # one pass over the joined rows accepts a well-formed set; only a
+        # malformed one is walked row by row, where the first bad row decides
+        joined = "".join(self.patterns)
+        if (set(map(len, self.patterns)) == {width} and joined.isascii()
+                and not joined.encode("ascii").translate(None, TEST_ALPHABET.encode())):
+            return
         for row in self.patterns:
             if len(row) != width:
                 raise RaggedRows(
@@ -62,15 +67,11 @@ def parse_test_set(text: str | IO[str]) -> TestSet:
     """
     if hasattr(text, "read"):
         text = text.read()
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(line.translate(_NORMALIZE))
+    lines = map(str.strip, text.replace("x", "X").splitlines())
+    rows = tuple(line for line in lines if line and not line.startswith("#"))
     if not rows:
         raise EmptyInput("no patterns found in input")
-    return TestSet(tuple(rows))
+    return TestSet(rows)
 
 
 def write_test_set(ts: TestSet) -> str:

@@ -37,13 +37,20 @@ from tercode.container import MAGIC
 from tercode.errors import (
     AllZeroFrequencies,
     DanglingBits,
+    EmptyInput,
+    IllegalCharacter,
     LengthMismatch,
     NoCodeword,
     NotMatching,
     OutputTooLarge,
+    RaggedRows,
     TruncatedPayload,
     UnknownCodeword,
 )
+
+_NORMALIZE = str.maketrans("x", "X")
+# what is left of a row after deleting every legal symbol
+_DELETE_ALPHABET = str.maketrans("", "", "01X")
 
 
 def random_test_set(rng: random.Random, max_rows=12, max_cols=16,
@@ -61,6 +68,55 @@ def random_test_set(rng: random.Random, max_rows=12, max_cols=16,
             )
         )
     return TestSet(tuple(grid))
+
+
+def naive_check_patterns(patterns) -> None:
+    """Reference ``TestSet`` check: every row on its own, in order, so the
+    first bad row decides, and within a row a length error comes before
+    an illegal symbol."""
+    if not patterns:
+        raise EmptyInput("test set has no patterns")
+    width = len(patterns[0])
+    if width < 1:
+        raise EmptyInput("test set has zero-width patterns")
+    for row in patterns:
+        if len(row) != width:
+            raise RaggedRows(
+                f"pattern length {len(row)} differs from {width}"
+            )
+        illegal = row.translate(_DELETE_ALPHABET)
+        if illegal:
+            raise IllegalCharacter(f"illegal symbol {illegal[0]!r} in pattern")
+
+
+def naive_parse_test_set(text) -> TestSet:
+    """Reference parser: each line split off, stripped and, unless blank or
+    a comment, normalised on its own, then the rows checked one by one."""
+    if hasattr(text, "read"):
+        text = text.read()
+    rows = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        rows.append(line.translate(_NORMALIZE))
+    if not rows:
+        raise EmptyInput("no patterns found in input")
+    naive_check_patterns(rows)
+    return TestSet(tuple(rows))
+
+
+def naive_block_sets(matrix) -> tuple[list[int], list[int]]:
+    """Reference ``BlockStats.fits_zero`` and ``fits_one``: for mask bit b,
+    column K-1-b read block by block, bit i set when block i's symbol there
+    is not ``1`` (fits_zero) or not ``0`` (fits_one)."""
+    total, k = matrix.shape
+    fits_zero, fits_one = [], []
+    for b in range(k):
+        column = [int(matrix[i, k - 1 - b]) for i in range(total)]
+        fits_zero.append(sum(1 << i for i, c in enumerate(column) if c != ord("1")))
+        fits_one.append(sum(1 << i for i, c in enumerate(column) if c != ord("0")))
+    return fits_zero, fits_one
 
 
 def random_mv_set(rng: random.Random, k: int, count: int,

@@ -63,6 +63,7 @@ from helpers import (
     naive_encode_bits,
     naive_huffman_code_lengths,
     naive_huffman_cost,
+    naive_block_sets,
     naive_merge_subsumed_frequencies,
     optimal_prefix_cost,
     payload_bitstring,
@@ -182,6 +183,36 @@ class TestMatchGroups:
         ones, zeros = mv_masks("UU1U")
         assert codec.match_set(stats, ones, zeros) == stats.fits_one[1]
         assert stats.groups[0][ones] is stats.fits_one[1]
+
+
+MATRIX_VIEWS = {
+    "as drawn": lambda m: m,
+    "every other column": lambda m: m[:, ::2],
+    "reversed rows": lambda m: m[::-1],
+    "every other row": lambda m: m[::2],
+    "column-major": np.asfortranarray,
+}
+
+
+@st.composite
+def block_matrices(draw):
+    """uint8 matrices of 0-300 rows and K 1-40 over 0, 1 and X with up to
+    three foreign bytes, as drawn or as a view that is not C-contiguous."""
+    symbols = b"01X" + draw(st.binary(max_size=3))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32)))
+    matrix = gen.choice(np.frombuffer(symbols, dtype=np.uint8),
+                        size=(draw(st.integers(0, 300)), draw(st.integers(1, 40))))
+    return MATRIX_VIEWS[draw(st.sampled_from(sorted(MATRIX_VIEWS)))](matrix)
+
+
+class TestBlockStats:
+    @settings(max_examples=150, deadline=None)
+    @given(block_matrices())
+    def test_sets_agree_with_per_column_reference(self, matrix):
+        stats = BlockStats(matrix)
+        assert stats.blocks is matrix
+        assert (stats.total, stats.k) == matrix.shape
+        assert (stats.fits_zero, stats.fits_one) == naive_block_sets(matrix)
 
 
 # every consumer of a vector, given one bad vector at K=3 beside all-U
@@ -933,6 +964,79 @@ class TestEncodeSlices:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+def blocks_of(mvs, picks, rng, x_at_specified=0.0):
+    """One block per index in ``picks``: its vector with each U drawn from
+    0, 1 and X, and each specified symbol an X with the given chance."""
+    return ["".join(rng.choice("01X") if ch == "U"
+                    else "X" if rng.random() < x_at_specified else ch
+                    for ch in mvs[i])
+            for i in picks]
+
+
+def template_case(name):
+    """(stats, assignment, codebook, vectors) of one ``encode_all`` case."""
+    rng = random.Random(name)
+    if name == "one vector, empty codeword":
+        mvs = ["U1UU"]
+        stats = blocks_from(blocks_of(mvs, [0] * 9, rng))
+        return stats, np.zeros(9, dtype=np.int64), {0: ""}, mvs
+    if name == "codewords of every length up to top":
+        mvs = ["UUUUU", "0UUUU", "1UUUU", "U0UUU", "UU1UU", "000UU", "1U1U1", "00000",
+               "11111"]
+        codebook = {i: "0" * i + "1" for i in range(8)} | {8: "0" * 8}
+        # every vector takes a block, so codewords of 1 to 8 bits are written
+        picks = [rng.randrange(9) for _ in range(200)] + list(range(9))
+        return blocks_from(blocks_of(mvs, picks, rng)), np.array(picks), codebook, mvs
+    if name == "a vector with no U":
+        mvs = ["0110", "UUUU"]
+        picks = [0, 1, 0, 0, 1]
+        return (blocks_from(blocks_of(mvs, picks, rng)), np.array(picks),
+                {0: "0", 1: "1"}, mvs)
+    if name == "X at specified positions":
+        mvs = ["01UU", "U1U0", "UUUU"]
+        picks = [rng.randrange(3) for _ in range(60)]
+        return (blocks_from(blocks_of(mvs, picks, rng, x_at_specified=0.5)),
+                np.array(picks), {0: "0", 1: "10", 2: "11"}, mvs)
+    if name == "a foreign byte at a specified position":
+        # 'A' and '2' are neither 0 nor 1, so both vectors match them
+        return (blocks_from(["A1", "2X", "A0"]), np.array([0, 1, 0]),
+                {0: "0", 1: "1"}, ["0U", "1U"])
+    # K = 13: 60,494 blocks a slice, so 61,000 take two
+    mvs = ["0U1UUUUUUUU10", "UUUUU11UUUUUU", "UUUUUUUUUUUUU", "1111100000111"]
+    picks = [rng.randrange(4) for _ in range(61_000)]
+    stats = blocks_from(blocks_of(mvs, picks, rng, x_at_specified=0.1))
+    assert stats.total > codec._SLICE * 12 // 13
+    assignment = cover(stats, mvs)
+    return stats, assignment, build_huffman(frequencies(assignment, 4)), mvs
+
+
+class TestEncodeTemplate:
+    """``encode_all`` ORs a block's bits into a copy of its vector's row of
+    one template: codeword bits, then 0 at each U and 4 at each specified
+    position, and writes the cells below 4."""
+
+    @pytest.mark.parametrize("name", [
+        "one vector, empty codeword",
+        "codewords of every length up to top",
+        "a vector with no U",
+        "X at specified positions",
+        "a foreign byte at a specified position",  # accepted: the symbol is dropped
+        "K=13 over two slices",
+    ])
+    @pytest.mark.parametrize("fill", FILL_CHOICES)
+    def test_agrees_with_naive_encoder(self, name, fill):
+        stats, assignment, codebook, mvs = template_case(name)
+        TestEncodeSlices.assert_agrees(stats, assignment, codebook, mvs, fill, 5)
+
+    @pytest.mark.parametrize("fill", FILL_CHOICES)
+    @pytest.mark.parametrize("symbols", ["0A", "02", "0\x00"])
+    def test_foreign_byte_at_a_u_position_rejected(self, symbols, fill):
+        stats = blocks_from(["01", "1X", symbols])
+        with pytest.raises(ValueError, match="^a block holds a symbol other than 0, 1 and X$"):
+            encode_all(stats, np.array([0, 1, 0]), {0: "0", 1: "1"}, ["0U", "UU"],
+                       fill, random.Random(2))
 
 
 class TestDecode:

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tercode import (
     TestSet,
@@ -11,9 +13,54 @@ from tercode import (
     partition,
     write_test_set,
 )
-from tercode.errors import EmptyInput, IllegalCharacter, RaggedRows
+from tercode.errors import EmptyInput, IllegalCharacter, RaggedRows, TercodeError
 
-from helpers import block_strings, random_test_set
+from helpers import (
+    block_strings,
+    naive_check_patterns,
+    naive_parse_test_set,
+    random_test_set,
+)
+
+# symbols, the comment mark, whitespace and line boundaries of every kind
+# (\x1c, \x85 and \u2028 end a line for str.splitlines), and two foreign symbols
+PARSE_ALPHABET = "01Xx# \t\r\n\v\f\x1c\x85\u2028A\u00e9"
+LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028"]
+
+
+def same_outcome(run, oracle, arg):
+    """``run(arg)`` gives what ``oracle(arg)`` gives: the same value, or an
+    error of the same class with the same message."""
+    try:
+        want = oracle(arg)
+    except TercodeError as exc:
+        with pytest.raises(type(exc)) as err:
+            run(arg)
+        assert type(err.value) is type(exc) and str(err.value) == str(exc)
+        return
+    assert run(arg) == want
+
+
+@st.composite
+def pattern_files(draw):
+    """Files of one width over 0, 1, X and x, with comment lines (that may
+    hold x), blank and indented lines and mixed line ends; sometimes a row
+    is cut short or given a foreign symbol."""
+    width = draw(st.integers(1, 12))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row", "row", "row", "comment", "blank"]))
+        if kind == "row":
+            line = draw(st.text("01Xx", min_size=width, max_size=width))
+            if draw(st.integers(0, 9)) == 0:
+                line = draw(st.text(PARSE_ALPHABET, max_size=width + 1))
+        elif kind == "comment":
+            line = "#" + draw(st.text("01Xx# A\u00e9", max_size=8))
+        else:
+            line = ""
+        pad = st.text(" \t\v\f", max_size=2)
+        lines.append(draw(pad) + line + draw(pad) + draw(st.sampled_from(LINE_ENDS)))
+    return "".join(lines)
 
 
 class TestParse:
@@ -48,6 +95,11 @@ class TestParse:
         path.write_text("01\n10\n")
         with open(path) as handle:
             assert parse_test_set(handle).pattern_count == 2
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(PARSE_ALPHABET, max_size=40) | pattern_files())
+    def test_agrees_with_naive_parser(self, text):
+        same_outcome(parse_test_set, naive_parse_test_set, text)
 
     def test_writer_then_parser_is_identity(self):
         rng = random.Random(11)
@@ -145,3 +197,22 @@ class TestInvariants:
             with pytest.raises(IllegalCharacter) as err:
                 TestSet(rows)
             assert str(err.value) == f"illegal symbol {symbol} in pattern"
+
+    @pytest.mark.parametrize("rows", [
+        ("00", "0", "000"),  # the right total length, ragged rows
+        ("01", "0A", "011"),  # a bad symbol before a bad length
+        ("01", "011", "0A"),  # a bad length before a bad symbol
+        ("0A1", "01"),  # a bad symbol in the first row
+        ("01", "1\u00e9"),  # a foreign symbol outside ASCII
+        ("01", "10", "1"),  # only the last row is short
+        ("X", "x"),  # a lowercase x is not a symbol of the set
+        ("01", "0A1B", "0"),
+        ("0101", "1010"),
+        ("X",),
+    ])
+    def test_testset_agrees_with_row_by_row_check(self, rows):
+        def check(patterns):
+            naive_check_patterns(patterns)
+            return TestSet(patterns)
+
+        same_outcome(TestSet, check, rows)
