@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -275,6 +276,7 @@ def _add_ea_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="key=value config file")
 
 
+@functools.cache  # help text is formatted when printed, so it still follows COLUMNS
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tercode",

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 import operator
 import random
 from bisect import bisect_left, insort
@@ -75,9 +76,9 @@ MAX_DECODE_SYMBOLS = 1 << 30
 # that, a slice holds at most 12 * _SLICE symbols
 _SLICE = 1 << 16
 
-# payload bits between the starts of two decode walkers, and in one span
+# cap on the payload bits between two decode walkers' starts, and bits in one span
 _CHUNK = 1 << 9
-_SPAN = 1 << 19
+_SPAN = 1 << 20
 
 
 def rng_words(rng: random.Random, m: int) -> np.ndarray:
@@ -491,9 +492,12 @@ def decode(stream: EncodedStream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:
     node t of longer codewords' 16-bit digits; sorted ``deep`` entries
     (node << 16 | digit, digits spanned, vector or -2 - node), the first
     below every key, lead on.  Walk and stitch: ``_word_starts``, walkers
-    ``_CHUNK`` bits apart rounded to the word widths' gcd.  Scatter: the
-    span's payload bits, unpacked, fill the U positions.  Only a span's
-    last word can be bad.
+    min(``_CHUNK``, max(64, isqrt(span bits) // 2)) bits apart, rounded
+    down to the word widths' gcd: the lockstep steps, each of fixed numpy
+    cost, grow with the spacing and the ~26 steps each walker takes to
+    join a chain with span / spacing, so the best spacing grows as
+    sqrt(span).  Scatter: the span's payload bits, unpacked, fill the U
+    positions.  Only a span's last word can be bad.
     """
     if stream.original_length > max_symbols:
         raise OutputTooLarge(
@@ -544,7 +548,6 @@ def decode(stream: EncodedStream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:
     fixed = np.frombuffer(symbols.replace(b"U", b"0"), dtype=np.uint8).reshape(-1, k)
     is_u = np.frombuffer(symbols, dtype=np.uint8).reshape(-1, k) == ord("U")
     gcd = int(np.gcd.reduce(width[:-1])) or 1
-    chunk = max(gcd, _CHUNK - _CHUNK % gcd)
     data = np.frombuffer(stream.payload, dtype=np.uint8)
     out, done, pos = [], 0, 0
     while done < stream.block_count:
@@ -554,8 +557,9 @@ def decode(stream: EncodedStream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:
         part = data[base >> 3 : ((base + end) >> 3) + 40]
         raw[: len(part)] = part
         win = raw[:-3] << 24 | raw[1:-2] << 16 | raw[2:-1] << 8 | raw[3:]
+        chunk = min(_CHUNK, max(64, math.isqrt(end) // 2))
         starts = _word_starts(lambda w, a: width.take(vectors(w, a)), win, pos - base,
-                              end, chunk)[: stream.block_count - done]
+                              end, max(gcd, chunk - chunk % gcd))[: stream.block_count - done]
         vecs = vectors(win, starts)
         at, pos = base + int(starts[-1]), base + int(starts[-1] + width[vecs[-1]])
         if pos > n:

@@ -759,6 +759,46 @@ class TestEntryPoints:
         assert err.value.code == 2
 
 
+class TestParserCache:
+    """``main`` builds its parser once per process."""
+
+    def test_no_state_carried_between_calls(self, corpus_file, tmp_path, capsys,
+                                            monkeypatch):
+        # after a call that sets --subsume, --seed, --report and the EA
+        # budget, a plain compress writes what a freshly built parser's does
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+
+        def compress(name, *flags):
+            out = tmp_path / name
+            assert run_cli(["compress", "--input", str(corpus_file),
+                            "--output", str(out), *flags]) == 0
+            report = capsys.readouterr().out.splitlines()
+            return out.read_bytes(), [line for line in report
+                                      if not line.startswith("duration")]
+
+        compress("first.tcc", "--subsume", "--seed", "5", "--report", "json",
+                 *EA_SPEED_FLAGS)
+        cached = compress("cached.tcc")
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert compress("fresh.tcc") == cached
+        assert cached[1][0] == "method            ea"
+
+    def test_help_follows_columns(self, capsys, monkeypatch):
+        # help is formatted when printed, at the width COLUMNS gives then
+        cli.build_parser()
+        helps = {}
+        for columns in (40, 200):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            with pytest.raises(SystemExit) as err:
+                cli.main(["compress", "--help"])
+            assert err.value.code == 0
+            helps[columns] = capsys.readouterr().out
+        seed_help = "rng seed (fallback: $TERCODE_SEED, then the config file, then 0)"
+        assert seed_help in helps[200] and seed_help not in helps[40]
+        assert len(helps[40].splitlines()) > len(helps[200].splitlines())
+
+
 # sha256 of the JSON of cli_surface(), keys sorted
 CLI_SURFACE_SHA256 = "e3b766713d1e0f0730480458567e1790869c142ae60d552bbc370cb943f2fa21"
 

@@ -21,7 +21,7 @@ from tercode import (
     subsume_merge,
     write_container,
 )
-from tercode import codec, core, ea, nine_mvs
+from tercode import codec, core, ea, nine_mvs, pipeline
 from tercode.container import pack_bits
 from tercode.codec import (
     FILL_CHOICES,
@@ -1250,11 +1250,20 @@ class TestDecodeWalkers:
 
     def test_one_width_words(self):
         # a lone codeword of a vector with U positions: every word is 5 bits,
-        # and the walkers start on word starts
+        # and the walkers start on word starts, 30 bits apart and then, in a
+        # full 2^20-bit span, 510 bits apart
         rng = random.Random(16)
         words = ["".join(rng.choice("01") for _ in range(5)) for _ in range(3000)]
-        for chunk in (self.CHUNK, 512):
-            self.check(words, 7, ["1UU0UUU"], [""], chunk=chunk)
+        self.check(words, 7, ["1UU0UUU"], [""])
+        fill = np.random.default_rng(16).integers(0, 2, (210_000, 5), dtype=np.uint8)
+        blocks = np.full((210_000, 7), ord("0"), dtype=np.uint8)
+        blocks[:, 0] = ord("1")
+        blocks[:, [1, 2, 4, 5, 6]] += fill
+        stream = EncodedStream(payload=np.packbits(fill).tobytes(), payload_bits=fill.size,
+                               k=7, mv_table=("1UU0UUU",), codewords=("",),
+                               original_length=blocks.size)
+        spacings = TestWalkerSpacing.spacings(stream, blocks.tobytes().decode("ascii"))
+        assert spacings == [510, 60]
 
     def test_one_block(self):
         mvs, codewords = ["UUUU", "0000"], ["0", "1"]
@@ -1315,6 +1324,67 @@ class TestDecodeWalkers:
             tracemalloc.stop()
         assert text == blocks.tobytes().decode("ascii")
         assert peak <= 3 * len(text)
+
+
+class TestWalkerSpacing:
+    """Walkers start min(_CHUNK, max(64, isqrt(span bits) // 2)) bits
+    apart, rounded down to the word widths' gcd."""
+
+    @staticmethod
+    def spacings(stream, expect_text=None):
+        seen, word_starts = [], codec._word_starts
+
+        def recording(step, win, first, end, chunk):
+            seen.append(chunk)
+            return word_starts(step, win, first, end, chunk)
+
+        with mock.patch.object(codec, "_word_starts", recording):
+            text = decode(stream)
+        if expect_text is not None:
+            assert text == expect_text
+        gcd = np.gcd.reduce([len(c) + v.count("U")
+                             for c, v in zip(stream.codewords, stream.mv_table)])
+        assert all(chunk % gcd == 0 for chunk in seen)
+        return seen
+
+    @pytest.fixture(scope="class")
+    def search_stream(self):
+        # corpus 9001 under the benchmark's search budget: one span
+        ts = generate_corpus(CorpusSpec(patterns=420, width=240, x_density=0.3, templates=4,
+                                        flip_probability=0.05, template_width=12,
+                                        rng_seed=9001))
+        cfg = ea.EaConfig(k=12, l=64, rng_seed=7, stagnation_limit=30, max_evaluations=600)
+        return pipeline.compress(ts, "ea", cfg).stream
+
+    def test_search_payload(self, search_stream):
+        assert search_stream.payload_bits == 66_222  # isqrt is 257
+        assert self.spacings(search_stream) == [128]
+
+    def test_patched_cap_is_the_spacing(self, search_stream):
+        with mock.patch.object(codec, "_CHUNK", 32):
+            assert self.spacings(search_stream) == [32]
+
+    def test_full_span_reaches_the_cap(self):
+        blocks = (np.random.default_rng(26).integers(0, 2, (100_000, 12))
+                  + ord("0")).astype(np.uint8)
+        stats, mvs = BlockStats(blocks), nine_mvs(12)
+        assignment = cover(stats, mvs)
+        stream = encode_all(stats, assignment,
+                            build_huffman(frequencies(assignment, len(mvs))), mvs)
+        assert stream.payload_bits > 1 << 20
+        seen = self.spacings(stream, blocks.tobytes().decode("ascii"))
+        assert len(seen) == 2 and seen[0] == 512
+
+    @pytest.mark.parametrize("mvs, words, spacing", [
+        (("UUU0000", "UUUUUUU"), ["0101", "11101110", "0000"], 64),  # widths 4 and 8
+        (("UUUU00000", "UUUUUUUUU"), ["01010", "1111011100", "00000"], 60),  # 5 and 10
+    ])
+    def test_tiny_payload(self, mvs, words, spacing):
+        bits = "".join(words)
+        stream = EncodedStream(payload=pack_bits(bits), payload_bits=len(bits),
+                               k=len(mvs[0]), mv_table=mvs, codewords=("0", "1"),
+                               original_length=len(words) * len(mvs[0]))
+        assert self.spacings(stream) == [spacing]
 
 
 class TestCompressionRate:
