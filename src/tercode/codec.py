@@ -4,24 +4,24 @@ An input block is a row of K symbols over {0,1,X} in the uint8 matrix of
 ASCII codes that ``core.partition`` returns; it matches a vector, a
 string of K symbols over {0,1,U}, when no position pairs a specified 0
 with a specified 1.  ``mv_masks`` is the one check of a vector's
-symbols, and every consumer that matches vectors takes their masks from
-it; ``EncodedStream`` checks its table the same way.  Each
-block is encoded as the codeword of its assigned vector followed by the
-block's bits at the vector's U positions: a word of |codeword| + N_U bits,
-one fixed width per vector.  A codebook is a plain dict from vector index
-to codeword, and the ``EncodedStream`` that ``encode_all`` returns holds
-the coded vectors in index order, one codeword each.  ``encode_all``
-ORs each block's bits into its vector's template row, a slice of blocks
-at a time, and packs the cells below 4, its word, with ``np.packbits``;
-``decode`` finds the word starts with lockstep walkers whose chains of
-words join, as a prefix code resynchronises, and scatters the fill bits.
+symbols, run by ``match_set`` on a memo miss; ``EncodedStream`` checks
+its table the same way.  Each block is encoded as the codeword of its
+assigned vector followed by the block's bits at the vector's U
+positions: a word of |codeword| + N_U bits, one fixed width per vector.
+A codebook is a plain dict from vector index to codeword, and the
+``EncodedStream`` that ``encode_all`` returns holds the coded vectors in
+index order, one codeword each.  ``encode_all`` ORs each block's bits
+into its vector's template row, a slice of blocks at a time, and packs
+the cells below 4, its word, with ``np.packbits``; ``decode`` finds the
+word starts with lockstep walkers whose chains of words join, as a
+prefix code resynchronises, and scatters the fill bits.
 
 Matching has one implementation, on block sets.  ``BlockStats`` turns
 the block matrix into one set per (mask bit, vector symbol), each a
 Python int with one bit per block; a vector's matching blocks, its
 ``match_set``, are the AND of the sets at its specified positions, taken
-four positions at a time from a memo on the stats, so one code path
-serves every block length.  ``match_frequencies`` assigns
+four at a time from a memo on the stats keyed by 4-symbol substrings, so
+one code path serves every block length.  ``match_frequencies`` assigns
 blocks greedily from those raw sets for ``cover`` and the search's
 fitness (the search keeps each vector's raw set across fitness calls, see
 ``ea``); and ``encode_all`` checks a covering against them once per vector.
@@ -36,7 +36,7 @@ import heapq
 import math
 import operator
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -178,17 +178,18 @@ class BlockStats:
     symbol there is not ``1`` and ``fits_one[b]`` those whose symbol there
     is not ``0``.  The blocks a vector matches are the AND of
     ``fits_zero`` over its 0 positions and ``fits_one`` over its 1
-    positions.  ``blocks`` is ``core.partition``'s (blocks, K) uint8 matrix
-    of ASCII codes, kept by reference; anything else raises ValueError.  The
-    sets are read from a contiguous copy of its columns, which is not kept.
+    positions within ``full``, the set of every block.  ``blocks`` is
+    ``core.partition``'s (blocks, K) uint8 matrix of ASCII codes, kept by
+    reference, or ValueError; its sets are read from a contiguous copy.
 
     ``groups[g]`` memoises ``match_set``'s AND over mask bits 4g to 4g+3,
-    from the key ``ones_g | zeros_g << 4`` of those bits' masks; it holds
-    at most 3^4 - 1 = 80 keys, each added once, the first time asked for,
-    so at most 2.5 bytes per block symbol in all.
+    keyed by the vector's substring [K-4g-4, K-4g) (clipped at 0: the
+    leftmost group may be short).  It holds at most 3^4 - 1 = 80 keys, all
+    but all-U, each added once, the first time asked for, so at most 2.5
+    bytes per block symbol in all.
     """
 
-    __slots__ = ("blocks", "k", "total", "fits_zero", "fits_one", "groups")
+    __slots__ = ("blocks", "k", "total", "fits_zero", "fits_one", "full", "groups", "_plan")
 
     def __init__(self, blocks: np.ndarray):
         if not (isinstance(blocks, np.ndarray) and blocks.dtype == np.uint8
@@ -196,11 +197,15 @@ class BlockStats:
             raise ValueError("blocks must be a (blocks, K >= 1) uint8 matrix")
         self.blocks = blocks
         self.total, self.k = blocks.shape
+        self.full = (1 << self.total) - 1
         # mask bit b is column K-1-b
         columns = np.ascontiguousarray(blocks[:, ::-1].T)
         self.fits_zero = [_block_set(col != ord("1")) for col in columns]
         self.fits_one = [_block_set(col != ord("0")) for col in columns]
-        self.groups: list[dict[int, int]] = [{} for _ in range(0, self.k, 4)]
+        self.groups: list[dict[str, int]] = [{} for _ in range(0, self.k, 4)]
+        # per group: its substring's slice, the all-U substring and the memo
+        self._plan = [(slice(max(hi - 4, 0), hi), "U" * min(hi, 4), memo)
+                      for hi, memo in zip(range(self.k, 0, -4), self.groups)]
 
     @property
     def n_unique(self) -> int:
@@ -221,23 +226,29 @@ def _block_flags(block_set: int, total: int) -> np.ndarray:
     return np.unpackbits(raw, count=total, bitorder="little").view(bool)
 
 
-def match_set(stats: BlockStats, ones: int, zeros: int) -> int:
-    """Block set of every block the vector with masks (ones, zeros) matches:
-    the AND of ``fits_zero`` over its 0 positions and ``fits_one`` over its
-    1 positions, starting from all blocks.  It takes one AND per group of 4
-    mask bits that holds a specified symbol, from the group's memo."""
-    hit = (1 << stats.total) - 1
-    for g, memo in enumerate(stats.groups):
-        key = ones & 15 | (zeros & 15) << 4
-        if key:
-            part = memo.get(key)
-            if part is None:
-                sets = [stats.fits_one[4 * g + b] for b in range(4) if key >> b & 1]
-                sets += [stats.fits_zero[4 * g + b] for b in range(4) if key >> b + 4 & 1]
-                part = memo[key] = functools.reduce(operator.and_, sets)
-            hit &= part
-        ones >>= 4
-        zeros >>= 4
+def match_set(stats: BlockStats, symbols: str) -> int:
+    """Block set of every block the vector ``symbols`` matches: the AND of
+    ``fits_zero`` over its 0 positions and ``fits_one`` over its 1
+    positions, one AND per group of 4 symbols that is not all U, from the
+    group's memo.  A hit needs no masks; a miss, or a length other than K,
+    runs ``mv_masks``, so a bad symbol raises its ValueError before the
+    length raises LengthMismatch."""
+    if len(symbols) != stats.k:
+        mv_masks(symbols)
+        raise LengthMismatch(f"vector length {len(symbols)} vs block length {stats.k}")
+    hit = stats.full
+    for cut, blank, memo in stats._plan:
+        key = symbols[cut]
+        if key == blank:
+            continue
+        part = memo.get(key)
+        if part is None:
+            mv_masks(symbols)
+            # position p of the vector is mask bit K-1-p
+            sets = [(stats.fits_one if s == "1" else stats.fits_zero)[stats.k - 1 - p]
+                    for p, s in enumerate(key, cut.start) if s != "U"]
+            part = memo[key] = functools.reduce(operator.and_, sets)
+        hit &= part
     return hit
 
 
@@ -254,7 +265,7 @@ def match_frequencies(
     """
     freqs = [0] * len(sets)
     hits = [0] * len(sets)
-    unassigned = (1 << stats.total) - 1
+    unassigned = stats.full
     # rising U count; the sort is stable, so ties keep the input order
     for idx in sorted(range(len(sets)), key=n_unspecified.__getitem__):
         hits[idx] = hit = unassigned & sets[idx]
@@ -270,12 +281,8 @@ def cover(stats: BlockStats, mvs: Sequence[str]) -> np.ndarray:
     Returns the read-only int64 assignment.  Raises UnmatchedBlock (with
     the first one's 1-based index and the count) when blocks match no vector.
     """
-    masks = [mv_masks(v) for v in mvs]
-    for v in mvs:
-        if len(v) != stats.k:
-            raise LengthMismatch(f"vector length {len(v)} vs block length {stats.k}")
     _, hits, unmatched, first = match_frequencies(
-        stats, [match_set(stats, *m) for m in masks], [v.count("U") for v in mvs]
+        stats, [match_set(stats, v) for v in mvs], [v.count("U") for v in mvs]
     )
     if unmatched:
         raise UnmatchedBlock(first, unmatched)
@@ -392,19 +399,21 @@ def encode_all(
     # first |codeword| of ``top`` cells, then K cells, 0 at each U; all else 4
     cells = np.full((n, top + stats.k), 4, dtype=np.uint8)
     for i, code in codebook.items():
-        v, masks = mvs[i], mv_masks(mvs[i])
-        if len(v) == stats.k:
-            good |= _block_set(assignment == i) & match_set(stats, *masks)
-            cells[i, : len(code)] = [b == "1" for b in code]
-            cells[i, top:] = 4 * (np.frombuffer(v.encode("ascii"), dtype=np.uint8) != ord("U"))
-    bad = ((1 << stats.total) - 1) & ~good
+        v = mvs[i]
+        if len(v) != stats.k:
+            mv_masks(v)  # a bad symbol outranks a bad length, as in match_set
+            continue
+        good |= _block_set(assignment == i) & match_set(stats, v)
+        cells[i, : len(code)] = [b == "1" for b in code]
+        cells[i, top:] = 4 * (np.frombuffer(v.encode("ascii"), dtype=np.uint8) != ord("U"))
+    bad = stats.full & ~good
     if bad:
         first = (bad & -bad).bit_length() - 1
         i = int(assignment[first])
         v = mvs[i]
         if len(v) != stats.k:
             raise LengthMismatch(f"vector length {len(v)} vs block length {stats.k}")
-        if not match_set(stats, *mv_masks(v)) >> first & 1:
+        if not match_set(stats, v) >> first & 1:
             block = stats.blocks[first].tobytes().decode("latin-1")
             raise NotMatching(f"vector {v} does not match block {block}")
         raise NoCodeword(f"vector {i} has no codeword")
@@ -599,7 +608,13 @@ def huffman_cost(frequencies: Sequence[int]) -> int:
     leaves they form a second sorted queue, and each merge takes the two
     smallest fronts of the two queues.
     """
-    return _sorted_huffman_cost(sorted(f for f in frequencies if f > 0))
+    return _sorted_huffman_cost(_positive_sorted(frequencies))
+
+
+def _positive_sorted(frequencies: Sequence[int]) -> list[int]:
+    """The positive frequencies, ascending: one sort, the rest cut by bisection."""
+    ranked = sorted(frequencies)
+    return ranked[bisect_right(ranked, 0) :]
 
 
 def _sorted_huffman_cost(leaves: list[int]) -> int:
@@ -629,9 +644,10 @@ def payload_bits_for(
     frequencies: Sequence[int], n_unspecified: Sequence[int]
 ) -> int:
     """Total payload size for a covering: sum of F * (|codeword| + N_U)."""
-    if max(frequencies, default=0) <= 0:
+    leaves = _positive_sorted(frequencies)
+    if not leaves:
         raise AllZeroFrequencies("every frequency is zero")
-    return huffman_cost(frequencies) + sum(map(operator.mul, frequencies, n_unspecified))
+    return _sorted_huffman_cost(leaves) + sum(map(operator.mul, frequencies, n_unspecified))
 
 
 # Scale 2^T of the merge's integer Kraft-dual bound.  Flooring loses less
@@ -692,7 +708,7 @@ def merge_subsumed_frequencies(
     ones: Sequence[int],
     zeros: Sequence[int],
     n_unspecified: Sequence[int],
-) -> tuple[list[int], dict[int, int]]:
+) -> tuple[list[int], dict[int, int], int]:
     """Greedy frequency merge: drop vector j into a subsuming vector i when
     the total payload (with fresh Huffman lengths) strictly shrinks.
 
@@ -700,8 +716,8 @@ def merge_subsumed_frequencies(
     rising order, scanned from the front; an accepted drop restarts the
     scan, so the result is a deterministic fixed point.  A dropped vector
     is at zero frequency, which is how the scan skips its pairs.  Returns
-    the merged frequencies and the {dropped: final absorber} map: a chain
-    of drops (j into i, later i into t) is resolved to t once, at the end.
+    (merged frequencies, {dropped: final absorber}, their ``huffman_cost``);
+    a chain of drops (j into i, later i into t) resolves to t at the end.
 
     Pricing.  A drop moves F_j onto i, so the fill bits grow by
     extra = F_j * (N_U[i] - N_U[j]) (never negative: i's specified
@@ -752,7 +768,7 @@ def merge_subsumed_frequencies(
     width = max(ones, default=0).bit_length()
     masks = [(j, ones[j] | zeros[j] << width) for j in live]
     pairs = [(j, i) for j, cj in masks for i, ci in masks if ci & cj == ci and i != j]
-    ranked = sorted(freqs[j] for j in live)
+    ranked = _positive_sorted(freqs)
     current = _sorted_huffman_cost(ranked)
     lam = _dual_multiplier(ranked) if len(ranked) > 2 else 0
     terms = [_dual_term(f, lam) if f else 0 for f in freqs]
@@ -782,7 +798,7 @@ def merge_subsumed_frequencies(
     # i was live when j dropped into it, so i's own drop, if any, came later
     for j, i in reversed(redirect.items()):
         redirect[j] = redirect.get(i, i)
-    return freqs, redirect
+    return freqs, redirect, current
 
 
 def subsume_merge(
@@ -798,7 +814,7 @@ def subsume_merge(
     for v in mvs:
         if len(v) != k:
             raise LengthMismatch(f"vector length {len(v)} != {k}")
-    _, redirect = merge_subsumed_frequencies(
+    _, redirect, _ = merge_subsumed_frequencies(
         frequencies(assignment, len(mvs)),
         [ones for ones, _ in masks],
         [zeros for _, zeros in masks],

@@ -9,7 +9,7 @@ matrix of the symbols' ASCII codes, one row per block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO
 
 import numpy as np
@@ -24,9 +24,11 @@ _DELETE_ALPHABET = str.maketrans("", "", TEST_ALPHABET)
 
 @dataclass(frozen=True)
 class TestSet:
-    """An immutable T x n pattern grid over {0,1,X}."""
+    """An immutable T x n pattern grid over {0,1,X}; ``flat`` is the rows
+    joined row-major, the string the grid was checked on."""
 
     patterns: tuple[str, ...]
+    flat: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.patterns:
@@ -37,6 +39,7 @@ class TestSet:
         # one pass over the joined rows accepts a well-formed set; only a
         # malformed one is walked row by row, where the first bad row decides
         joined = "".join(self.patterns)
+        object.__setattr__(self, "flat", joined)
         if (set(map(len, self.patterns)) == {width} and joined.isascii()
                 and not joined.encode("ascii").translate(None, TEST_ALPHABET.encode())):
             return
@@ -80,8 +83,8 @@ def write_test_set(ts: TestSet) -> str:
 
 
 def flatten(ts: TestSet) -> str:
-    """Concatenate the patterns row-major into one symbol string."""
-    return "".join(ts.patterns)
+    """The patterns row-major as one symbol string, joined when checked."""
+    return ts.flat
 
 
 def partition(symbols: str, k: int) -> np.ndarray:

@@ -10,8 +10,9 @@ Selection is elitist: the best S of S parents plus C children survive,
 which makes the best-fitness series nondecreasing.
 
 A run keeps fitness only in its cache from genome to fitness, and per
-vector string the vector's raw match set (``codec.match_set``), its U
-count and its masks: a child shares almost every vector with a parent,
+vector string the vector's raw match set (``codec.match_set``) and its U
+count, plus its masks when the run merges subsumed vectors, the only
+step that reads them: a child shares almost every vector with a parent,
 so a fitness call mostly does L dict lookups and one AND per vector in
 ``codec.match_frequencies``.  Once that vector cache holds more than
 (S + C) * L entries after a generation, it keeps only the survivors'
@@ -25,6 +26,7 @@ sequence and the infeasibility penalty is unreachable.
 
 from __future__ import annotations
 
+import operator
 import random
 import statistics
 from dataclasses import dataclass, fields, replace
@@ -75,14 +77,9 @@ class EaConfig:
     seed_nine_code: bool = False
 
     def __post_init__(self):
-        for name in ("k", "l", "population_size", "children_per_generation",
-                     "stagnation_limit", "runs", "max_evaluations"):
-            value = getattr(self, name)
-            if value is None and name == "max_evaluations":
-                continue
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
-        check_field_types(self)
+        check_field_types(self, minimum=dict.fromkeys(
+            ("k", "l", "population_size", "children_per_generation",
+             "stagnation_limit", "runs", "max_evaluations"), 1))
         if self.k > MAX_K_OR_L or self.l > MAX_K_OR_L:
             raise InvalidConfig(f"k and l must be <= {MAX_K_OR_L}")
         probs = (self.p_crossover, self.p_mutation, self.p_inversion)
@@ -215,13 +212,11 @@ def invert(a: str, rng: random.Random, cfg: EaConfig) -> str:
     return _reserve(a[:p] + a[p : q + 1][::-1] + a[q + 1 :], cfg)
 
 
-VectorEntry = tuple[int, int, int, int]
-
-
-def vector_entry(stats: BlockStats, symbols: str) -> VectorEntry:
-    """(match set, U count, ones, zeros) of one K-gene vector."""
-    ones, zeros = mv_masks(symbols)
-    return match_set(stats, ones, zeros), symbols.count("U"), ones, zeros
+def vector_entry(stats: BlockStats, symbols: str, subsume: bool = False) -> tuple[int, ...]:
+    """(match set, U count) of one K-gene vector, then its ``mv_masks``
+    (ones, zeros) when ``subsume`` is set."""
+    entry = match_set(stats, symbols), symbols.count("U")
+    return entry + mv_masks(symbols) if subsume else entry
 
 
 def infeasible_base(
@@ -242,34 +237,32 @@ def evaluate_fitness(
     stats: BlockStats,
     original_bits: int,
     subsume: bool = False,
-    vectors: dict[str, VectorEntry] | None = None,
+    vectors: dict[str, tuple[int, ...]] | None = None,
 ) -> float:
     """Compression rate of the genome's vectors over the blocks of ``stats``.
 
     K is the block length, and the genes must split into K-symbol vectors
     (LengthMismatch otherwise) over 0, 1 and U (ValueError otherwise, from
-    ``codec.mv_masks``).  Infeasible coverings yield
+    ``codec.match_set``).  Infeasible coverings yield
     ``infeasible_base`` minus the unmatched block count instead of an
     error, so the search can rank near-feasible individuals below every
     feasible one.  ``vectors`` maps vector strings to their
     ``vector_entry`` and is filled as a side effect; pass the same dict
-    only with the same blocks.
+    only with the same blocks and the same ``subsume``.
     """
     if vectors is None:
         vectors = {}
-    entries = []
-    for symbols in vector_symbols(genes, stats.k):
-        entry = vectors.get(symbols)
-        if entry is None:
-            entry = vectors[symbols] = vector_entry(stats, symbols)
-        entries.append(entry)
-    sets, n_us, ones, zeros = zip(*entries)
+    # a vector met for the first time, even twice in one genome, is built once
+    entries = [vectors.get(s) or vectors.setdefault(s, vector_entry(stats, s, subsume))
+               for s in vector_symbols(genes, stats.k)]
+    sets, n_us, *masks = zip(*entries)
     freqs, _, unmatched, _ = match_frequencies(stats, sets, n_us)
     if unmatched:
         base = infeasible_base(stats.total, len(entries), stats.k, original_bits)
         return base - unmatched
-    if subsume:
-        freqs, _ = merge_subsumed_frequencies(freqs, ones, zeros, n_us)
+    if subsume and stats.total:  # with no block, payload_bits_for raises
+        freqs, _, cost = merge_subsumed_frequencies(freqs, *masks, n_us)
+        return compression_rate(original_bits, cost + sum(map(operator.mul, freqs, n_us)))
     return compression_rate(original_bits, payload_bits_for(freqs, n_us))
 
 
@@ -342,7 +335,7 @@ def evolve(
         raise LengthMismatch(f"blocks of length {stats.k} searched with K={cfg.k}")
     rng = random.Random(cfg.rng_seed)
     cache: dict[str, float] = {}
-    vectors: dict[str, VectorEntry] = {}
+    vectors: dict[str, tuple[int, ...]] = {}
     # pruned to the population's vectors past this size, so it never holds
     # more than (S + 2C) * L entries: C children add at most C * L
     vector_limit = (cfg.population_size + cfg.children_per_generation) * cfg.l

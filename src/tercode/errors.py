@@ -100,16 +100,21 @@ class InvalidConfig(TercodeError):
     """An evolutionary-search or CLI configuration value is out of range."""
 
 
-def check_field_types(obj, error: type[Exception] = InvalidConfig) -> None:
+def check_field_types(obj, error: type[Exception] = InvalidConfig,
+                      minimum: dict[str, int] | None = None) -> None:
     """Raise ``error`` for the first field of dataclass ``obj`` not of its declared
-    type; a bool is no int or float, and an ``int | None`` field takes None."""
+    type, or below its entry in ``minimum``; a bool is no int or float, and an
+    ``int | None`` field takes None."""
     kinds = {"int": (int, "an integer"), "float": ((int, float), "a number"),
              "bool": (bool, "true or false")}
     for f in dataclasses.fields(obj):
         value, kind = getattr(obj, f.name), f.type.removesuffix(" | None")
         if kind in kinds and (value is not None or kind == f.type):
             want, name = kinds[kind]
-            if not isinstance(value, want) or isinstance(value, bool) != (kind == "bool"):
+            low = (minimum or {}).get(f.name)
+            name += "" if low is None else f" >= {low}"
+            if (not isinstance(value, want) or isinstance(value, bool) != (kind == "bool")
+                    or low is not None and value < low):
                 raise error(f"{f.name} must be {name}, got {value!r}")
 
 

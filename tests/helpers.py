@@ -167,7 +167,7 @@ def matches(v: str, block: str) -> bool:
     The one-block case of ``codec.match_set``."""
     if len(v) != len(block):
         raise LengthMismatch(f"vector length {len(v)} vs block length {len(block)}")
-    return bool(match_set(blocks_from([block]), *mv_masks(v)))
+    return bool(match_set(blocks_from([block]), v))
 
 
 def record_fitness(monkeypatch) -> list[float]:

@@ -133,7 +133,7 @@ def plain_match_set(stats: BlockStats, ones: int, zeros: int) -> int:
 
 
 class TestMatchGroups:
-    """``match_set`` memoises each group of 4 mask bits in ``groups``."""
+    """``match_set`` memoises each group of 4 vector symbols in ``groups``."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([1, 3, 4, 5, 12, 13]), st.randoms(use_true_random=False),
@@ -148,10 +148,10 @@ class TestMatchGroups:
             ones, zeros = mv_masks(v)
             cold = blocks_from(blocks)
             want = plain_match_set(cold, ones, zeros)
-            assert codec.match_set(cold, ones, zeros) == want
+            assert codec.match_set(cold, v) == want
             # warm: filled by the vectors before, then by this one
-            assert codec.match_set(warm, ones, zeros) == want
-            assert codec.match_set(warm, ones, zeros) == want
+            assert codec.match_set(warm, v) == want
+            assert codec.match_set(warm, v) == want
         assert len(warm.groups) == -(-k // 4)
         assert all(len(memo) <= 80 for memo in warm.groups)
         # covering and encoding read the same sets from a warm memo
@@ -172,17 +172,16 @@ class TestMatchGroups:
         stats = blocks_from(blocks)
         for symbols in map("".join, itertools.product("01U", repeat=5)):
             ones, zeros = mv_masks(symbols)
-            assert codec.match_set(stats, ones, zeros) == plain_match_set(stats, ones, zeros)
+            assert codec.match_set(stats, symbols) == plain_match_set(stats, ones, zeros)
         assert [len(memo) for memo in stats.groups] == [80, 2]
         # an all-U group is skipped, so the all-U vector matches every block
-        assert codec.match_set(stats, 0, 0) == (1 << len(blocks)) - 1
+        assert codec.match_set(stats, "UUUUU") == (1 << len(blocks)) - 1
 
     def test_memo_shares_a_single_position_set(self):
         # a group with one specified symbol keeps the per-bit set itself
         stats = blocks_from(["01X1", "1100", "XX0X"])
-        ones, zeros = mv_masks("UU1U")
-        assert codec.match_set(stats, ones, zeros) == stats.fits_one[1]
-        assert stats.groups[0][ones] is stats.fits_one[1]
+        assert codec.match_set(stats, "UU1U") == stats.fits_one[1]
+        assert stats.groups[0]["UU1U"] is stats.fits_one[1]
 
 
 MATRIX_VIEWS = {
@@ -1462,7 +1461,15 @@ class TestSubsumeMerge:
                 assert matches(mvs[idx], b)
             # the counts are the merge's, on the same vectors
             ones, zeros = zip(*map(mv_masks, mvs))
-            assert after == merge_subsumed_frequencies(freqs, ones, zeros, n_us)[0]
+            assert after == checked_merge(freqs, ones, zeros, n_us)[0]
+
+
+def checked_merge(*case):
+    """``merge_subsumed_frequencies``'s (freqs, redirect), once its third
+    value is checked to be the Huffman cost of those freqs."""
+    freqs, redirect, cost = merge_subsumed_frequencies(*case)
+    assert cost == huffman_cost(freqs)
+    return freqs, redirect
 
 
 @st.composite
@@ -1487,18 +1494,18 @@ class TestMergeProperties:
     @settings(max_examples=400, deadline=None)
     @given(merge_cases())
     def test_agrees_with_naive_merge(self, case):
-        assert (merge_subsumed_frequencies(*case)
+        assert (checked_merge(*case)
                 == naive_merge_subsumed_frequencies(*case))
 
     def test_drop_accepted_only_when_payload_strictly_shrinks(self):
         # 1110 (F=1) into 111U (F=1): the codewords shrink from 1+1 bits to
         # none and the fill grows by 1 bit, so 3 payload bits become 2
         ones, zeros = zip(*(mv_masks(v) for v in ("111U", "1110")))
-        assert merge_subsumed_frequencies([1, 1], ones, zeros, [1, 0]) == (
+        assert checked_merge([1, 1], ones, zeros, [1, 0]) == (
             [2, 0], {1: 0})
         # 1100 into 11UU: the fill grows by 2 bits, so 4 bits stay 4
         ones, zeros = zip(*(mv_masks(v) for v in ("11UU", "1100")))
-        assert merge_subsumed_frequencies([1, 1], ones, zeros, [2, 0]) == (
+        assert checked_merge([1, 1], ones, zeros, [2, 0]) == (
             [1, 1], {})
 
     def test_scan_restarts_after_every_drop(self):
@@ -1507,7 +1514,7 @@ class TestMergeProperties:
         vectors = ("110", "UUU", "UU1", "1U0")
         ones, zeros = zip(*(mv_masks(v) for v in vectors))
         n_us = [v.count("U") for v in vectors]
-        assert merge_subsumed_frequencies([4, 5, 1, 1], ones, zeros, n_us) == (
+        assert checked_merge([4, 5, 1, 1], ones, zeros, n_us) == (
             [0, 11, 0, 0], {2: 1, 0: 1, 3: 1})
 
     def test_drop_chain_resolves_to_the_last_absorber(self):
@@ -1515,7 +1522,7 @@ class TestMergeProperties:
         vectors = ("10", "01", "10", "1U")
         ones, zeros = zip(*(mv_masks(v) for v in vectors))
         case = [3, 8, 8, 6], ones, zeros, [0, 0, 0, 1]
-        assert merge_subsumed_frequencies(*case) == ([0, 8, 0, 17], {0: 3, 2: 3})
+        assert checked_merge(*case) == ([0, 8, 0, 17], {0: 3, 2: 3})
         assert naive_merge_subsumed_frequencies(*case) == ([0, 8, 0, 17], {0: 3, 2: 3})
 
 
@@ -1579,7 +1586,7 @@ class TestWideMerge:
     @settings(max_examples=60, deadline=None)
     @given(wide_merge_cases())
     def test_agrees_with_naive_merge_at_search_scale(self, case):
-        assert (merge_subsumed_frequencies(*case)
+        assert (checked_merge(*case)
                 == naive_merge_subsumed_frequencies(*case))
 
     def test_prices_a_quarter_of_the_codes_on_corpus_9001(self):

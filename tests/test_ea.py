@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +22,10 @@ from tercode import (
     random_individual,
     run_many,
 )
-from tercode.codec import BlockStats, mv_masks
+from tercode.codec import BlockStats, match_set, mv_masks
 from tercode.corpus import CorpusSpec, generate_corpus
 from tercode.ea import INFEASIBLE_BASE, vector_entry, vector_symbols
-from tercode.errors import InvalidConfig, LengthMismatch
+from tercode.errors import AllZeroFrequencies, InvalidConfig, LengthMismatch
 
 from helpers import (
     ScriptedRng,
@@ -37,7 +38,7 @@ from helpers import (
     record_fitness,
 )
 from test_acceptance import CLUSTERED
-from test_codec import SIZES_AT_WORD_EDGES
+from test_codec import SIZES_AT_WORD_EDGES, plain_match_set
 
 
 class TestConfig:
@@ -407,6 +408,11 @@ class TestFitness:
         with pytest.raises(LengthMismatch):
             evaluate_fitness(genes, blocks_from(["0000", "1111"]), 8)
 
+    @pytest.mark.parametrize("subsume", [False, True])
+    def test_no_blocks_have_no_code(self, subsume):
+        with pytest.raises(AllZeroFrequencies):
+            evaluate_fitness("UUU", BlockStats(partition("", 3)), 3, subsume)
+
     def test_vector_symbols(self):
         assert vector_symbols("01U" + "UUU", 3) == ["01U", "UUU"]
         with pytest.raises(LengthMismatch):
@@ -415,9 +421,13 @@ class TestFitness:
     def test_vector_entry(self):
         # block i+1 is bit i of a match set
         stats = blocks_from(["101", "0X0", "XXX", "111"])
-        assert vector_entry(stats, "10U") == (0b0101, 1, 0b100, 0b010)
-        assert vector_entry(stats, "0UU") == (0b0110, 2, 0b000, 0b100)
-        assert vector_entry(stats, "UUU") == (0b1111, 3, 0, 0)
+        assert vector_entry(stats, "10U") == (0b0101, 1)
+        assert vector_entry(stats, "0UU") == (0b0110, 2)
+        assert vector_entry(stats, "UUU") == (0b1111, 3)
+        # a subsume search also keeps the (ones, zeros) masks
+        assert vector_entry(stats, "10U", subsume=True) == (0b0101, 1, 0b100, 0b010)
+        assert vector_entry(stats, "0UU", subsume=True) == (0b0110, 2, 0b000, 0b100)
+        assert vector_entry(stats, "UUU", subsume=True) == (0b1111, 3, 0, 0)
 
 
 @st.composite
@@ -496,6 +506,69 @@ class TestVectorCache:
         assert max(sizes) <= (s + 2 * c) * l
         # the run outgrows (S + C) * L, so the pruning path is exercised
         assert max(sizes) > (s + c) * l
+
+
+@st.composite
+def grouped_vectors(draw, k):
+    """K-symbol vectors over 0, 1 and U whose groups of 4 symbols, counted
+    from the right, are often all U."""
+    symbols = list(draw(st.text("01U", min_size=k, max_size=k)))
+    for hi in range(k, 0, -4):
+        if draw(st.booleans()):
+            symbols[max(hi - 4, 0) : hi] = "U" * min(hi, 4)
+    return "".join(symbols)
+
+
+@st.composite
+def substring_cases(draw):
+    """K 1-13, 1-40 blocks and 1-12 vectors with frequent all-U groups."""
+    k = draw(st.integers(1, 13))
+    blocks = draw(st.lists(st.text("01X", min_size=k, max_size=k), min_size=1, max_size=40))
+    return k, blocks, draw(st.lists(grouped_vectors(k), min_size=1, max_size=12))
+
+
+class TestSubstringKeys:
+    @settings(max_examples=80, deadline=None)
+    @given(case=substring_cases(), bad=st.sampled_from("X2u _+-"), data=st.data())
+    def test_match_sets_and_cache_entries(self, case, bad, data):
+        k, blocks, vectors = case
+        warm = blocks_from(blocks)
+        # 1. the per-position AND, from cold and warm memos; an all-U group
+        # is never a key
+        for v in vectors:
+            want = plain_match_set(blocks_from(blocks), *mv_masks(v))
+            assert match_set(blocks_from(blocks), v) == want
+            assert match_set(warm, v) == want
+            assert match_set(warm, v) == want
+        assert all(len(memo) <= 80 and key.strip("U")
+                   for memo in warm.groups for key in memo)
+        # 2. one illegal symbol is named with its vector, even when every
+        # other group of the vector is memoised, and is never memoised
+        v = data.draw(st.sampled_from(vectors))
+        pos = data.draw(st.integers(0, k - 1))
+        broken = v[:pos] + bad + v[pos + 1 :]
+        with pytest.raises(ValueError, match=re.escape(repr(broken))):
+            match_set(warm, broken)
+        assert all(not key.strip("01U") for memo in warm.groups for key in memo)
+        # 3, 4. a search's vector cache holds each vector's match set and U
+        # count, and its masks only when the search merges subsumed vectors
+        for subsume in (False, True):
+            caches = []
+            compute = ea.evaluate_fitness
+
+            def recording(*args, vectors, **kwargs):
+                caches.append(vectors)
+                return compute(*args, vectors=vectors, **kwargs)
+
+            cfg = EaConfig(k=k, l=3, population_size=3, children_per_generation=2,
+                           max_evaluations=12, runs=1, subsume=subsume)
+            with mock.patch.object(ea, "evaluate_fitness", recording):
+                evolve(warm, len(blocks) * k, cfg)
+            entries = {s: e for cache in caches for s, e in cache.items()}
+            assert entries
+            for s, entry in entries.items():
+                masks = mv_masks(s) if subsume else ()
+                assert entry == (plain_match_set(warm, *mv_masks(s)), s.count("U")) + masks
 
 
 class TestEvolve:

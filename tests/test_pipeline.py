@@ -20,7 +20,7 @@ class TestInfeasibleSearch:
         best = ea.run_many(stats, core.original_size_bits(ts), INFEASIBLE).best
         mvs = ea.vector_symbols(best, 12)
         _, _, unmatched, _ = codec.match_frequencies(
-            stats, [codec.match_set(stats, *codec.mv_masks(v)) for v in mvs],
+            stats, [codec.match_set(stats, v) for v in mvs],
             [v.count("U") for v in mvs])
         assert unmatched
         with pytest.raises(InvalidConfig,
