@@ -14,7 +14,8 @@ index order, one codeword each.  ``encode_all`` ORs each block's bits
 into its vector's template row, a slice of blocks at a time, and packs
 the cells below 4, its word, with ``np.packbits``; ``decode`` finds the
 word starts with lockstep walkers whose chains of words join, as a
-prefix code resynchronises, and scatters the fill bits.
+prefix code resynchronises, and gathers each block's fill bits through
+an offset table, one row per vector.
 
 Matching has one implementation, on block sets.  ``BlockStats`` turns
 the block matrix into one set per (mask bit, vector symbol), each a
@@ -76,9 +77,10 @@ MAX_DECODE_SYMBOLS = 1 << 30
 # that, a slice holds at most 12 * _SLICE symbols
 _SLICE = 1 << 16
 
-# cap on the payload bits between two decode walkers' starts, and bits in one span
+# cap on the payload bits between decode walkers' starts, bits in a span, cells in a gather
 _CHUNK = 1 << 9
 _SPAN = 1 << 20
+_FILL = 1 << 16
 
 
 def rng_words(rng: random.Random, m: int) -> np.ndarray:
@@ -505,8 +507,12 @@ def decode(stream: EncodedStream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:
     down to the word widths' gcd: the lockstep steps, each of fixed numpy
     cost, grow with the spacing and the ~26 steps each walker takes to
     join a chain with span / spacing, so the best spacing grows as
-    sqrt(span).  Scatter: the span's payload bits, unpacked, fill the U
-    positions.  Only a span's last word can be bad.
+    sqrt(span).  Fill: the offset table holds, at each U cell of a vector,
+    the cell's bit in its word (|codeword| + its rank among the U cells),
+    0 elsewhere; word start + offset, as intp (``take`` copies other index
+    types to intp), gathers ``_FILL`` cells at a time from the span's
+    unpacked bits, and the U mask and the specified symbols make them the
+    rows.  Only a span's last word can be bad.
     """
     if stream.original_length > max_symbols:
         raise OutputTooLarge(
@@ -547,18 +553,21 @@ def decode(stream: EncodedStream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:
             todo, at, node = todo[found < -1], at[found < -1], -2 - found[found < -1]
         return vec
 
-    parts = np.array([(len(c), v.count("U")) for c, v in zip(codes, mvs)] + [(0, 0)])
-    width = np.append(parts[:-1].sum(axis=1), n + 1)
+    symbols = "".join(mvs).encode("ascii")
+    fixed = np.frombuffer(symbols.replace(b"U", b"0"), dtype=np.uint8).reshape(-1, k)
+    is_u = (np.frombuffer(symbols, dtype=np.uint8).reshape(-1, k) == ord("U")).view(np.uint8)
+    # |codeword| + the U cells up to each cell; the last is the word's width
+    ends = is_u.cumsum(axis=1, dtype=np.intp)
+    ends += np.array([len(c) for c in codes], dtype=np.intp)[:, None]
+    width = np.append(ends[:, -1], n + 1)
+    offset = (ends - 1) * is_u  # a U cell's bit in its word, 0 elsewhere
     if not width[0]:
         if n:
             raise DanglingBits(f"{n} undecoded payload bits")
         return (mvs[0] * stream.block_count)[: stream.original_length]
-    symbols = "".join(mvs).encode("ascii") + bytes(k)
-    fixed = np.frombuffer(symbols.replace(b"U", b"0"), dtype=np.uint8).reshape(-1, k)
-    is_u = np.frombuffer(symbols, dtype=np.uint8).reshape(-1, k) == ord("U")
     gcd = int(np.gcd.reduce(width[:-1])) or 1
     data = np.frombuffer(stream.payload, dtype=np.uint8)
-    out, done, pos = [], 0, 0
+    out, done, pos, step = [], 0, 0, max(1, _FILL // k)
     while done < stream.block_count:
         base = pos & ~7
         end = max(min(_SPAN, n - base), pos - base + 1)
@@ -576,13 +585,17 @@ def decode(stream: EncodedStream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:
                 raise UnknownCodeword(f"no codeword matches payload prefix of {max_len} bits")
             raise TruncatedPayload(f"payload ends inside block {done + len(vecs)} at bit {n}")
         bits = np.unpackbits(data[base >> 3 : (pos + 7) >> 3])
-        fill = np.repeat(np.tile(np.array([False, True]), len(vecs)),
-                         parts.take(vecs, axis=0).ravel())
-        rows = fixed.take(vecs, axis=0)
-        rows[is_u.take(vecs, axis=0)] = bits[starts[0] : pos - base][fill] + ord("0")
-        out.append(str(rows.ravel()[: stream.original_length - done * k].data, "ascii"))
+        for row in range(0, len(vecs), step):
+            some = vecs[row : row + step]
+            where = offset.take(some, axis=0)
+            where += starts[row : row + step, None]
+            rows = bits.take(where)
+            rows &= is_u.take(some, axis=0)
+            rows |= fixed.take(some, axis=0)
+            out.append(str(rows.ravel()[: stream.original_length - (done + row) * k].data,
+                           "ascii"))
         done += len(vecs)
-        del raw, win, starts, vecs, bits, fill, rows  # not held over the join
+        del raw, win, starts, vecs, bits, some, where, rows  # not held over the join
     if pos < n:
         raise DanglingBits(f"{n - pos} undecoded payload bits")
     return "".join(out)

@@ -26,9 +26,9 @@ sequence and the infeasibility penalty is unreachable.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
-import statistics
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -301,7 +301,7 @@ class EvolutionReport:
 
     @property
     def mean_rate(self) -> float:
-        return statistics.fmean(self.run_rates)
+        return math.fsum(self.run_rates) / len(self.run_rates)
 
     @property
     def generations(self) -> int:

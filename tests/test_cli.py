@@ -729,7 +729,8 @@ class TestEntryPoints:
     def test_round_trips_leave_numpy_ma_unloaded(self, corpus_file, tmp_path):
         # np.unique imports numpy.ma on first use (about 15 ms and 1.2 MB
         # of peak RSS on a 2-core Xeon, Python 3.11, numpy 2.4); no
-        # command of a round trip may need it
+        # command of a round trip may need it, nor statistics (3-6 ms with
+        # the fractions and decimal modules it loads)
         hc, ea = str(tmp_path / "hc.tcc"), str(tmp_path / "ea.tcc")
         runs = [
             ["compress", "--input", str(corpus_file), "--output", hc,
@@ -744,14 +745,14 @@ class TestEntryPoints:
                   "from tercode import cli\n"
                   "for argv in json.loads(sys.argv[1]):\n"
                   "    assert cli.main(argv) == 0, argv\n"
-                  "print('numpy.ma' in sys.modules)\n")
+                  "print(sorted({'numpy.ma', 'statistics'} & set(sys.modules)))\n")
         src = str(Path(tercode.__file__).resolve().parent.parent)
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:

@@ -1220,6 +1220,52 @@ class TestDecodeProperties:
             self.assert_variants_agree(case, appended, cap)
 
 
+@st.composite
+def gather_cases(draw):
+    """A stream whose U cells sit anywhere in K, for the fill gather.
+
+    K is 1-40.  The table is either the lone all-U vector with the empty
+    codeword, so that a word's first bit is a U cell, or 2-24 vectors, each
+    of 0, 1 and U or of 0 and 1 alone (no U), under the Huffman code of
+    random frequencies.  The payload encodes 1-60 blocks, and
+    ``original_length`` may end anywhere inside the last one."""
+    k = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        mvs, freqs = ["U" * k], [1]
+    else:
+        alphabets = draw(st.lists(st.sampled_from(["01U", "01"]), min_size=2, max_size=24))
+        mvs = [draw(st.text(alphabet=a, min_size=k, max_size=k)) for a in alphabets]
+        freqs = draw(st.lists(st.integers(1, 50), min_size=len(mvs), max_size=len(mvs)))
+    codebook = build_huffman(freqs)
+    rng = draw(st.randoms(use_true_random=False))
+    block_count = draw(st.integers(1, 60))
+    words = []
+    for _ in range(block_count):
+        index = rng.randrange(len(mvs))
+        fills = "".join(rng.choice("01") for _ in range(mvs[index].count("U")))
+        words.append(codebook[index] + fills)
+    original_length = draw(st.integers((block_count - 1) * k + 1, block_count * k))
+    return ("".join(words), block_count, k, tuple(mvs),
+            tuple(codebook[i] for i in range(len(mvs))), original_length)
+
+
+class TestDecodeGather:
+    @settings(max_examples=150, deadline=None)
+    @given(gather_cases(), st.integers(8, 512), st.integers(1, 3), st.data())
+    def test_agrees_with_naive_decoder(self, case, span, rows, data):
+        """Same output or the same error class as the reference decoder,
+        with spans of 8-512 bits and gathers of 1-3 rows, so that both
+        split mid-stream; also for one truncation and one bit flip."""
+        bits, *rest = case
+        cut = data.draw(st.integers(0, len(bits)))
+        flip = data.draw(st.integers(0, len(bits) - 1))  # every word is 1 bit or more
+        variants = [bits, bits[:cut], bits[:flip] + "10"[int(bits[flip])] + bits[flip + 1:]]
+        with mock.patch.object(codec, "_SPAN", span), \
+                mock.patch.object(codec, "_FILL", rows * case[2]):
+            for variant in variants:
+                assert_decodes_as_naive(variant, *rest)
+
+
 def fibonacci(count: int) -> list[int]:
     """The first ``count`` Fibonacci numbers from 1, 1: as frequencies,
     their Huffman code's two longest codewords hold ``count`` - 1 bits."""
