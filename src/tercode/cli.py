@@ -20,6 +20,7 @@ from . import codec, container, core, corpus, ea, pipeline
 from .errors import ContainerError, InvalidConfig, ParseError, TercodeError
 
 SEED_ENV_VAR = "TERCODE_SEED"
+_WRITE_CHUNK = 1 << 18  # characters of whole rows that decompress joins per write
 
 # the exit code of the first entry an error is an instance of; any other
 # TercodeError or OSError (a missing file, a directory) exits 3
@@ -165,9 +166,12 @@ def cmd_decompress(args) -> int:
             f"{stream.original_length}"
         )
     bits = codec.decode(stream, args.max_symbols)
+    # a chunk at a time: the file's whole text and its encoding are two more copies
+    chunk = max(1, _WRITE_CHUNK // (width + 1)) * width
     with open(args.output, "w", encoding="utf-8") as handle:
-        # a row at a time: the file's whole text and its encoding are two more copies
-        handle.writelines(bits[i : i + width] + "\n" for i in range(0, len(bits), width))
+        for i in range(0, len(bits), chunk):
+            rows = range(i, min(i + chunk, len(bits)), width)
+            handle.write("\n".join([bits[j : j + width] for j in rows]) + "\n")
     print(f"wrote {len(bits) // width} patterns of width {width} to {args.output}")
     return 0
 

@@ -142,9 +142,9 @@ class EncodedStream:
             raise ValueError(f"K and the table size must be at most {MAX_K_OR_L}")
         if self.original_length > MAX_ORIGINAL_LENGTH:
             raise ValueError(f"original_length must be at most {MAX_ORIGINAL_LENGTH}")
-        for v in self.mv_table:
-            if len(v) != self.k or v.strip("01U"):
-                raise ValueError(f"table vector {v!r} is not {self.k} symbols of 0, 1 and U")
+        if set(map(len, self.mv_table)) - {self.k} or "".join(self.mv_table).strip("01U"):
+            bad = next(v for v in self.mv_table if len(v) != self.k or v.strip("01U"))
+            raise ValueError(f"table vector {bad!r} is not {self.k} symbols of 0, 1 and U")
         width = self.pattern_width
         if width is not None and (width < 1 or self.original_length % width):
             raise ValueError(
@@ -153,7 +153,7 @@ class EncodedStream:
         if len(self.codewords) != len(self.mv_table):
             raise ValueError("the table needs exactly one codeword per vector")
         codes = sorted(self.codewords)
-        if any(code.strip("01") for code in codes):
+        if "".join(codes).strip("01"):
             raise ValueError("a codeword holds a symbol other than 0 and 1")
         for a, b in zip(codes, codes[1:]):
             if b.startswith(a):
@@ -458,9 +458,10 @@ def _word_starts(step, win: np.ndarray, first: int, end: int, chunk: int) -> np.
     ``first``, a word start; ``step(win, at)`` is the word width at ``at``.
 
     Walkers start every ``chunk`` bits from ``first`` and step together; a
-    walker stops on a bit that ``owner`` gives another (their chains join)
-    or at ``end``.  The chain is walker 0's words to its stop, then the
-    owner's of that bit, and so on; bits rise, so doubling hops finds it.
+    walker stops on a bit owned before the step (their chains join) or at
+    ``end``; twins on one new bit walk on, and ``put`` gives the bits to
+    the last.  The chain is walker 0's words to its stop, then the owner's
+    of that bit, and so on; bits rise, so doubling hops finds it.
     """
     at = np.arange(first, end, chunk)
     m = len(at)
@@ -469,10 +470,9 @@ def _word_starts(step, win: np.ndarray, first: int, end: int, chunk: int) -> np.
     owner[end], owner[at] = m, ids  # walkers past ``end`` are clipped to it
     while at.size:
         at = at + step(win, at)
-        seen = owner.take(at, mode="clip")
-        owner.put(at, np.where(seen == -1, ids, seen), mode="clip")
-        keep = owner.take(at, mode="clip") == ids  # one of two on a new bit
-        at, ids = at[keep], ids[keep]
+        fresh = owner.take(at, mode="clip") == -1
+        at, ids = at[fresh], ids[fresh]
+        owner.put(at, ids)
     starts = np.flatnonzero(owner[:end] >= 0)
     walker = owner[starts]
     last = np.zeros(m, dtype=np.int64)
@@ -497,22 +497,22 @@ def decode(stream: EncodedStream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:
     no codeword or TruncatedPayload when the payload ends inside its word;
     and DanglingBits when bits are left after the last block.
 
-    It decodes ``_SPAN`` payload bits at a time.  Windows: ``head`` maps
-    the 32-bit windows' next min(``max_len``, 16) bits to the vector whose
-    codeword they start, -1 (a word wider than the payload), or -2 - t for
-    node t of longer codewords' 16-bit digits; sorted ``deep`` entries
-    (node << 16 | digit, digits spanned, vector or -2 - node), the first
-    below every key, lead on.  Walk and stitch: ``_word_starts``, walkers
-    min(``_CHUNK``, max(64, isqrt(span bits) // 2)) bits apart, rounded
-    down to the word widths' gcd: the lockstep steps, each of fixed numpy
-    cost, grow with the spacing and the ~26 steps each walker takes to
-    join a chain with span / spacing, so the best spacing grows as
-    sqrt(span).  Fill: the offset table holds, at each U cell of a vector,
-    the cell's bit in its word (|codeword| + its rank among the U cells),
-    0 elsewhere; word start + offset, as intp (``take`` copies other index
-    types to intp), gathers ``_FILL`` cells at a time from the span's
-    unpacked bits, and the U mask and the specified symbols make them the
-    rows.  Only a span's last word can be bad.
+    It decodes ``_SPAN`` payload bits at a time.  Windows: ``head`` (int32,
+    one ``np.repeat``) maps the 32-bit windows' next min(``max_len``, 16)
+    bits to the vector whose codeword they start, -1 (a word wider than the
+    payload), or -2 - t for node t of longer codewords' 16-bit digits;
+    sorted deeper entries (``lo`` = node << 16 | digit, digits spanned,
+    vector or -2 - node), the first below every key, lead on.  Walk and
+    stitch: ``_word_starts``, walkers min(``_CHUNK``, max(64, isqrt(span
+    bits) // 2)) bits apart, rounded down to the word widths' gcd: the
+    lockstep steps, each of fixed numpy cost, grow with the spacing and the
+    ~26 steps each walker takes to join a chain with span / spacing, so the
+    best spacing grows as sqrt(span).  Fill: the offset table holds, at
+    each U cell of a vector, the cell's bit in its word (|codeword| + its
+    rank among the U cells), 0 elsewhere; word start + offset, as intp
+    (``take`` copies other index types to intp), gathers ``_FILL`` cells at
+    a time from the span's unpacked bits, and the U mask and the specified
+    symbols make them the rows.  Only a span's last word can be bad.
     """
     if stream.original_length > max_symbols:
         raise OutputTooLarge(
@@ -522,19 +522,22 @@ def decode(stream: EncodedStream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:
     n, k, codes, mvs = stream.payload_bits, stream.k, stream.codewords, stream.mv_table
     max_len = max(map(len, codes), default=0)
     peek = min(max_len, 16)
-    nodes, deep = {}, {(-1 << 17, 0, -1)}
+    nodes, entries = {}, {(-1, 1 << peek, 0, -1), (0, -1, 0, -1)}  # head's end, lo's floor
     for i, code in enumerate(codes):
         node, cut = -1, peek  # peek is 16 when a codeword is longer
         while len(code) > cut:
             child = nodes.setdefault(code[:cut], len(nodes))
-            deep.add((node << 16 | int(code[cut - 16 : cut], 2), 1, -2 - child))
+            entries.add((node, int(code[cut - 16 : cut], 2), 1, -2 - child))
             node, cut = child, cut + 16
         low = int(code[cut - peek :] or "0", 2) << (cut - len(code))
-        deep.add((node << 16 | low, 1 << (cut - len(code)), i))
-    lo, size, target = map(np.array, zip(*sorted(deep)))
-    head = np.full(1 << peek, -1, dtype=np.int64)
-    for key, span, vec in zip(lo + (1 << 16), size, target):
-        head[max(key, 0) : key + span] = vec
+        entries.add((node, low, 1 << (cut - len(code)), i))
+    node, digit, size, target = np.array(sorted(entries), dtype=np.int64).T
+    top = np.count_nonzero(node < 0)  # head: each top entry after its gap of -1
+    gap = digit[:top] - np.append(0, digit[: top - 1] + size[: top - 1])
+    head = np.repeat(np.stack((np.full(top, -1), target[:top]), 1).astype(np.int32).ravel(),
+                     np.stack((gap, size[:top]), 1).ravel())
+    if nodes:
+        lo, size, target = node[top:] << 16 | digit[top:], size[top:], target[top:]
 
     def bits_at(win, at, count):
         return (win.take(at >> 3, mode="clip") >> (32 - count - (at & 7))) & ((1 << count) - 1)
@@ -544,7 +547,7 @@ def decode(stream: EncodedStream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:
         if not nodes:
             return vec
         todo = np.flatnonzero(vec < -1)
-        at, node = at[todo], -2 - vec[todo]
+        at, node = at[todo], -2 - vec[todo].astype(np.int64)
         while todo.size:
             at = at + 16
             key = node << 16 | bits_at(win, at, 16)

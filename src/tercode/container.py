@@ -10,8 +10,8 @@ Each MV table entry packs K symbols at 2 bits (00=0, 01=1, 10=U),
 MSB-first and zero-padded to a byte boundary; a 11 pair is corrupt.  Each
 codeword entry is a length byte followed by that many bits, again
 byte-padded.  ``pack_bits`` writes both, MSB-first as ``np.packbits``
-packs the payload; the reader maps each MV table byte to its four symbols
-through one table.  The CRC32 covers every byte before it.  K and
+packs the payload; the reader maps each table byte to its symbols or bits
+through one table each.  The CRC32 covers every byte before it.  K and
 original_length are at least 1, and block_count is ceil(original_length /
 K).  Extension records after the CRC are length-prefixed (4-byte tag, u32
 size, body) so unknown tags and older readers that stop at the CRC both
@@ -34,6 +34,7 @@ _WIDTH_TAG = b"WDTH"
 _SYMBOL_PAIRS = str.maketrans({"0": "00", "1": "01", "U": "10"})
 # a byte's four 2-bit symbols, MSB-first; "?" marks the corrupt pair 11
 _BYTE_SYMBOLS = ["".join("01U?"[b >> s & 3] for s in (6, 4, 2, 0)) for b in range(256)]
+_BYTE_BITS = [format(b, "08b") for b in range(256)]
 
 
 def pack_bits(bits: str) -> bytes:
@@ -42,11 +43,6 @@ def pack_bits(bits: str) -> bytes:
     if not n_bytes:
         return b""
     return int(bits.ljust(8 * n_bytes, "0"), 2).to_bytes(n_bytes, "big")
-
-
-def unpack_bits(data: bytes, n: int) -> str:
-    """The first ``n`` bits of ``data`` as a '0'/'1' string, MSB-first."""
-    return format(int.from_bytes(data, "big"), "b").zfill(8 * len(data))[:n]
 
 
 def write_container(stream: EncodedStream) -> bytes:
@@ -105,8 +101,8 @@ def read_container(data: bytes) -> EncodedStream:
     mv_symbols = "".join(map(_BYTE_SYMBOLS.__getitem__, take(l_eff * mv_entry_bytes)))
     codewords = []
     for _ in range(l_eff):
-        (code_len,) = unpack(">B")
-        codewords.append(unpack_bits(take((code_len + 7) // 8), code_len))
+        n = take(1)[0]
+        codewords.append("".join(map(_BYTE_BITS.__getitem__, take((n + 7) // 8)))[:n])
     (payload_bits,) = unpack(">Q")
     payload = bytes(take((payload_bits + 7) // 8))
     crc_offset = pos

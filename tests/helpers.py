@@ -25,7 +25,6 @@ from tercode import (
     original_size_bits,
     partition,
 )
-from tercode.container import unpack_bits
 from tercode.codec import (
     _DUAL_SCALE,
     MAX_DECODE_SYMBOLS,
@@ -224,6 +223,11 @@ def naive_encode_bits(blocks, assignment, codebook, mvs, fill="zero", rng=None) 
             fills += ch
         out.append(codebook[idx] + fills)
     return "".join(out)
+
+
+def unpack_bits(data: bytes, n: int) -> str:
+    """The first ``n`` bits of ``data`` as a '0'/'1' string, MSB-first."""
+    return format(int.from_bytes(data, "big"), "b").zfill(8 * len(data))[:n]
 
 
 def naive_decode(stream, max_symbols: int = MAX_DECODE_SYMBOLS) -> str:

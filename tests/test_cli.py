@@ -463,6 +463,21 @@ class TestDecompress:
         assert code == 0
         assert parse_test_set(restored.read_text()).width == 24
 
+    @pytest.mark.parametrize("width", [1, 3, 5, 1440], ids=["1", "K-1", "K+1", "one-row"])
+    @pytest.mark.parametrize("chunk", ["1 row", "2 rows", "7 rows", "under a row"])
+    def test_rows_written_whole_in_chunks(self, corpus_file, tmp_path, monkeypatch, width,
+                                          chunk):
+        # 30 x 48 = 1440 symbols at K=4; 7 rows leave a short last chunk
+        container = self._compress(corpus_file, tmp_path, extra=("-K", "4"))
+        bits = decode(read_container(container.read_bytes()))
+        rows = {"1 row": 1, "2 rows": 2, "7 rows": 7, "under a row": 0}[chunk]
+        monkeypatch.setattr(cli, "_WRITE_CHUNK", max(1, rows * (width + 1)))
+        restored = tmp_path / "r.txt"
+        assert run_cli(["decompress", "--input", str(container), "--output", str(restored),
+                        "--width", str(width)]) == 0
+        want = "".join(bits[i : i + width] + "\n" for i in range(0, len(bits), width))
+        assert restored.read_bytes() == want.encode("ascii")
+
     def test_width_not_dividing_is_error(self, corpus_file, tmp_path):
         container = self._compress(corpus_file, tmp_path)
         code = run_cli(

@@ -1342,6 +1342,34 @@ class TestDecodeWalkers:
         blocks = len(words) if fault == "dangling" else None
         self.check(words + tail, 2, mvs, codewords, blocks=blocks)
 
+    @pytest.mark.parametrize("words, mvs, codewords, chunk, together", [
+        # walkers start at bits 0 and 6; both reach bit 8 on their second
+        # step (4 + 4 and 1 + 1 bits) and walk on together to the end
+        (["1000", "1000", "0", "0", "0"], ["0000", "1UUU"], ["0", "1"], 6, 3),
+        # words 2, 5, 5 and 3 bits wide, walkers 8 bits apart
+        (None, ["0U00", "1UUU", "UU00", "0000"], ["0", "10", "110", "111"], 8, 2),
+    ])
+    def test_walkers_on_one_new_bit_walk_on_together(self, words, mvs, codewords, chunk,
+                                                      together):
+        if words is None:
+            rng = random.Random(5)
+            words = []
+            for index in (rng.randrange(4) for _ in range(60)):
+                fill = "".join(rng.choice("01") for _ in range(mvs[index].count("U")))
+                words.append(codewords[index] + fill)
+        twins, word_starts = [], codec._word_starts
+
+        def recording(step, win, first, end, spacing):
+            def counting(w, at):
+                twins.append(len(at) - len(np.unique(at)))
+                return step(w, at)
+            return word_starts(counting, win, first, end, spacing)
+
+        with mock.patch.object(codec, "_word_starts", recording):
+            self.check(words, len(mvs[0]), mvs, codewords, chunk=chunk)
+        # steps that two walkers start from one bit
+        assert sum(map(bool, twins)) == together
+
     def test_output_cap_checked_before_the_walk(self):
         stream = EncodedStream(payload=b"\xff", payload_bits=8, k=2, mv_table=("00",),
                                codewords=("0",), original_length=10)

@@ -176,6 +176,27 @@ class TestVectorTable:
             read_container(data[: self.HEADER + kept])
 
 
+class TestCodewordTable:
+    """Each codeword entry is its length byte, then its bits MSB-first,
+    zero-padded to a byte boundary."""
+
+    @given(st.lists(st.integers(0, 255).flatmap(lambda n: st.text("01", min_size=n,
+                                                                  max_size=n)),
+                    min_size=1, max_size=8))
+    def test_every_length_round_trips(self, drawn):
+        # the drawn codewords, shortest first, less any that extends a kept one
+        codewords = []
+        for code in sorted(set(drawn), key=len):
+            if not any(code.startswith(kept) for kept in codewords):
+                codewords.append(code)
+        stream = EncodedStream(payload=b"", payload_bits=0, k=1,
+                               mv_table=("0",) * len(codewords), codewords=codewords,
+                               original_length=1)
+        data = write_container(stream)
+        assert data == table_container(1, bytes(len(codewords)), codewords)
+        assert read_container(data) == stream
+
+
 class TestBlockCount:
     def test_consistent_header_decodes(self):
         stream = read_container(single_vector_container(3, 2, 5))
